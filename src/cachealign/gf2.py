@@ -5,13 +5,15 @@ arithmetic mod 2.  Matrices are immutable 0/1 arrays; empty shapes
 (0 x k, k x 0) are valid and act as empty linear maps, so degenerate
 cases (no cache rows, no delivery rows) need no special handling.
 
-Elimination packs each row into a Python integer (bit j = column j) so
-that a row operation is a single XOR; pivots are always the first
-nonzero column from the left.
+Products and elimination pack each row into a Python integer (bit j =
+column j) so that a row operation is a single XOR; pivots are always
+the first nonzero column from the left.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import xor
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -115,15 +117,20 @@ class BitMatrix:
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Matrix product over GF(2): XOR-accumulate of entrywise ANDs.
 
-    The product is computed with a float64 matmul (exact for 0/1 entries
-    at these sizes) and reduced mod 2.
+    Row i of the product is the XOR of the packed rows of *b* that the
+    set entries of row i of *a* select, so a selection row costs one
+    lookup and the arithmetic is exact at any size.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    if a.rows == 0 or b.cols == 0 or a.cols == 0:
-        return BitMatrix.zeros(a.rows, b.cols)
-    prod = a.data.astype(np.float64) @ b.data.astype(np.float64)
-    return BitMatrix((prod.astype(np.int64) & 1).astype(np.uint8))
+    picks = _pack_rows(b.data).__getitem__
+    rows, cols = np.nonzero(a.data)
+    cols = cols.tolist()
+    out, start = [], 0
+    for end in np.cumsum(np.bincount(rows, minlength=a.rows)).tolist():
+        out.append(reduce(xor, map(picks, cols[start:end]), 0))
+        start = end
+    return BitMatrix(_unpack_rows(out, b.cols))
 
 
 def vstack(mats: Iterable[BitMatrix]) -> BitMatrix:
@@ -147,13 +154,11 @@ def _pack_rows(arr: np.ndarray) -> list[int]:
 
 
 def _unpack_rows(rows: Sequence[int], cols: int) -> np.ndarray:
-    out = np.zeros((len(rows), cols), dtype=np.uint8)
     nbytes = (cols + 7) // 8
-    for i, r in enumerate(rows):
-        if r:
-            raw = np.frombuffer(r.to_bytes(nbytes, "little"), dtype=np.uint8)
-            out[i] = np.unpackbits(raw, bitorder="little")[:cols]
-    return out
+    raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8)
+    return np.unpackbits(
+        raw.reshape(len(rows), nbytes), axis=1, count=cols, bitorder="little"
+    )
 
 
 def _lead(r: int) -> int:

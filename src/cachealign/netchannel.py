@@ -13,14 +13,12 @@ from enum import Enum
 
 import numpy as np
 
-from .gf2 import BitMatrix
-
 __all__ = [
     "Demand",
     "MessageQuad",
     "ReceiverObservation",
+    "observe",
     "transmit",
-    "user_channel_matrix",
 ]
 
 FILES = ("A", "B")
@@ -125,30 +123,20 @@ class ReceiverObservation:
         )
 
 
-def transmit(m: MessageQuad) -> tuple[ReceiverObservation, ReceiverObservation]:
-    """Deterministic, noiseless channel map from messages to both observations."""
-    obs1 = ReceiverObservation(m.v1, m.v3, m.v2 ^ m.v4)
-    obs2 = ReceiverObservation(m.v2, m.v4, m.v1 ^ m.v3)
-    return obs1, obs2
+def observe(user: int, v1, v2, v3, v4):
+    """The three blocks one user observes: (v1, v3, v2 ^ v4) or (v2, v4, v1 ^ v3).
 
-
-# Selector/XOR patterns mapping stacked (v1; v2; v3; v4) to one user's
-# stacked observation, one row per output block.
-_PATTERNS = {
-    1: ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1)),
-    2: ((0, 1, 0, 0), (0, 0, 0, 1), (1, 0, 1, 0)),
-}
-
-
-def user_channel_matrix(user: int, delivery_rows_per_message: int) -> BitMatrix:
-    """3k x 4k GF(2) matrix that agrees with :func:`transmit` for one user.
-
-    Each message contributes *delivery_rows_per_message* rows to the
-    stacked input vector.
+    The routing is linear over GF(2), so the same map serves message bit
+    vectors and row blocks of linear maps (BitMatrix), one row per bit.
     """
     _check_user(user)
-    k = delivery_rows_per_message
-    if k < 0:
-        raise ValueError("rows per message must be nonnegative")
-    pattern = np.array(_PATTERNS[user], dtype=np.uint8)
-    return BitMatrix(np.kron(pattern, np.eye(k, dtype=np.uint8)))
+    if user == 1:
+        return v1, v3, v2 ^ v4
+    return v2, v4, v1 ^ v3
+
+
+def transmit(m: MessageQuad) -> tuple[ReceiverObservation, ReceiverObservation]:
+    """Deterministic, noiseless channel map from messages to both observations."""
+    return tuple(
+        ReceiverObservation(*observe(user, m.v1, m.v2, m.v3, m.v4)) for user in (1, 2)
+    )

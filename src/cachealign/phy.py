@@ -15,16 +15,18 @@ noiseless arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .netchannel import Demand, ReceiverObservation
 from .schemes import LinearScheme
-from .verifier import decodable, message_bits, observed_bits
+from .verifier import decoders, message_bits, observed_bits
 
 __all__ = [
     "DemodError",
@@ -73,8 +75,8 @@ class PhyConfig:
             object.__setattr__(self, name, gain)
         if self.q < 2:
             raise ValueError(f"alphabet size must be at least 2, got {self.q}")
-        if self.power is not None and self.power <= 0:
-            raise ValueError(f"power must be positive, got {self.power}")
+        if self.power is not None and not (math.isfinite(self.power) and self.power > 0):
+            raise ValueError(f"power must be positive and finite, got {self.power}")
 
     @property
     def gains(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -178,10 +180,13 @@ def uniqueness_certificate(cfg: PhyConfig) -> bool:
     return True
 
 
-def _demod_table(cfg: PhyConfig, user: int) -> dict[Fraction, tuple[int, int, int]]:
+@lru_cache(maxsize=64)
+def _demod_table(cfg: PhyConfig, user: int) -> Mapping[Fraction, tuple[int, int, int]]:
+    # A refusal raises, and lru_cache does not cache exceptions, so gains
+    # failing the certificate are refused on every call.
     if not uniqueness_certificate(cfg):
         raise ValueError("gains fail the uniqueness certificate; demodulation is ambiguous")
-    return dict(_constellation(cfg, user))
+    return MappingProxyType(dict(_constellation(cfg, user)))
 
 
 def demodulate(cfg: PhyConfig, y, user: int, noisy: bool = False) -> tuple[int, int, int]:
@@ -217,8 +222,8 @@ def e2e_run(
     """
     if cfg.q != 2:
         raise ValueError("end-to-end runs use one bit per frame and need q == 2")
-    decoders = {user: decodable(s, d, user) for user in (1, 2)}
-    for user, decoder in decoders.items():
+    witnesses = decoders(s, d)
+    for user, decoder in zip((1, 2), witnesses):
         if decoder is None:
             raise ValueError(f"scheme is not decodable for demand {d}, user {user}")
     x = np.asarray(file_bits, dtype=np.uint8)
@@ -238,7 +243,7 @@ def e2e_run(
             direct_b=triples[:, 1].astype(np.uint8),
             xor_sum=(triples[:, 2] % 2).astype(np.uint8),
         )
-        outputs.append(decoders[user].apply(observed_bits(s, user, obs, x)))
+        outputs.append(witnesses[user - 1].apply(observed_bits(s, user, obs, x)))
     return outputs[0], outputs[1]
 
 

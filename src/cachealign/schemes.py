@@ -27,6 +27,7 @@ __all__ = [
     "LinearScheme",
     "SchemeFormatError",
     "CORNER_NAMES",
+    "MAX_GRANULARITY",
     "corner_scheme",
     "file_selector",
     "memory_share",
@@ -36,6 +37,11 @@ __all__ = [
 ]
 
 CORNER_NAMES = ("M0", "M13", "M45", "M2")
+
+# Largest granularity memory_share builds.  Schemes are dense: the
+# placement blocks alone take 2n^2 bytes each, and certifying one takes
+# about n^3 bit operations.
+MAX_GRANULARITY = 4096
 
 _MESSAGE_TAGS = ("V1", "V2", "V3", "V4")
 
@@ -338,6 +344,11 @@ def memory_share(s1: LinearScheme, s2: LinearScheme, lam: Fraction) -> LinearSch
     # Smallest granularity aligning both sub-schemes to whole parts.
     t = lcm(s1.n // gcd(p, s1.n), s2.n // gcd(q - p, s2.n))
     n = q * t
+    if n > MAX_GRANULARITY:
+        raise ValueError(
+            f"memory sharing at {lam} needs granularity n = {n}, above the limit "
+            f"of {MAX_GRANULARITY} parts per file"
+        )
     k1 = p * t // s1.n
     k2 = (q - p) * t // s2.n
     offset = p * t
@@ -416,7 +427,10 @@ def parse_fraction(text: str) -> Fraction:
     """Parse 'p/q' or a bare integer; floating-point forms are rejected."""
     if not _FRACTION_RE.match(text):
         raise ValueError(f"expected a rational like 'p/q' or an integer, got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class _LineReader:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gf2 import BitMatrix, mat_mul, solve_left, vstack
-from .netchannel import Demand, MessageQuad, ReceiverObservation, transmit, user_channel_matrix
+from .netchannel import Demand, MessageQuad, ReceiverObservation, observe, transmit
 from .schemes import LinearScheme, file_selector
 
 __all__ = [
@@ -23,10 +23,27 @@ __all__ = [
     "VerificationReport",
     "decodable",
     "decode_bits",
+    "decoders",
     "message_bits",
     "observation_matrix",
     "verify_all",
 ]
+
+
+def _messages(s: LinearScheme, d: Demand) -> tuple[BitMatrix, BitMatrix, BitMatrix, BitMatrix]:
+    # The four transmitted messages as linear maps of the 2n file bits.
+    quad = s.delivery[d]
+    return (
+        mat_mul(quad.d1, s.u1),
+        mat_mul(quad.d2, s.u1),
+        mat_mul(quad.d3, s.u2),
+        mat_mul(quad.d4, s.u2),
+    )
+
+
+def _observations(s: LinearScheme, user: int, messages) -> BitMatrix:
+    cache = s.z1 if user == 1 else s.z2
+    return vstack([cache, *observe(user, *messages)])
 
 
 def observation_matrix(s: LinearScheme, d: Demand, user: int) -> BitMatrix:
@@ -35,24 +52,23 @@ def observation_matrix(s: LinearScheme, d: Demand, user: int) -> BitMatrix:
     Rows: the receiver cache placement, then the three observation blocks
     (direct from transmitter 1, direct from transmitter 2, XOR).
     """
-    quad = s.delivery[d]
-    stacked_messages = vstack(
-        [
-            mat_mul(quad.d1, s.u1),
-            mat_mul(quad.d2, s.u1),
-            mat_mul(quad.d3, s.u2),
-            mat_mul(quad.d4, s.u2),
-        ]
-    )
-    channel = user_channel_matrix(user, s.message_rows)
-    cache = s.z1 if user == 1 else s.z2
-    return vstack([cache, mat_mul(channel, stacked_messages)])
+    return _observations(s, user, _messages(s, d))
+
+
+def _witness(s: LinearScheme, d: Demand, user: int, messages) -> BitMatrix | None:
+    target = file_selector(s.n, d.requested(user))
+    return solve_left(_observations(s, user, messages), target)
 
 
 def decodable(s: LinearScheme, d: Demand, user: int) -> BitMatrix | None:
     """Decoder matrix witnessing recoverability of the demanded file, else None."""
-    target = file_selector(s.n, d.requested(user))
-    return solve_left(observation_matrix(s, d, user), target)
+    return _witness(s, d, user, _messages(s, d))
+
+
+def decoders(s: LinearScheme, d: Demand) -> tuple[BitMatrix | None, BitMatrix | None]:
+    """The :func:`decodable` witnesses of users 1 and 2, sharing one set of messages."""
+    messages = _messages(s, d)
+    return _witness(s, d, 1, messages), _witness(s, d, 2, messages)
 
 
 @dataclass(frozen=True)
@@ -89,9 +105,9 @@ class VerificationReport:
 def verify_all(s: LinearScheme) -> VerificationReport:
     """Check all 4 demands x 2 users; pure, order-independent per case."""
     cases = tuple(
-        CaseResult(d, user, decodable(s, d, user) is not None)
+        CaseResult(d, user, decoder is not None)
         for d in Demand
-        for user in (1, 2)
+        for user, decoder in zip((1, 2), decoders(s, d))
     )
     return VerificationReport(memory=s.memory, load=s.load, cases=cases)
 

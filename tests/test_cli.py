@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from cachealign import BitMatrix, corner_scheme, read_scheme, write_scheme
+from cachealign import MAX_GRANULARITY, BitMatrix, corner_scheme, read_scheme, write_scheme
 from cachealign.cli import main
 
 
@@ -161,3 +161,31 @@ def test_usage_error_exit_code():
 def test_bad_gains_rejected(capsys):
     assert main(["phy", "cert", "--gains", "1,2,3"]) == 2
     assert "four comma-separated gains" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["construct", "--m", "3/0"], "zero denominator in '3/0'"),
+        (["tradeoff", "--m", "1/0"], "zero denominator in '1/0'"),
+        (["sweep", "--from", "0", "--to", "2", "--step", "1/0"], "zero denominator"),
+        (["construct", "--m", "1/100003"], f"n = 100003, above the limit of {MAX_GRANULARITY}"),
+        (["phy", "mc", "--gains", "2,3,5,7", "--power", "nan", "--trials", "1000"], "power"),
+        (["phy", "mc", "--gains", "2,3,5,7", "--power", "inf", "--trials", "1000"], "power"),
+    ],
+)
+def test_bad_values_exit_2_with_one_error_line(capsys, argv, expected):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert expected in lines[0]
+
+
+def test_verify_zero_denominator_in_file(tmp_path, capsys):
+    path = tmp_path / "zero.scheme"
+    path.write_text(write_scheme(corner_scheme("M13")).replace("M 1/3", "M 1/0"))
+    assert main(["verify", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: line 2: zero denominator in '1/0'"]

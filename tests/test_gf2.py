@@ -86,9 +86,23 @@ def test_mat_mul_xor_arithmetic():
 
 def test_mat_mul_matches_bruteforce_oracle():
     rng = np.random.default_rng(42)
-    for _ in range(25):
-        a = random_matrix(rng, 4, 4)
-        b = random_matrix(rng, 4, 4)
+    cases = [(random_matrix(rng, 4, 4), random_matrix(rng, 4, 4)) for _ in range(25)]
+    # Widths around the 8-bit and 64-bit packing boundaries, on both sides.
+    for inner in (1, 7, 9, 63, 65):
+        for width in (1, 7, 9, 63, 65):
+            cases.append((random_matrix(rng, 3, inner), random_matrix(rng, inner, width)))
+        cases.append((BitMatrix(np.ones((2, inner), dtype=np.uint8)), random_matrix(rng, inner, 9)))
+    for inner, width in ((9, 65), (65, 7)):
+        b = random_matrix(rng, inner, width)
+        zero_rows = random_matrix(rng, 5, inner).data.copy()
+        zero_rows[[0, 2, 4]] = 0
+        cases.append((BitMatrix(zero_rows), b))
+        picks = rng.integers(0, inner, size=6)
+        selection = np.zeros((6, inner), dtype=np.uint8)
+        selection[np.arange(6), picks] = 1
+        cases.append((BitMatrix(selection), b))
+        assert mat_mul(BitMatrix(selection), b) == BitMatrix(b.data[picks])
+    for a, b in cases:
         assert mat_mul(a, b) == oracle_mat_mul(a, b)
 
 

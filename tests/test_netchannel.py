@@ -1,20 +1,61 @@
-"""Network-layer channel behavior."""
+"""Network-layer channel behavior.
+
+The channel routing is checked against ``oracle_channel``, an independent
+Kronecker-product matrix of the same map.
+"""
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachealign import (
+    CORNER_NAMES,
+    BitMatrix,
+    DeliveryQuad,
     Demand,
+    LinearScheme,
     MessageQuad,
+    corner_scheme,
+    file_selector,
+    observation_matrix,
+    observe,
     rank,
+    scheme_for_memory,
     transmit,
-    user_channel_matrix,
+    verify_all,
     vstack,
 )
+
+# Selector/XOR patterns mapping stacked (v1; v2; v3; v4) to one user's
+# stacked observation, one row per output block.
+ORACLE_PATTERNS = {
+    1: ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1)),
+    2: ((0, 1, 0, 0), (0, 0, 0, 1), (1, 0, 1, 0)),
+}
+
+
+def oracle_channel(user: int, k: int) -> BitMatrix:
+    """3k x 4k channel matrix built independently as kron(pattern, I_k)."""
+    pattern = np.array(ORACLE_PATTERNS[user], dtype=np.uint8)
+    return BitMatrix(np.kron(pattern, np.eye(k, dtype=np.uint8)))
+
+
+def oracle_product(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """GF(2) product through exact integer arithmetic, independent of gf2.mat_mul."""
+    return BitMatrix((a.data.astype(np.int64) @ b.data.astype(np.int64)) % 2)
+
+
+def routed_channel_matrix(user: int, k: int) -> BitMatrix:
+    """The package routing applied to the four k-row blocks of I_4k."""
+    eye = np.eye(4 * k, dtype=np.uint8)
+    blocks = [BitMatrix(eye[i * k : (i + 1) * k]) for i in range(4)]
+    return vstack(observe(user, *blocks))
 
 
 def random_quad(rng: np.random.Generator, k: int) -> MessageQuad:
@@ -80,8 +121,9 @@ def test_transmit_is_linear():
 
 
 def test_channel_matrix_k1_rows():
-    assert user_channel_matrix(1, 1).row_texts() == ["1000", "0010", "0101"]
-    assert user_channel_matrix(2, 1).row_texts() == ["0100", "0001", "1010"]
+    for channel in (routed_channel_matrix, oracle_channel):
+        assert channel(1, 1).row_texts() == ["1000", "0010", "0101"]
+        assert channel(2, 1).row_texts() == ["0100", "0001", "1010"]
 
 
 def test_channel_matrix_agrees_with_transmit_exhaustively_at_k1():
@@ -90,7 +132,7 @@ def test_channel_matrix_agrees_with_transmit_exhaustively_at_k1():
         observations = transmit(quad)
         stacked_in = np.array(bits, dtype=np.uint8)
         for user in (1, 2):
-            out = user_channel_matrix(user, 1).apply(stacked_in)
+            out = oracle_channel(user, 1).apply(stacked_in)
             assert np.array_equal(out, observations[user - 1].stacked())
 
 
@@ -101,8 +143,23 @@ def test_channel_matrix_agrees_with_transmit_at_k2():
         stacked_in = np.concatenate([quad.v1, quad.v2, quad.v3, quad.v4])
         observations = transmit(quad)
         for user in (1, 2):
-            out = user_channel_matrix(user, 2).apply(stacked_in)
+            out = oracle_channel(user, 2).apply(stacked_in)
             assert np.array_equal(out, observations[user - 1].stacked())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    user=st.sampled_from((1, 2)),
+    k=st.integers(0, 6),
+    width=st.integers(0, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_routing_matches_oracle_channel(user, k, width, seed):
+    # Routing row blocks equals multiplying their stack by the kron channel.
+    rng = np.random.default_rng(seed)
+    blocks = [BitMatrix(rng.integers(0, 2, size=(k, width), dtype=np.uint8)) for _ in range(4)]
+    routed = vstack(observe(user, *blocks))
+    assert routed == oracle_product(oracle_channel(user, k), vstack(blocks))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -110,12 +167,81 @@ def test_both_users_jointly_see_everything(k):
     # Each user alone observes 3 of the 4 degrees of information;
     # together they determine all messages.
     for user in (1, 2):
-        assert rank(user_channel_matrix(user, k)) == 3 * k
-    stacked = vstack([user_channel_matrix(1, k), user_channel_matrix(2, k)])
+        assert routed_channel_matrix(user, k) == oracle_channel(user, k)
+        assert rank(routed_channel_matrix(user, k)) == 3 * k
+    stacked = vstack([routed_channel_matrix(1, k), routed_channel_matrix(2, k)])
     assert stacked.shape == (6 * k, 4 * k)
     assert rank(stacked) == 4 * k
 
 
 def test_bad_user_rejected():
+    blocks = [BitMatrix.zeros(1, 1)] * 4
     with pytest.raises(ValueError, match="user"):
-        user_channel_matrix(3, 1)
+        observe(3, *blocks)
+
+
+def oracle_observation_matrix(s: LinearScheme, d: Demand, user: int) -> BitMatrix:
+    """Cache rows over oracle_channel(user, k) . vstack(d_i . u), all in integers."""
+    quad = s.delivery[d]
+    messages = [
+        oracle_product(m, u).data
+        for m, u in zip(quad, (s.u1, s.u1, s.u2, s.u2))
+    ]
+    stacked = BitMatrix(np.vstack(messages))
+    received = oracle_product(oracle_channel(user, s.message_rows), stacked)
+    cache = s.z1 if user == 1 else s.z2
+    return BitMatrix(np.vstack([cache.data, received.data]))
+
+
+@st.composite
+def dense_schemes(draw, max_n: int = 5):
+    """Random schemes whose delivery maps are dense bit matrices, not row selections."""
+    n = draw(st.integers(1, max_n))
+    cache_rows = draw(st.integers(0, 2 * n))
+    k = draw(st.integers(0, n))
+    rows_u1, rows_u2 = draw(st.integers(0, n)), draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def bits(rows: int, cols: int) -> BitMatrix:
+        return BitMatrix(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8))
+
+    return LinearScheme(
+        n=n,
+        memory=Fraction(cache_rows, n),
+        load=Fraction(k, n),
+        z1=bits(cache_rows, 2 * n),
+        z2=bits(cache_rows, 2 * n),
+        u1=bits(rows_u1, 2 * n),
+        u2=bits(rows_u2, 2 * n),
+        delivery={
+            d: DeliveryQuad(bits(k, rows_u1), bits(k, rows_u1), bits(k, rows_u2), bits(k, rows_u2))
+            for d in Demand
+        },
+    )
+
+
+def assert_observations_match_oracle(scheme: LinearScheme) -> None:
+    verdicts = {(case.demand, case.user): case.ok for case in verify_all(scheme).cases}
+    for d in Demand:
+        for user in (1, 2):
+            expected = oracle_observation_matrix(scheme, d, user)
+            assert observation_matrix(scheme, d, user) == expected
+            # Decodable iff the demanded selector adds no rank.
+            target = file_selector(scheme.n, d.requested(user))
+            assert verdicts[d, user] == (rank(vstack([expected, target])) == rank(expected))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_schemes())
+def test_observation_matrix_matches_oracle_channel(scheme):
+    assert_observations_match_oracle(scheme)
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [corner_scheme(name) for name in CORNER_NAMES]
+    + [scheme_for_memory(Fraction(*m)) for m in ((1, 7), (7, 10), (59, 60), (3, 2))],
+    ids=lambda s: f"M={s.memory}",
+)
+def test_observation_matrix_matches_oracle_channel_on_built_schemes(scheme):
+    assert_observations_match_oracle(scheme)

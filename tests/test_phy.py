@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cachealign import phy
 from cachealign import (
     Demand,
     DemodError,
@@ -23,6 +24,7 @@ from cachealign import (
     front_end,
     monte_carlo,
     power_for_min_gap,
+    scheme_for_memory,
     send_frame,
     uniqueness_certificate,
 )
@@ -38,8 +40,9 @@ def test_config_validation():
         PhyConfig(0, 1, 1, 1)
     with pytest.raises(ValueError, match="alphabet"):
         PhyConfig(2, 3, 5, 7, q=1)
-    with pytest.raises(ValueError, match="power"):
-        PhyConfig(2, 3, 5, 7, power=-1.0)
+    for power in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="power"):
+            PhyConfig(2, 3, 5, 7, power=power)
 
 
 def test_front_end_single_stream():
@@ -122,8 +125,10 @@ def test_demodulate_rejects_non_constellation_value():
 
 
 def test_demodulate_requires_certificate():
-    with pytest.raises(ValueError, match="uniqueness certificate"):
-        demodulate(DEGENERATE, F(0), 1)
+    # Refused on every call, not only the first: refusals are never cached.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="uniqueness certificate"):
+            demodulate(DEGENERATE, F(0), 1)
 
 
 def test_demodulate_noisy_nearest_and_ties():
@@ -150,6 +155,27 @@ def test_e2e_matches_network_layer_decode():
     assert np.array_equal(out2, decode_bits(scheme, Demand.AB, 2, bits))
     assert np.array_equal(out1, file_selector(3, "A").apply(bits))
     assert np.array_equal(out2, file_selector(3, "B").apply(bits))
+
+
+def test_e2e_certifies_each_demod_table_once(monkeypatch):
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return uniqueness_certificate(cfg)
+
+    monkeypatch.setattr(phy, "uniqueness_certificate", counted)
+    phy._demod_table.cache_clear()
+    scheme = scheme_for_memory(F(7, 10))
+    rng = np.random.default_rng(5)
+    for demand in Demand:
+        bits = rng.integers(0, 2, size=2 * scheme.n, dtype=np.uint8)
+        before = len(calls)
+        out1, out2 = e2e_run(scheme, demand, CFG, bits)
+        assert len(calls) - before <= 2
+        assert np.array_equal(out1, decode_bits(scheme, demand, 1, bits))
+        assert np.array_equal(out2, decode_bits(scheme, demand, 2, bits))
+    assert len(calls) <= 2
 
 
 def test_e2e_zero_files():

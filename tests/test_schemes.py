@@ -10,6 +10,7 @@ import pytest
 from cachealign import (
     BitMatrix,
     Demand,
+    MAX_GRANULARITY,
     LinearScheme,
     SchemeFormatError,
     corner_scheme,
@@ -158,6 +159,19 @@ def test_memory_share_metric_identity_exhaustive():
                 shared = memory_share(s1, s2, lam)
                 assert shared.memory == lam * s1.memory + (1 - lam) * s2.memory
                 assert shared.load == lam * s1.load + (1 - lam) * s2.load
+
+
+def test_memory_share_granularity_limit():
+    # The limit admits the granularities the benchmark and the timing notes use.
+    assert MAX_GRANULARITY >= 2000
+    s0, s13 = corner_scheme("M0"), corner_scheme("M13")
+    with pytest.raises(ValueError, match=rf"n = 100003, above the limit of {MAX_GRANULARITY}"):
+        memory_share(s0, s13, F(100000, 100003))
+    # Sharing two n = 1 schemes at weight 1/q needs exactly n = q.
+    s2 = corner_scheme("M2")
+    with pytest.raises(ValueError, match=f"n = {MAX_GRANULARITY + 1},"):
+        memory_share(s2, s2, F(1, MAX_GRANULARITY + 1))
+    assert memory_share(s2, s2, F(1, 7)).n == 7
 
 
 def test_scheme_for_memory_at_corner_is_the_corner():
