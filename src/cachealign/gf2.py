@@ -27,14 +27,17 @@ class BitMatrix:
     __slots__ = ("_data",)
 
     def __init__(self, data) -> None:
-        arr = np.asarray(data, dtype=np.uint8)
+        given = np.asarray(data)
+        arr = given.astype(np.uint8)
+        # The cast truncates and wraps (0.5 -> 0, 257 -> 1): other dtypes must survive it.
+        if given.dtype != np.uint8 and not np.array_equal(arr, given):
+            raise ValueError("matrix entries must be 0 or 1")
         if arr.ndim == 1 and arr.size == 0:
             arr = arr.reshape(0, 0)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array of bits, got shape {arr.shape}")
         if arr.size and int(arr.max()) > 1:
             raise ValueError("matrix entries must be 0 or 1")
-        arr = arr.copy()
         arr.setflags(write=False)
         self._data = arr
 
@@ -53,12 +56,10 @@ class BitMatrix:
         if not lines:
             return cls.zeros(0, cols if cols is not None else 0)
         width = len(lines[0]) if cols is None else cols
-        rows = []
         for ln in lines:
             if len(ln) != width or set(ln) - {"0", "1"}:
                 raise ValueError(f"bad row {ln!r}: expected {width} characters over 0/1")
-            rows.append([int(ch) for ch in ln])
-        return cls(rows)
+        return cls(_rows_from_text(lines, width))
 
     @property
     def data(self) -> np.ndarray:
@@ -78,7 +79,9 @@ class BitMatrix:
         return self._data.shape
 
     def row_texts(self) -> list[str]:
-        return ["".join("1" if b else "0" for b in row) for row in self._data]
+        text = (self._data + ord("0")).tobytes().decode("ascii")
+        w = self.cols
+        return [text[i * w : (i + 1) * w] for i in range(self.rows)]
 
     def to_text(self) -> str:
         return "\n".join(self.row_texts())
@@ -143,6 +146,12 @@ def vstack(mats: Iterable[BitMatrix]) -> BitMatrix:
         if m.cols != cols:
             raise ValueError(f"column mismatch in vstack: {m.cols} vs {cols}")
     return BitMatrix(np.vstack([m.data for m in mats]))
+
+
+def _rows_from_text(lines: Sequence[str], width: int) -> np.ndarray:
+    """The 0/1 array of rows of '0'/'1' characters, each already checked to be width long."""
+    raw = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
+    return (raw - ord("0")).reshape(len(lines), width)
 
 
 def _pack_rows(arr: np.ndarray) -> list[int]:

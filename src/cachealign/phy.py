@@ -9,8 +9,12 @@ common coefficient and arrive as their integer sum:
 
 Gains are exact rationals and a uniqueness certificate replaces the
 usual "generic gains" assumption: demodulation is offered only when the
-aligned linear form is injective over the full symbol range.  All
-noiseless arithmetic is exact.
+aligned linear form is injective over the full symbol range.
+
+The scalar public functions run the channel on the Fraction gains, all
+else on the cleared integer gains D*h (D the lcm of the denominators),
+where received values are integers over D^2.  Floats appear only in
+Monte Carlo noise.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +36,7 @@ __all__ = [
     "MonteCarloResult",
     "PhyConfig",
     "PhyFrame",
+    "MAX_ALPHABET",
     "MC_CSV_HEADER",
     "NOISE_SIGMA",
     "aligned_coefficients",
@@ -48,6 +52,10 @@ __all__ = [
 ]
 
 NOISE_SIGMA = 1.0  # unit-variance additive Gaussian noise
+
+# Largest symbol alphabet.  The certificate enumerates q^2 (2q-1) points
+# per user: about 5*10^5 at q = 64.
+MAX_ALPHABET = 64
 
 MC_CSV_HEADER = "P,trials,ser_user1,ser_user2,seed"
 
@@ -73,10 +81,16 @@ class PhyConfig:
             if gain == 0:
                 raise ValueError(f"gain {name} must be nonzero")
             object.__setattr__(self, name, gain)
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {self.q}")
+        if not 2 <= self.q <= MAX_ALPHABET:
+            raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {self.q}")
         if self.power is not None and not (math.isfinite(self.power) and self.power > 0):
             raise ValueError(f"power must be positive and finite, got {self.power}")
+        # A received value is a sum of four products of two cleared gains,
+        # each times a symbol below q; below this bound every value and
+        # every gap between two values fits in int64.
+        peak = max(abs(h) for h in _cleared(self)[1])
+        if 8 * peak * peak * (self.q - 1) >= 2**63:
+            raise ValueError(f"gains too large: cleared integer gains overflow int64 at q={self.q}")
 
     @property
     def gains(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -90,8 +104,8 @@ class PhyFrame(NamedTuple):
     g2: int
     g3: int
     g4: int
-    y1: Fraction | float
-    y2: Fraction | float
+    y1: Fraction
+    y2: Fraction
 
 
 class AlignedTriple(NamedTuple):
@@ -102,36 +116,50 @@ class AlignedTriple(NamedTuple):
     pair_sum: Fraction
 
 
-def _check_symbols(cfg: PhyConfig, symbols: tuple[int, ...]) -> None:
-    for g in symbols:
-        if not 0 <= g < cfg.q:
-            raise ValueError(f"symbol {g} outside alphabet [0, {cfg.q})")
+def _front_end(h, g1, g2, g3, g4):
+    h11, h12, h21, h22 = h
+    return h22 * g1 + h12 * g2, h21 * g3 + h11 * g4
+
+
+def _channel(h, x1, x2):
+    h11, h12, h21, h22 = h
+    return h11 * x1 + h12 * x2, h21 * x1 + h22 * x2
+
+
+def _aligned(h):
+    # User 1 sees (g1, g3, g2+g4), user 2 sees (g2, g4, g1+g3).
+    h11, h12, h21, h22 = h
+    return (h11 * h22, h12 * h21, h11 * h12), (h12 * h21, h11 * h22, h21 * h22)
+
+
+@lru_cache(maxsize=64)
+def _cleared(cfg: PhyConfig) -> tuple[int, tuple[int, int, int, int]]:
+    """D, the lcm of the gain denominators, and the integer gains D*h."""
+    d = math.lcm(*(h.denominator for h in cfg.gains))
+    return d, tuple(int(h * d) for h in cfg.gains)
+
+
+def _received(cfg: PhyConfig, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both users' noiseless observations, times D^2, of symbol rows (frames x 4)."""
+    h = _cleared(cfg)[1]
+    return _channel(h, *_front_end(h, *symbols.T))
 
 
 def front_end(cfg: PhyConfig, g1: int, g2: int, g3: int, g4: int) -> tuple[Fraction, Fraction]:
     """Fixed linear mixing at the transmitters, exact."""
-    _check_symbols(cfg, (g1, g2, g3, g4))
-    x1 = cfg.h22 * g1 + cfg.h12 * g2
-    x2 = cfg.h21 * g3 + cfg.h11 * g4
-    return x1, x2
+    for g in (g1, g2, g3, g4):
+        if not 0 <= g < cfg.q:
+            raise ValueError(f"symbol {g} outside alphabet [0, {cfg.q})")
+    return _front_end(cfg.gains, g1, g2, g3, g4)
 
 
-def channel_out(cfg, x1, x2, rng: np.random.Generator | None = None):
-    """Channel observations; exact when rng is None, else with N(0,1) noise."""
-    y1 = cfg.h11 * x1 + cfg.h12 * x2
-    y2 = cfg.h21 * x1 + cfg.h22 * x2
-    if rng is None:
-        return y1, y2
-    return (
-        float(y1) + NOISE_SIGMA * rng.standard_normal(),
-        float(y2) + NOISE_SIGMA * rng.standard_normal(),
-    )
+def channel_out(cfg: PhyConfig, x1, x2) -> tuple[Fraction, Fraction]:
+    """Noiseless channel observations, exact."""
+    return _channel(cfg.gains, x1, x2)
 
 
-def send_frame(
-    cfg: PhyConfig, g1: int, g2: int, g3: int, g4: int, rng: np.random.Generator | None = None
-) -> PhyFrame:
-    y1, y2 = channel_out(cfg, *front_end(cfg, g1, g2, g3, g4), rng=rng)
+def send_frame(cfg: PhyConfig, g1: int, g2: int, g3: int, g4: int) -> PhyFrame:
+    y1, y2 = channel_out(cfg, *front_end(cfg, g1, g2, g3, g4))
     return PhyFrame(g1, g2, g3, g4, y1, y2)
 
 
@@ -141,22 +169,25 @@ def aligned_coefficients(cfg: PhyConfig) -> tuple[AlignedTriple, AlignedTriple]:
     User 1's observation is c.direct_a*g1 + c.direct_b*g3 + c.pair_sum*(g2+g4);
     user 2's is the mirror on (g2, g4, g1+g3).
     """
-    user1 = AlignedTriple(cfg.h11 * cfg.h22, cfg.h12 * cfg.h21, cfg.h11 * cfg.h12)
-    user2 = AlignedTriple(cfg.h12 * cfg.h21, cfg.h11 * cfg.h22, cfg.h21 * cfg.h22)
-    return user1, user2
+    user1, user2 = _aligned(cfg.gains)
+    return AlignedTriple(*user1), AlignedTriple(*user2)
 
 
 @lru_cache(maxsize=64)
-def _constellation(cfg: PhyConfig, user: int) -> tuple[tuple[Fraction, tuple[int, int, int]], ...]:
-    coeff = aligned_coefficients(cfg)[user - 1]
-    entries = []
-    for a in range(cfg.q):
-        for b in range(cfg.q):
-            for s in range(2 * cfg.q - 1):
-                value = coeff.direct_a * a + coeff.direct_b * b + coeff.pair_sum * s
-                entries.append((value, (a, b, s)))
-    entries.sort(key=lambda item: item[0])
-    return tuple(entries)
+def _constellation(cfg: PhyConfig, user: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every aligned point's integer value (times D^2), sorted, and its (a, b, s) row.
+
+    Equal values keep the enumeration order: a, then b, then s.
+    """
+    q = cfg.q
+    grid = np.meshgrid(np.arange(q), np.arange(q), np.arange(2 * q - 1), indexing="ij")
+    triples = np.stack([axis.ravel() for axis in grid], axis=1).astype(np.int64)
+    values = triples @ np.array(_aligned(_cleared(cfg)[1])[user - 1], dtype=np.int64)
+    order = np.argsort(values, kind="stable")
+    values, triples = values[order], triples[order]
+    values.setflags(write=False)
+    triples.setflags(write=False)
+    return values, triples
 
 
 def enumerate_constellation(
@@ -165,7 +196,9 @@ def enumerate_constellation(
     """All (value, (direct_a, direct_b, pair_sum)) points, sorted by value."""
     if user not in (1, 2):
         raise ValueError(f"user must be 1 or 2, got {user!r}")
-    return list(_constellation(cfg, user))
+    values, triples = _constellation(cfg, user)
+    d2 = _cleared(cfg)[0] ** 2
+    return [(Fraction(v, d2), tuple(t)) for v, t in zip(values.tolist(), triples.tolist())]
 
 
 def uniqueness_certificate(cfg: PhyConfig) -> bool:
@@ -173,42 +206,44 @@ def uniqueness_certificate(cfg: PhyConfig) -> bool:
 
     Exhaustive over all (a, b, s) with a, b in [0, Q) and s in [0, 2Q-1).
     """
-    for user in (1, 2):
-        entries = _constellation(cfg, user)
-        if len({value for value, _ in entries}) != len(entries):
-            return False
-    return True
+    return all(bool(np.diff(_constellation(cfg, user)[0]).all()) for user in (1, 2))
 
 
 @lru_cache(maxsize=64)
-def _demod_table(cfg: PhyConfig, user: int) -> Mapping[Fraction, tuple[int, int, int]]:
+def _demod_table(cfg: PhyConfig, user: int) -> tuple[np.ndarray, np.ndarray]:
     # A refusal raises, and lru_cache does not cache exceptions, so gains
     # failing the certificate are refused on every call.
     if not uniqueness_certificate(cfg):
         raise ValueError("gains fail the uniqueness certificate; demodulation is ambiguous")
-    return MappingProxyType(dict(_constellation(cfg, user)))
+    return _constellation(cfg, user)
+
+
+def _nearest(values: np.ndarray, y):
+    """Index of the value nearest to each y, ties going to the smaller value."""
+    right = np.minimum(np.searchsorted(values, y), len(values) - 1)
+    left = np.maximum(right - 1, 0)
+    return np.where(y - values[left] <= values[right] - y, left, right)
+
+
+def _demod(cfg: PhyConfig, user: int, y: np.ndarray, noisy: bool) -> np.ndarray:
+    """(a, b, s) rows of observations y in received integer units (times D^2)."""
+    values, triples = _demod_table(cfg, user)
+    idx = _nearest(values, y)
+    missing = np.flatnonzero(values[idx] != y)
+    if missing.size and not noisy:
+        bad = Fraction(y[missing[0]]) / _cleared(cfg)[0] ** 2
+        raise DemodError(f"observation {bad} is not a constellation value for user {user}")
+    return triples[idx]
 
 
 def demodulate(cfg: PhyConfig, y, user: int, noisy: bool = False) -> tuple[int, int, int]:
     """Invert one aligned observation to (direct_a, direct_b, pair_sum).
 
     Noiseless mode demands an exact constellation value; noisy mode takes
-    the nearest value, ties going to the smaller one.
+    the nearest value, ties going to the smaller one.  Both are exact.
     """
-    table = _demod_table(cfg, user)
-    if not noisy:
-        triple = table.get(Fraction(y))
-        if triple is None:
-            raise DemodError(f"observation {y} is not a constellation value for user {user}")
-        return triple
-    entries = _constellation(cfg, user)
-    values = np.array([float(v) for v, _ in entries])
-    idx = int(np.searchsorted(values, float(y)))
-    left = max(idx - 1, 0)
-    right = min(idx, len(values) - 1)
-    if abs(float(y) - values[left]) <= abs(values[right] - float(y)):
-        return entries[left][1]
-    return entries[right][1]
+    scaled = np.array([Fraction(y) * _cleared(cfg)[0] ** 2])
+    return tuple(_demod(cfg, user, scaled, noisy)[0].tolist())
 
 
 def e2e_run(
@@ -228,57 +263,32 @@ def e2e_run(
             raise ValueError(f"scheme is not decodable for demand {d}, user {user}")
     x = np.asarray(file_bits, dtype=np.uint8)
     quad = message_bits(s, d, x)
-    demod = {1: [], 2: []}
-    for t in range(quad.length):
-        frame = send_frame(
-            cfg, int(quad.v1[t]), int(quad.v2[t]), int(quad.v3[t]), int(quad.v4[t])
-        )
-        demod[1].append(demodulate(cfg, frame.y1, 1))
-        demod[2].append(demodulate(cfg, frame.y2, 2))
+    symbols = np.column_stack([quad.v1, quad.v2, quad.v3, quad.v4]).astype(np.int64)
     outputs = []
-    for user in (1, 2):
-        triples = np.array(demod[user], dtype=np.int64).reshape(-1, 3)
+    for user, y, witness in zip((1, 2), _received(cfg, symbols), witnesses):
+        triples = _demod(cfg, user, y, noisy=False)
         obs = ReceiverObservation(
             direct_a=triples[:, 0].astype(np.uint8),
             direct_b=triples[:, 1].astype(np.uint8),
             xor_sum=(triples[:, 2] % 2).astype(np.uint8),
         )
-        outputs.append(witnesses[user - 1].apply(observed_bits(s, user, obs, x)))
+        outputs.append(witness.apply(observed_bits(s, user, obs, x)))
     return outputs[0], outputs[1]
 
 
-def _transmit_peak(cfg: PhyConfig) -> Fraction:
-    return max(
-        abs(value)
-        for a in range(cfg.q)
-        for b in range(cfg.q)
-        for value in (cfg.h22 * a + cfg.h12 * b, cfg.h21 * a + cfg.h11 * b)
-    )
-
-
-def _transmit_scale(cfg: PhyConfig, power: float) -> float:
-    # Common factor putting the largest transmit constellation point on
-    # the power budget; the average power constraint follows a fortiori.
-    return float(power) ** 0.5 / float(_transmit_peak(cfg))
-
-
-def min_constellation_gap(cfg: PhyConfig) -> Fraction:
-    """Smallest spacing between distinct aligned values over both users."""
-    gaps = []
-    for user in (1, 2):
-        values = [v for v, _ in _constellation(cfg, user)]
-        gaps.extend(b - a for a, b in zip(values, values[1:]) if b != a)
-    if not gaps:
-        raise ValueError("degenerate constellation")
-    return min(gaps)
+def _transmit_peak(cfg: PhyConfig) -> int:
+    """Largest transmit magnitude over the alphabet, times D^2 like received values."""
+    d, h = _cleared(cfg)
+    a, b = np.meshgrid(np.arange(cfg.q), np.arange(cfg.q))
+    return d * int(max(np.abs(x).max() for x in _front_end(h, a, b, a, b)))
 
 
 def power_for_min_gap(cfg: PhyConfig, sigmas: float) -> float:
     """Power that puts the smallest received constellation gap at sigmas * noise."""
     if not uniqueness_certificate(cfg):
         raise ValueError("gains fail the uniqueness certificate")
-    gap = min_constellation_gap(cfg)
-    return (sigmas * NOISE_SIGMA * float(_transmit_peak(cfg)) / float(gap)) ** 2
+    gap = min(int(np.diff(_constellation(cfg, user)[0]).min()) for user in (1, 2))
+    return (sigmas * NOISE_SIGMA * _transmit_peak(cfg) / gap) ** 2
 
 
 @dataclass(frozen=True)
@@ -308,40 +318,21 @@ def monte_carlo(cfg: PhyConfig, trials: int, seed: int) -> MonteCarloResult:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if cfg.power is None:
         raise ValueError("config has no power budget set")
-    if not uniqueness_certificate(cfg):
-        raise ValueError("gains fail the uniqueness certificate")
     rng = np.random.default_rng(seed)
     symbols = rng.integers(0, cfg.q, size=(trials, 4))
-    scale = _transmit_scale(cfg, cfg.power)
-
-    h11, h12, h21, h22 = (float(h) for h in cfg.gains)
-    x1 = scale * (h22 * symbols[:, 0] + h12 * symbols[:, 1])
-    x2 = scale * (h21 * symbols[:, 2] + h11 * symbols[:, 3])
-    y1 = h11 * x1 + h12 * x2 + NOISE_SIGMA * rng.standard_normal(trials)
-    y2 = h21 * x1 + h22 * x2 + NOISE_SIGMA * rng.standard_normal(trials)
-
-    true_triples = {
-        1: np.column_stack([symbols[:, 0], symbols[:, 2], symbols[:, 1] + symbols[:, 3]]),
-        2: np.column_stack([symbols[:, 1], symbols[:, 3], symbols[:, 0] + symbols[:, 2]]),
-    }
-    rates = {}
-    for user, y in ((1, y1), (2, y2)):
-        entries = _constellation(cfg, user)
-        values = scale * np.array([float(v) for v, _ in entries])
-        triples = np.array([t for _, t in entries], dtype=np.int64)
-        idx = np.searchsorted(values, y)
-        left = np.clip(idx - 1, 0, len(values) - 1)
-        right = np.clip(idx, 0, len(values) - 1)
-        # Ties go to the smaller constellation value (the left candidate).
-        take_left = np.abs(y - values[left]) <= np.abs(values[right] - y)
-        chosen = np.where(take_left, left, right)
-        decoded = triples[chosen]
-        errors = np.any(decoded != true_triples[user], axis=1)
-        rates[user] = float(np.mean(errors))
+    # The largest transmit point sits on the power budget (the average
+    # power constraint follows a fortiori): noise deviation in integer units.
+    noise = NOISE_SIGMA * _transmit_peak(cfg) / float(cfg.power) ** 0.5
+    rates = []
+    for user, y in zip((1, 2), _received(cfg, symbols)):
+        values = _demod_table(cfg, user)[0]
+        # Certified values are distinct, so a wrong index is a wrong triple.
+        errors = _nearest(values, y + noise * rng.standard_normal(trials)) != _nearest(values, y)
+        rates.append(float(np.mean(errors)))
     return MonteCarloResult(
         power=float(cfg.power),
         trials=trials,
-        ser_user1=rates[1],
-        ser_user2=rates[2],
+        ser_user1=rates[0],
+        ser_user2=rates[1],
         seed=seed,
     )

@@ -19,7 +19,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .gf2 import BitMatrix, vstack
+from .gf2 import BitMatrix, _rows_from_text, vstack
 from .netchannel import FILES, Demand
 
 __all__ = [
@@ -70,7 +70,9 @@ class LinearScheme:
     z2: BitMatrix
     u1: BitMatrix
     u2: BitMatrix
-    delivery: Mapping[Demand, DeliveryQuad] = field(repr=False)
+    # Compared but not hashed, since a dict has no hash; equal schemes
+    # still hash equal.
+    delivery: Mapping[Demand, DeliveryQuad] = field(repr=False, hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "memory", Fraction(self.memory))
@@ -460,15 +462,16 @@ class _LineReader:
 
 
 def _read_matrix(reader: _LineReader, count: int, width: int) -> BitMatrix:
-    rows = np.zeros((count, width), dtype=np.uint8)
-    for i in range(count):
+    # Built from the rows actually read, never from the declared count alone.
+    lines = []
+    for _ in range(count):
         no, line = reader.next("a matrix row")
         if not _ROW_RE.match(line) or len(line) != width:
             raise SchemeFormatError(
                 no, f"expected a row of exactly {width} characters over 0/1, got {line!r}"
             )
-        rows[i] = [int(ch) for ch in line]
-    return BitMatrix(rows)
+        lines.append(line)
+    return BitMatrix(_rows_from_text(lines, width))
 
 
 def read_scheme(text: str) -> LinearScheme:
@@ -489,6 +492,10 @@ def read_scheme(text: str) -> LinearScheme:
         raise SchemeFormatError(no, f"granularity must be an integer, got {raw!r}") from None
     if n <= 0:
         raise SchemeFormatError(no, f"granularity must be positive, got {n}")
+    if n > MAX_GRANULARITY:
+        raise SchemeFormatError(
+            no, f"n = {n}, above the limit of {MAX_GRANULARITY} parts per file"
+        )
 
     def rational(tag: str) -> Fraction:
         no, raw = header(tag)

@@ -6,7 +6,14 @@ import dataclasses
 
 import pytest
 
-from cachealign import MAX_GRANULARITY, BitMatrix, corner_scheme, read_scheme, write_scheme
+from cachealign import (
+    MAX_ALPHABET,
+    MAX_GRANULARITY,
+    BitMatrix,
+    corner_scheme,
+    read_scheme,
+    write_scheme,
+)
 from cachealign.cli import main
 
 
@@ -172,6 +179,8 @@ def test_bad_gains_rejected(capsys):
         (["construct", "--m", "1/100003"], f"n = 100003, above the limit of {MAX_GRANULARITY}"),
         (["phy", "mc", "--gains", "2,3,5,7", "--power", "nan", "--trials", "1000"], "power"),
         (["phy", "mc", "--gains", "2,3,5,7", "--power", "inf", "--trials", "1000"], "power"),
+        (["phy", "cert", "--gains", "2,3,5,7", "--q", "100000"], f"[2, {MAX_ALPHABET}]"),
+        (["phy", "cert", "--gains", "10000000000,1,1,1"], "overflow int64"),
     ],
 )
 def test_bad_values_exit_2_with_one_error_line(capsys, argv, expected):
@@ -189,3 +198,14 @@ def test_verify_zero_denominator_in_file(tmp_path, capsys):
     assert main(["verify", str(path)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["error: line 2: zero denominator in '1/0'"]
+
+
+def test_verify_oversized_scheme_file(tmp_path, capsys):
+    # 43 bytes declaring 3 000 000 rows: refused at the header, before any allocation.
+    path = tmp_path / "big.scheme"
+    path.write_text("n 3000000\nM 0/1\nc 0/1\nZ1 0\nZ2 0\nU1 3000000\n")
+    assert main(["verify", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [
+        f"error: line 1: n = 3000000, above the limit of {MAX_GRANULARITY} parts per file"
+    ]

@@ -215,6 +215,13 @@ def test_text_round_trip():
         BitMatrix.from_text("01\n2x")
 
 
+def test_entries_must_be_bits():
+    for data in ([[0.5, 1.7]], [[2, 0]], [[-1, 0]], [[257, 0]]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            BitMatrix(data)
+    assert BitMatrix([[True, False]]) == BitMatrix([[1.0, 0.0]]) == BitMatrix([[1, 0]])
+
+
 def test_empty_matrices_are_first_class():
     empty = BitMatrix.zeros(0, 4)
     assert mat_mul(empty, BitMatrix.zeros(4, 2)) == BitMatrix.zeros(0, 2)

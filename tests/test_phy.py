@@ -7,9 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachealign import phy
 from cachealign import (
+    MAX_ALPHABET,
     Demand,
     DemodError,
     PhyConfig,
@@ -35,6 +38,73 @@ CFG = PhyConfig(2, 3, 5, 7)
 DEGENERATE = PhyConfig(1, 1, 1, 1)
 
 
+# Oracles for the integer pipeline: a Fraction constellation, an exact
+# nearest point and a float Monte Carlo.  Coefficients are read off the
+# model (y = H x, x the front-end mix), not the package's formulas.
+
+
+def oracle_coefficients(cfg):
+    """Per user, the Fraction coefficients of (direct, direct, pair sum)."""
+    h11, h12, h21, h22 = cfg.gains
+    mix = ((h22, h12, 0, 0), (0, 0, h21, h11))
+    chan = ((h11, h12), (h21, h22))
+    c1, c2 = ([ch[0] * mix[0][j] + ch[1] * mix[1][j] for j in range(4)] for ch in chan)
+    assert c1[1] == c1[3] and c2[0] == c2[2], "interfering streams are not aligned"
+    return (c1[0], c1[2], c1[1]), (c2[1], c2[3], c2[0])
+
+
+def oracle_constellation(cfg, user):
+    """Every (value, (a, b, s)), stable-sorted by value."""
+    ca, cb, cs = oracle_coefficients(cfg)[user - 1]
+    q = cfg.q
+    entries = [
+        (ca * a + cb * b + cs * s, (a, b, s))
+        for a in range(q)
+        for b in range(q)
+        for s in range(2 * q - 1)
+    ]
+    entries.sort(key=lambda e: e[0])
+    return entries
+
+
+def oracle_nearest(entries, y):
+    """Exact nearest point; of two at equal distance, the smaller value."""
+    y = Fraction(y)
+    return min(entries, key=lambda e: (abs(e[0] - y), e[0]))[1]
+
+
+def oracle_monte_carlo_errors(cfg, trials, seed):
+    """Error counts per user of the float Monte Carlo: same draws, float channel."""
+    rng = np.random.default_rng(seed)
+    symbols = rng.integers(0, cfg.q, size=(trials, 4))
+    h11, h12, h21, h22 = cfg.gains
+    grid = range(cfg.q)
+    peak = max(
+        max(abs(h22 * a + h12 * b), abs(h21 * a + h11 * b)) for a in grid for b in grid
+    )
+    scale = float(cfg.power) ** 0.5 / float(peak)
+    h11, h12, h21, h22 = (float(h) for h in cfg.gains)
+    x1 = scale * (h22 * symbols[:, 0] + h12 * symbols[:, 1])
+    x2 = scale * (h21 * symbols[:, 2] + h11 * symbols[:, 3])
+    y1 = h11 * x1 + h12 * x2 + rng.standard_normal(trials)
+    y2 = h21 * x1 + h22 * x2 + rng.standard_normal(trials)
+    sent = {
+        1: np.column_stack([symbols[:, 0], symbols[:, 2], symbols[:, 1] + symbols[:, 3]]),
+        2: np.column_stack([symbols[:, 1], symbols[:, 3], symbols[:, 0] + symbols[:, 2]]),
+    }
+    counts = []
+    for user, y in ((1, y1), (2, y2)):
+        entries = oracle_constellation(cfg, user)
+        values = scale * np.array([float(v) for v, _ in entries])
+        triples = np.array([t for _, t in entries])
+        idx = np.searchsorted(values, y)
+        left = np.clip(idx - 1, 0, len(values) - 1)
+        right = np.clip(idx, 0, len(values) - 1)
+        chosen = np.where(np.abs(y - values[left]) <= np.abs(values[right] - y), left, right)
+        counts.append(int(np.any(triples[chosen] != sent[user], axis=1).sum()))
+    return counts
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="nonzero"):
         PhyConfig(0, 1, 1, 1)
@@ -43,6 +113,12 @@ def test_config_validation():
     for power in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="power"):
             PhyConfig(2, 3, 5, 7, power=power)
+    assert PhyConfig(2, 3, 5, 7, q=MAX_ALPHABET).q == MAX_ALPHABET
+    with pytest.raises(ValueError, match="alphabet"):
+        PhyConfig(2, 3, 5, 7, q=MAX_ALPHABET + 1)
+    for gains in ((10**10, 1, 1, 1), (F(1, 1000003), F(1, 1000033), F(1, 1000037), 1)):
+        with pytest.raises(ValueError, match="overflow int64"):
+            PhyConfig(*gains)
 
 
 def test_front_end_single_stream():
@@ -246,3 +322,63 @@ def test_monte_carlo_requires_power_and_trials():
         monte_carlo(CFG, trials=10, seed=0)
     with pytest.raises(ValueError, match="trials"):
         monte_carlo(PhyConfig(2, 3, 5, 7, power=1.0), trials=0, seed=0)
+
+
+gain = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gains=st.tuples(gain, gain, gain, gain), q=st.integers(2, 8), data=st.data())
+def test_integer_pipeline_matches_fraction_oracle(gains, q, data):
+    cfg = PhyConfig(*gains, q=q)
+    oracles = {user: oracle_constellation(cfg, user) for user in (1, 2)}
+    certified = all(len({v for v, _ in e}) == len(e) for e in oracles.values())
+    assert uniqueness_certificate(cfg) == certified
+    for user, entries in oracles.items():
+        assert enumerate_constellation(cfg, user) == entries
+        if not certified:
+            with pytest.raises(ValueError, match="uniqueness certificate"):
+                demodulate(cfg, entries[0][0], user)
+            continue
+        i = data.draw(st.integers(0, len(entries) - 2))
+        (lo, lo_triple), (hi, hi_triple) = entries[i], entries[i + 1]
+        assert demodulate(cfg, lo, user) == lo_triple
+        assert demodulate(cfg, hi, user) == hi_triple
+        mid = (lo + hi) / 2
+        with pytest.raises(DemodError):
+            demodulate(cfg, mid, user)
+        assert demodulate(cfg, mid, user, noisy=True) == lo_triple  # a tie
+        t = data.draw(st.fractions(-2, 3, max_denominator=50))
+        for y in (lo + t * (hi - lo), float(lo + t * (hi - lo)), entries[0][0] - 1):
+            assert demodulate(cfg, y, user, noisy=True) == oracle_nearest(entries, y)
+
+
+def test_pipeline_exact_near_the_int64_limit():
+    # 8 * peak^2 * (q - 1) = 8.0e18, close under the 2^63 = 9.2e18 limit.
+    cfg = PhyConfig(10**9 + 9, 10**9 - 7, 3, 10**9 + 3)
+    for user in (1, 2):
+        assert enumerate_constellation(cfg, user) == oracle_constellation(cfg, user)
+    assert uniqueness_certificate(cfg)
+    for g in itertools.product((0, 1), repeat=4):
+        frame = send_frame(cfg, *g)
+        assert demodulate(cfg, frame.y1, 1) == (g[0], g[2], g[1] + g[3])
+        assert demodulate(cfg, frame.y2, 2) == (g[1], g[3], g[0] + g[2])
+
+
+@pytest.mark.parametrize(
+    "gains,q",
+    [
+        ((2, 3, 5, 7), 2),
+        ((F(1, 2), F(3, 7), F(-2, 5), F(11, 3)), 2),
+        ((F(7, 3), F(5, 11), 13, F(3, 4)), 4),
+    ],
+)
+def test_monte_carlo_matches_float_oracle(gains, q):
+    cfg = PhyConfig(*gains, q=q)
+    power = power_for_min_gap(cfg, 1.5)
+    for seed in (1, 2, 3):
+        result = monte_carlo(PhyConfig(*gains, q=q, power=power), trials=4000, seed=seed)
+        expected = oracle_monte_carlo_errors(PhyConfig(*gains, q=q, power=power), 4000, seed)
+        counts = [round(result.ser_user1 * 4000), round(result.ser_user2 * 4000)]
+        assert all(abs(c - e) <= 1 for c, e in zip(counts, expected)), (counts, expected)
+        assert min(expected) > 0  # the noise actually causes errors

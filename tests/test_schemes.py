@@ -205,6 +205,7 @@ def test_write_header_lines():
 def test_round_trip_corners(name):
     scheme = corner_scheme(name)
     assert read_scheme(write_scheme(scheme)) == scheme
+    assert hash(read_scheme(write_scheme(scheme))) == hash(scheme)
 
 
 def test_round_trip_shared_scheme():
