@@ -8,18 +8,13 @@ functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-__all__ = [
-    "Demand",
-    "MessageQuad",
-    "ReceiverObservation",
-    "observe",
-    "transmit",
-]
+from .gf2 import BitMatrix
+
+__all__ = ["Demand", "observe"]
 
 FILES = ("A", "B")
 
@@ -63,64 +58,15 @@ def _check_user(user: int) -> None:
         raise ValueError(f"user must be 1 or 2, got {user!r}")
 
 
-def _as_bits(vec, name: str) -> np.ndarray:
-    arr = np.asarray(vec, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d bit vector")
-    if arr.size and int(arr.max()) > 1:
-        raise ValueError(f"{name} entries must be 0 or 1")
+def _bits(block):
+    # BitMatrix blocks are bits already; plain arrays must hold only 0 and 1.
+    if isinstance(block, BitMatrix):
+        return block
+    given = np.asarray(block)
+    arr = given.astype(np.uint8)
+    if not np.array_equal(arr, given) or (arr.size and int(arr.max()) > 1):
+        raise ValueError("message entries must be 0 or 1")
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class MessageQuad:
-    """The four transmitted messages; all vectors share one length."""
-
-    v1: np.ndarray
-    v2: np.ndarray
-    v3: np.ndarray
-    v4: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("v1", "v2", "v3", "v4"):
-            object.__setattr__(self, name, _as_bits(getattr(self, name), name))
-        lengths = {self.v1.size, self.v2.size, self.v3.size, self.v4.size}
-        if len(lengths) != 1:
-            raise ValueError(f"message lengths differ: {sorted(lengths)}")
-
-    @property
-    def length(self) -> int:
-        return self.v1.size
-
-    def __xor__(self, other: "MessageQuad") -> "MessageQuad":
-        return MessageQuad(
-            self.v1 ^ other.v1, self.v2 ^ other.v2, self.v3 ^ other.v3, self.v4 ^ other.v4
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class ReceiverObservation:
-    """One user's channel output: two direct streams and the XOR stream."""
-
-    direct_a: np.ndarray  # message from transmitter 1 addressed to this user
-    direct_b: np.ndarray  # message from transmitter 2 addressed to this user
-    xor_sum: np.ndarray  # XOR of the two messages addressed to the other user
-
-    def __post_init__(self) -> None:
-        for name in ("direct_a", "direct_b", "xor_sum"):
-            object.__setattr__(self, name, _as_bits(getattr(self, name), name))
-        if not (self.direct_a.size == self.direct_b.size == self.xor_sum.size):
-            raise ValueError("observation vectors must share the message length")
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.direct_a, self.direct_b, self.xor_sum])
-
-    def __xor__(self, other: "ReceiverObservation") -> "ReceiverObservation":
-        return ReceiverObservation(
-            self.direct_a ^ other.direct_a,
-            self.direct_b ^ other.direct_b,
-            self.xor_sum ^ other.xor_sum,
-        )
 
 
 def observe(user: int, v1, v2, v3, v4):
@@ -128,15 +74,16 @@ def observe(user: int, v1, v2, v3, v4):
 
     The routing is linear over GF(2), so the same map serves message bit
     vectors and row blocks of linear maps (BitMatrix), one row per bit.
+    The four blocks must be of one kind and share one shape.
     """
     _check_user(user)
+    blocks = [_bits(v) for v in (v1, v2, v3, v4)]
+    if len({type(block) for block in blocks}) != 1:
+        raise ValueError("messages mix BitMatrix blocks and plain arrays")
+    shapes = {block.shape for block in blocks}
+    if len(shapes) != 1:
+        raise ValueError(f"message lengths differ: {sorted(shapes)}")
+    v1, v2, v3, v4 = blocks
     if user == 1:
         return v1, v3, v2 ^ v4
     return v2, v4, v1 ^ v3
-
-
-def transmit(m: MessageQuad) -> tuple[ReceiverObservation, ReceiverObservation]:
-    """Deterministic, noiseless channel map from messages to both observations."""
-    return tuple(
-        ReceiverObservation(*observe(user, m.v1, m.v2, m.v3, m.v4)) for user in (1, 2)
-    )

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .netchannel import Demand, ReceiverObservation
+from .netchannel import Demand
 from .schemes import LinearScheme
 from .verifier import decoders, message_bits, observed_bits
 
@@ -37,6 +37,7 @@ __all__ = [
     "PhyConfig",
     "PhyFrame",
     "MAX_ALPHABET",
+    "MAX_TRIALS",
     "MC_CSV_HEADER",
     "NOISE_SIGMA",
     "aligned_coefficients",
@@ -56,6 +57,10 @@ NOISE_SIGMA = 1.0  # unit-variance additive Gaussian noise
 # Largest symbol alphabet.  The certificate enumerates q^2 (2q-1) points
 # per user: about 5*10^5 at q = 64.
 MAX_ALPHABET = 64
+
+# Most Monte Carlo trials in one run.  A run holds a trials x 4 int64
+# symbol array and a few per-user arrays: 10^6 trials peak near 135 MB.
+MAX_TRIALS = 10**6
 
 MC_CSV_HEADER = "P,trials,ser_user1,ser_user2,seed"
 
@@ -262,17 +267,12 @@ def e2e_run(
         if decoder is None:
             raise ValueError(f"scheme is not decodable for demand {d}, user {user}")
     x = np.asarray(file_bits, dtype=np.uint8)
-    quad = message_bits(s, d, x)
-    symbols = np.column_stack([quad.v1, quad.v2, quad.v3, quad.v4]).astype(np.int64)
+    symbols = np.column_stack(message_bits(s, d, x)).astype(np.int64)
     outputs = []
     for user, y, witness in zip((1, 2), _received(cfg, symbols), witnesses):
         triples = _demod(cfg, user, y, noisy=False)
-        obs = ReceiverObservation(
-            direct_a=triples[:, 0].astype(np.uint8),
-            direct_b=triples[:, 1].astype(np.uint8),
-            xor_sum=(triples[:, 2] % 2).astype(np.uint8),
-        )
-        outputs.append(witness.apply(observed_bits(s, user, obs, x)))
+        blocks = (triples % 2).astype(np.uint8).T
+        outputs.append(witness.apply(observed_bits(s, user, blocks, x)))
     return outputs[0], outputs[1]
 
 
@@ -314,18 +314,18 @@ def monte_carlo(cfg: PhyConfig, trials: int, seed: int) -> MonteCarloResult:
     when any component of its demodulated triple is wrong.  Deterministic
     given the seed.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
     if cfg.power is None:
         raise ValueError("config has no power budget set")
+    tables = [_demod_table(cfg, user)[0] for user in (1, 2)]
     rng = np.random.default_rng(seed)
     symbols = rng.integers(0, cfg.q, size=(trials, 4))
     # The largest transmit point sits on the power budget (the average
     # power constraint follows a fortiori): noise deviation in integer units.
     noise = NOISE_SIGMA * _transmit_peak(cfg) / float(cfg.power) ** 0.5
     rates = []
-    for user, y in zip((1, 2), _received(cfg, symbols)):
-        values = _demod_table(cfg, user)[0]
+    for values, y in zip(tables, _received(cfg, symbols)):
         # Certified values are distinct, so a wrong index is a wrong triple.
         errors = _nearest(values, y + noise * rng.standard_normal(trials)) != _nearest(values, y)
         rates.append(float(np.mean(errors)))

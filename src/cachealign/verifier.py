@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gf2 import BitMatrix, mat_mul, solve_left, vstack
-from .netchannel import Demand, MessageQuad, ReceiverObservation, observe, transmit
+from .netchannel import Demand, observe
 from .schemes import LinearScheme, file_selector
 
 __all__ = [
@@ -112,15 +112,17 @@ def verify_all(s: LinearScheme) -> VerificationReport:
     return VerificationReport(memory=s.memory, load=s.load, cases=cases)
 
 
-def message_bits(s: LinearScheme, d: Demand, file_bits: np.ndarray) -> MessageQuad:
-    """Realize the four transmitted messages for concrete file bits."""
+def message_bits(
+    s: LinearScheme, d: Demand, file_bits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Realize the four transmitted messages (v1, v2, v3, v4) for concrete file bits."""
     x = np.asarray(file_bits, dtype=np.uint8)
     if x.shape != (2 * s.n,):
         raise ValueError(f"file bits must have length {2 * s.n}, got shape {x.shape}")
     u1_bits = s.u1.apply(x)
     u2_bits = s.u2.apply(x)
     quad = s.delivery[d]
-    return MessageQuad(
+    return (
         quad.d1.apply(u1_bits),
         quad.d2.apply(u1_bits),
         quad.d3.apply(u2_bits),
@@ -128,12 +130,10 @@ def message_bits(s: LinearScheme, d: Demand, file_bits: np.ndarray) -> MessageQu
     )
 
 
-def observed_bits(
-    s: LinearScheme, user: int, obs: ReceiverObservation, file_bits: np.ndarray
-) -> np.ndarray:
-    """Stack the user's realized cache bits on top of a channel observation."""
+def observed_bits(s: LinearScheme, user: int, blocks, file_bits: np.ndarray) -> np.ndarray:
+    """Stack the user's realized cache bits on top of its three observed blocks."""
     cache = s.z1 if user == 1 else s.z2
-    return np.concatenate([cache.apply(file_bits), obs.stacked()])
+    return np.concatenate([cache.apply(file_bits), *blocks])
 
 
 def decode_bits(
@@ -147,5 +147,4 @@ def decode_bits(
     if decoder is None:
         raise ValueError(f"scheme is not decodable for demand {d}, user {user}")
     x = np.asarray(file_bits, dtype=np.uint8)
-    observations = transmit(message_bits(s, d, x))
-    return decoder.apply(observed_bits(s, user, observations[user - 1], x))
+    return decoder.apply(observed_bits(s, user, observe(user, *message_bits(s, d, x)), x))

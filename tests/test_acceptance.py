@@ -24,7 +24,6 @@ from cachealign import (
     e2e_run,
     file_selector,
     inverse_dof,
-    inverse_dof_direct,
     mat_mul,
     monte_carlo,
     optimality_gap,
@@ -36,6 +35,7 @@ from cachealign import (
     solve_left,
     verify_all,
 )
+from tradeoff_oracle import inverse_dof_direct
 
 F = Fraction
 

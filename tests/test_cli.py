@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachealign import (
     MAX_ALPHABET,
     MAX_GRANULARITY,
+    MAX_SWEEP_ROWS,
+    MAX_TRIALS,
     BitMatrix,
     corner_scheme,
     read_scheme,
@@ -181,10 +188,25 @@ def test_bad_gains_rejected(capsys):
         (["phy", "mc", "--gains", "2,3,5,7", "--power", "inf", "--trials", "1000"], "power"),
         (["phy", "cert", "--gains", "2,3,5,7", "--q", "100000"], f"[2, {MAX_ALPHABET}]"),
         (["phy", "cert", "--gains", "10000000000,1,1,1"], "overflow int64"),
+        (
+            ["phy", "mc", "--gains", "2,3,5,7", "--power", "100", "--trials", "100000000"],
+            f"trials must be in [1, {MAX_TRIALS}], got 100000000",
+        ),
+        (
+            ["sweep", "--from", "0", "--to", "2", "--step", "1/100000000"],
+            f"sweep of 200000001 rows is above the limit of {MAX_SWEEP_ROWS}",
+        ),
     ],
 )
 def test_bad_values_exit_2_with_one_error_line(capsys, argv, expected):
-    assert main(argv) == 2
+    # Each value is refused before anything sized by it is allocated.
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -209,3 +231,84 @@ def test_verify_oversized_scheme_file(tmp_path, capsys):
     assert lines == [
         f"error: line 1: n = 3000000, above the limit of {MAX_GRANULARITY} parts per file"
     ]
+
+
+MALFORMED = st.one_of(
+    st.sampled_from(["", "0.8", "1/", "/2", "a/b", "1/2/3", " 1", "nan", "inf", "1e3", "--m"]),
+    st.text(max_size=6),
+)
+
+
+def mostly(valid, bad=MALFORMED):
+    """Valid text for nine draws of ten, malformed text for the other.
+
+    The malformed draw is an inner value, because hypothesis favours the
+    ends of a range.
+    """
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 7 else valid)
+
+
+def rational(numerators, denominators=st.integers(0, 200)):
+    return st.builds("{}/{}".format, numerators, denominators)
+
+
+# Small denominators (zero included) keep every accepted command quick.
+MEMORY = mostly(
+    st.one_of(
+        st.integers(1, 200).flatmap(lambda q: rational(st.integers(0, 2 * q), st.just(q))),
+        rational(st.integers(-3, 420)),
+        st.integers(-3, 5).map(str),
+    )
+)
+STEP = mostly(st.one_of(rational(st.integers(1, 40), st.integers(1, 200)), MEMORY))
+GAIN = st.one_of(
+    rational(st.integers(1, 20), st.integers(1, 200)),
+    st.integers(1, 9).map(str),
+    rational(st.integers(-20, 0), st.integers(0, 9)),
+)
+# Gains that pass the certificate at small q, random gains, and wrong counts.
+GAINS = st.one_of(
+    st.just("2,3,5,7"),
+    st.lists(GAIN, min_size=4, max_size=4).map(",".join),
+    st.lists(GAIN, min_size=1, max_size=6).map(",".join),
+    MALFORMED,
+)
+ALPHABET = mostly(
+    st.one_of(st.integers(2, 9), st.sampled_from([-1, 0, 1, MAX_ALPHABET, MAX_ALPHABET + 1]))
+    .map(str)
+)
+POWER = mostly(st.one_of(st.floats(1e-3, 1e9), st.floats()).map(repr))
+TRIALS = mostly(st.one_of(st.integers(-2, 3000), st.sampled_from([MAX_TRIALS + 1, 10**8])).map(str))
+SEED = mostly(st.integers(-2, 2**64).map(str))
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    # "--opt=value", so that a value starting with "-" still reaches the command.
+    command = draw(st.sampled_from(["construct", "tradeoff", "sweep", "cert", "mc"]))
+    if command in ("construct", "tradeoff"):
+        return [command, f"--m={draw(MEMORY)}"]
+    if command == "sweep":
+        return ["sweep", f"--from={draw(MEMORY)}", f"--to={draw(MEMORY)}", f"--step={draw(STEP)}"]
+    argv = ["phy", command, f"--gains={draw(GAINS)}", f"--q={draw(ALPHABET)}"]
+    if command == "mc":
+        argv += [f"--power={draw(POWER)}", f"--trials={draw(TRIALS)}", f"--seed={draw(SEED)}"]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_fuzzed_arguments_exit_cleanly(argv):
+    # Any input ends in exit 0, 1 or 2: never a traceback, and a refusal
+    # from main comes with exactly one error line.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the command line
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines

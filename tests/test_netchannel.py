@@ -20,14 +20,12 @@ from cachealign import (
     DeliveryQuad,
     Demand,
     LinearScheme,
-    MessageQuad,
     corner_scheme,
     file_selector,
     observation_matrix,
     observe,
     rank,
     scheme_for_memory,
-    transmit,
     verify_all,
     vstack,
 )
@@ -58,8 +56,13 @@ def routed_channel_matrix(user: int, k: int) -> BitMatrix:
     return vstack(observe(user, *blocks))
 
 
-def random_quad(rng: np.random.Generator, k: int) -> MessageQuad:
-    return MessageQuad(*(rng.integers(0, 2, size=k, dtype=np.uint8) for _ in range(4)))
+def random_messages(rng: np.random.Generator, k: int) -> tuple[np.ndarray, ...]:
+    return tuple(rng.integers(0, 2, size=k, dtype=np.uint8) for _ in range(4))
+
+
+def observed(user: int, *messages) -> np.ndarray:
+    """One user's three observed blocks of four bit vectors, stacked."""
+    return np.concatenate(observe(user, *messages))
 
 
 def test_demand_has_exactly_four_values():
@@ -74,50 +77,60 @@ def test_demand_has_exactly_four_values():
 
 def test_zero_messages_give_zero_observations():
     zero = np.zeros(3, dtype=np.uint8)
-    obs1, obs2 = transmit(MessageQuad(zero, zero, zero, zero))
-    for obs in (obs1, obs2):
-        assert not obs.stacked().any()
+    for user in (1, 2):
+        assert not observed(user, zero, zero, zero, zero).any()
 
 
 def test_xor_stream_cancels_shared_term():
     # With v2 = b1 ^ b3 and v4 = b3, user 1's XOR stream is b1 alone.
     rng = np.random.default_rng(11)
     b1, b3 = rng.integers(0, 2, size=(2, 6), dtype=np.uint8)
-    quad = MessageQuad(rng.integers(0, 2, size=6), b1 ^ b3, rng.integers(0, 2, size=6), b3)
-    obs1, _ = transmit(quad)
-    assert np.array_equal(obs1.xor_sum, b1)
+    _, _, xor_sum = observe(1, rng.integers(0, 2, size=6), b1 ^ b3, rng.integers(0, 2, size=6), b3)
+    assert np.array_equal(xor_sum, b1)
 
 
 def test_xor_stream_strips_common_message():
     # v2 = b5 ^ s and v4 = b5 leave exactly s on user 1's XOR stream.
     rng = np.random.default_rng(12)
     b5, s = rng.integers(0, 2, size=(2, 4), dtype=np.uint8)
-    quad = MessageQuad(rng.integers(0, 2, size=4), b5 ^ s, rng.integers(0, 2, size=4), b5)
-    obs1, _ = transmit(quad)
-    assert np.array_equal(obs1.xor_sum, s)
+    _, _, xor_sum = observe(1, rng.integers(0, 2, size=4), b5 ^ s, rng.integers(0, 2, size=4), b5)
+    assert np.array_equal(xor_sum, s)
 
 
 def test_observation_routing():
-    quad = MessageQuad([1], [0], [1], [1])
-    obs1, obs2 = transmit(quad)
-    assert obs1.stacked().tolist() == [1, 1, 1]
-    assert obs2.stacked().tolist() == [0, 1, 0]
+    assert observed(1, [1], [0], [1], [1]).tolist() == [1, 1, 1]
+    assert observed(2, [1], [0], [1], [1]).tolist() == [0, 1, 0]
 
 
 def test_unequal_lengths_rejected():
     with pytest.raises(ValueError, match="lengths differ"):
-        MessageQuad([1, 0], [1], [0], [1])
+        observe(1, [1, 0], [1], [0], [1])
+    blocks = [BitMatrix.zeros(2, 3)] * 3 + [BitMatrix.zeros(2, 4)]
+    with pytest.raises(ValueError, match="lengths differ"):
+        observe(2, *blocks)
 
 
-def test_transmit_is_linear():
+@pytest.mark.parametrize("bad", [[2], [-1], [0.5], [257], ["1"]])
+def test_non_bit_entries_rejected(bad):
+    with pytest.raises(ValueError, match="0 or 1"):
+        observe(1, [1], bad, [0], [1])
+
+
+def test_mixed_block_kinds_rejected():
+    bits = np.zeros((1, 2), dtype=np.uint8)
+    with pytest.raises(ValueError, match="mix"):
+        observe(1, BitMatrix(bits), bits, BitMatrix(bits), BitMatrix(bits))
+
+
+def test_observe_is_linear():
     rng = np.random.default_rng(13)
     for _ in range(20):
-        m1 = random_quad(rng, 5)
-        m2 = random_quad(rng, 5)
-        left = transmit(m1 ^ m2)
-        right = tuple(a ^ b for a, b in zip(transmit(m1), transmit(m2)))
-        for obs_sum, obs_parts in zip(left, right):
-            assert np.array_equal(obs_sum.stacked(), obs_parts.stacked())
+        m1 = random_messages(rng, 5)
+        m2 = random_messages(rng, 5)
+        for user in (1, 2):
+            left = observed(user, *(a ^ b for a, b in zip(m1, m2)))
+            right = observed(user, *m1) ^ observed(user, *m2)
+            assert np.array_equal(left, right)
 
 
 def test_channel_matrix_k1_rows():
@@ -126,25 +139,22 @@ def test_channel_matrix_k1_rows():
         assert channel(2, 1).row_texts() == ["0100", "0001", "1010"]
 
 
-def test_channel_matrix_agrees_with_transmit_exhaustively_at_k1():
+def test_channel_matrix_agrees_with_observe_exhaustively_at_k1():
     for bits in itertools.product((0, 1), repeat=4):
-        quad = MessageQuad(*([b] for b in bits))
-        observations = transmit(quad)
         stacked_in = np.array(bits, dtype=np.uint8)
         for user in (1, 2):
             out = oracle_channel(user, 1).apply(stacked_in)
-            assert np.array_equal(out, observations[user - 1].stacked())
+            assert np.array_equal(out, observed(user, *([b] for b in bits)))
 
 
-def test_channel_matrix_agrees_with_transmit_at_k2():
+def test_channel_matrix_agrees_with_observe_at_k2():
     rng = np.random.default_rng(17)
     for _ in range(100):
-        quad = random_quad(rng, 2)
-        stacked_in = np.concatenate([quad.v1, quad.v2, quad.v3, quad.v4])
-        observations = transmit(quad)
+        messages = random_messages(rng, 2)
+        stacked_in = np.concatenate(messages)
         for user in (1, 2):
             out = oracle_channel(user, 2).apply(stacked_in)
-            assert np.array_equal(out, observations[user - 1].stacked())
+            assert np.array_equal(out, observed(user, *messages))
 
 
 @settings(max_examples=60, deadline=None)

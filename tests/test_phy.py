@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cachealign import phy
 from cachealign import (
     MAX_ALPHABET,
+    MAX_TRIALS,
     Demand,
     DemodError,
     PhyConfig,
@@ -317,11 +318,19 @@ def test_monte_carlo_csv_row():
     assert row.endswith(",3")
 
 
-def test_monte_carlo_requires_power_and_trials():
+def test_monte_carlo_requires_power_and_trials(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("symbols drawn before the input was checked")
+
+    # Every refusal comes before the generator is made, so nothing is drawn.
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
     with pytest.raises(ValueError, match="power"):
         monte_carlo(CFG, trials=10, seed=0)
-    with pytest.raises(ValueError, match="trials"):
-        monte_carlo(PhyConfig(2, 3, 5, 7, power=1.0), trials=0, seed=0)
+    for trials in (0, MAX_TRIALS + 1, 10**8):
+        with pytest.raises(ValueError, match=rf"trials must be in \[1, {MAX_TRIALS}\]"):
+            monte_carlo(PhyConfig(2, 3, 5, 7, power=1.0), trials=trials, seed=0)
+    with pytest.raises(ValueError, match="uniqueness certificate"):
+        monte_carlo(PhyConfig(1, 1, 1, 1, power=1.0), trials=10, seed=0)
 
 
 gain = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 12))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cachealign import (
+    MAX_SWEEP_ROWS,
     TradeoffPoint,
     baseline_comparison,
     breakpoints,
@@ -14,12 +15,12 @@ from cachealign import (
     curve_corners,
     dof_lower_bound,
     inverse_dof,
-    inverse_dof_direct,
     optimality_gap,
     rho_star,
     sweep,
     sweep_csv,
 )
+from tradeoff_oracle import inverse_dof_direct
 
 F = Fraction
 
@@ -188,6 +189,30 @@ def test_sweep_rejects_bad_ranges():
         sweep(F(1), F(1, 2), F(1, 4))
     with pytest.raises(ValueError, match="step"):
         sweep(F(0), F(1), F(0))
+    # The row count is exact and checked before any row is built.
+    for start, stop, step, count in (
+        (F(0), F(2), F(2, MAX_SWEEP_ROWS), MAX_SWEEP_ROWS + 1),
+        (F(0), F(2), F(1, 10**8), 2 * 10**8 + 1),
+    ):
+        with pytest.raises(ValueError, match=f"sweep of {count} rows is above the limit"):
+            sweep(start, stop, step)
+
+
+@pytest.mark.parametrize(
+    "start,stop,step",
+    [(F(0), F(2), F(1, 60)), (F(1, 7), F(13, 7), F(3, 11)), (F(0), F(1), F(1, 3))],
+)
+def test_sweep_rows_match_the_curve_functions(start, stop, step):
+    rows = sweep(start, stop, step)
+    assert [r.memory for r in rows] == [start + i * step for i in range(len(rows))]
+    assert rows[-1].memory <= stop < rows[-1].memory + step
+    for r in rows:
+        assert (r.rho, r.inv_dof, r.lower_bound, r.gap) == (
+            rho_star(r.memory),
+            inverse_dof(r.memory),
+            dof_lower_bound(r.memory),
+            optimality_gap(r.memory),
+        )
 
 
 def test_sweep_csv_decimal_and_exact():
