@@ -21,23 +21,27 @@ import numpy as np
 __all__ = ["BitMatrix", "mat_mul", "rank", "solve_left", "vstack"]
 
 
+def _as_bits(data, what: str) -> np.ndarray:
+    """*data* as a uint8 array of 0/1 entries, uncopied if it is one; else ValueError."""
+    given = np.asarray(data)
+    # The cast truncates and wraps (0.5 -> 0, 257 -> 1): other dtypes must survive it.
+    arr = given if given.dtype == np.uint8 else given.astype(np.uint8)
+    if (arr is not given and not np.array_equal(arr, given)) or (arr.size and arr.max() > 1):
+        raise ValueError(f"{what} must be 0 or 1")
+    return arr
+
+
 class BitMatrix:
     """Immutable dense matrix over GF(2), backed by a read-only uint8 array."""
 
     __slots__ = ("_data",)
 
     def __init__(self, data) -> None:
-        given = np.asarray(data)
-        arr = given.astype(np.uint8)
-        # The cast truncates and wraps (0.5 -> 0, 257 -> 1): other dtypes must survive it.
-        if given.dtype != np.uint8 and not np.array_equal(arr, given):
-            raise ValueError("matrix entries must be 0 or 1")
+        arr = np.array(_as_bits(data, "matrix entries"))  # a private copy
         if arr.ndim == 1 and arr.size == 0:
             arr = arr.reshape(0, 0)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array of bits, got shape {arr.shape}")
-        if arr.size and int(arr.max()) > 1:
-            raise ValueError("matrix entries must be 0 or 1")
         arr.setflags(write=False)
         self._data = arr
 
@@ -48,18 +52,6 @@ class BitMatrix:
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls(np.eye(n, dtype=np.uint8))
-
-    @classmethod
-    def from_text(cls, text: str, cols: int | None = None) -> "BitMatrix":
-        """Parse the row text form: one row per line, characters '0'/'1'."""
-        lines = [ln for ln in text.splitlines() if ln]
-        if not lines:
-            return cls.zeros(0, cols if cols is not None else 0)
-        width = len(lines[0]) if cols is None else cols
-        for ln in lines:
-            if len(ln) != width or set(ln) - {"0", "1"}:
-                raise ValueError(f"bad row {ln!r}: expected {width} characters over 0/1")
-        return cls(_rows_from_text(lines, width))
 
     @property
     def data(self) -> np.ndarray:
@@ -83,12 +75,9 @@ class BitMatrix:
         w = self.cols
         return [text[i * w : (i + 1) * w] for i in range(self.rows)]
 
-    def to_text(self) -> str:
-        return "\n".join(self.row_texts())
-
     def apply(self, bits) -> np.ndarray:
         """Multiply this matrix by a column bit vector, returning a 1-d array."""
-        vec = np.asarray(bits, dtype=np.uint8)
+        vec = _as_bits(bits, "vector entries")
         if vec.ndim != 1 or vec.shape[0] != self.cols:
             raise ValueError(
                 f"vector of length {vec.shape} does not match {self.cols} columns"
@@ -148,12 +137,6 @@ def vstack(mats: Iterable[BitMatrix]) -> BitMatrix:
     return BitMatrix(np.vstack([m.data for m in mats]))
 
 
-def _rows_from_text(lines: Sequence[str], width: int) -> np.ndarray:
-    """The 0/1 array of rows of '0'/'1' characters, each already checked to be width long."""
-    raw = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
-    return (raw - ord("0")).reshape(len(lines), width)
-
-
 def _pack_rows(arr: np.ndarray) -> list[int]:
     # Bit j of each integer is column j of the row.
     if arr.shape[0] == 0 or arr.shape[1] == 0:
@@ -175,18 +158,30 @@ def _lead(r: int) -> int:
     return (r & -r).bit_length() - 1
 
 
-def rank(a: BitMatrix) -> int:
-    """Row rank over GF(2); 0 for empty matrices."""
-    pivots: dict[int, int] = {}
-    for r in _pack_rows(a.data):
+def _eliminate(rows: Iterable[int]) -> dict[int, tuple[int, int]]:
+    """Echelon pivots of packed rows, keyed by leading column.
+
+    Each pivot carries the combination of input rows (bit i = row i)
+    that produced it.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for i, r in enumerate(rows):
+        combo = 1 << i
         while r:
             lead = _lead(r)
             if lead in pivots:
-                r ^= pivots[lead]
+                pv, pc = pivots[lead]
+                r ^= pv
+                combo ^= pc
             else:
-                pivots[lead] = r
+                pivots[lead] = (r, combo)
                 break
-    return len(pivots)
+    return pivots
+
+
+def rank(a: BitMatrix) -> int:
+    """Row rank over GF(2): the number of pivots; 0 for empty matrices."""
+    return len(_eliminate(_pack_rows(a.data)))
 
 
 def solve_left(g: BitMatrix, e: BitMatrix) -> BitMatrix | None:
@@ -198,18 +193,7 @@ def solve_left(g: BitMatrix, e: BitMatrix) -> BitMatrix | None:
     """
     if g.cols != e.cols:
         raise ValueError(f"dimension mismatch: g is {g.shape}, e is {e.shape}")
-    pivots: dict[int, tuple[int, int]] = {}
-    for i, r in enumerate(_pack_rows(g.data)):
-        combo = 1 << i
-        while r:
-            lead = _lead(r)
-            if lead in pivots:
-                pv, pc = pivots[lead]
-                r ^= pv
-                combo ^= pc
-            else:
-                pivots[lead] = (r, combo)
-                break
+    pivots = _eliminate(_pack_rows(g.data))
     out: list[int] = []
     for r in _pack_rows(e.data):
         combo = 0

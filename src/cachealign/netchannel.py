@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-import numpy as np
-
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, _as_bits
 
 __all__ = ["Demand", "observe"]
 
@@ -62,11 +60,7 @@ def _bits(block):
     # BitMatrix blocks are bits already; plain arrays must hold only 0 and 1.
     if isinstance(block, BitMatrix):
         return block
-    given = np.asarray(block)
-    arr = given.astype(np.uint8)
-    if not np.array_equal(arr, given) or (arr.size and int(arr.max()) > 1):
-        raise ValueError("message entries must be 0 or 1")
-    return arr
+    return _as_bits(block, "message entries")
 
 
 def observe(user: int, v1, v2, v3, v4):

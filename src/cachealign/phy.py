@@ -11,10 +11,11 @@ Gains are exact rationals and a uniqueness certificate replaces the
 usual "generic gains" assumption: demodulation is offered only when the
 aligned linear form is injective over the full symbol range.
 
-The scalar public functions run the channel on the Fraction gains, all
-else on the cleared integer gains D*h (D the lcm of the denominators),
-where received values are integers over D^2.  Floats appear only in
-Monte Carlo noise.
+The front end, channel and aligned form run only on the cleared integer
+gains D*h (D the lcm of the denominators), so received values are
+integers over D^2.  Fractions appear only at the boundary: the input of
+demodulate and the values aligned_coefficients and
+enumerate_constellation render.  Floats appear only in Monte Carlo noise.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .gf2 import _as_bits
 from .netchannel import Demand
 from .schemes import LinearScheme
 from .verifier import decoders, message_bits, observed_bits
@@ -35,20 +37,16 @@ __all__ = [
     "DemodError",
     "MonteCarloResult",
     "PhyConfig",
-    "PhyFrame",
     "MAX_ALPHABET",
     "MAX_TRIALS",
     "MC_CSV_HEADER",
     "NOISE_SIGMA",
     "aligned_coefficients",
-    "channel_out",
     "demodulate",
     "e2e_run",
     "enumerate_constellation",
-    "front_end",
     "monte_carlo",
     "power_for_min_gap",
-    "send_frame",
     "uniqueness_certificate",
 ]
 
@@ -102,17 +100,6 @@ class PhyConfig:
         return (self.h11, self.h12, self.h21, self.h22)
 
 
-class PhyFrame(NamedTuple):
-    """One transmission of four symbols and the two receiver observations."""
-
-    g1: int
-    g2: int
-    g3: int
-    g4: int
-    y1: Fraction
-    y2: Fraction
-
-
 class AlignedTriple(NamedTuple):
     """Coefficients multiplying (direct from tx1, direct from tx2, pair sum)."""
 
@@ -150,32 +137,14 @@ def _received(cfg: PhyConfig, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return _channel(h, *_front_end(h, *symbols.T))
 
 
-def front_end(cfg: PhyConfig, g1: int, g2: int, g3: int, g4: int) -> tuple[Fraction, Fraction]:
-    """Fixed linear mixing at the transmitters, exact."""
-    for g in (g1, g2, g3, g4):
-        if not 0 <= g < cfg.q:
-            raise ValueError(f"symbol {g} outside alphabet [0, {cfg.q})")
-    return _front_end(cfg.gains, g1, g2, g3, g4)
-
-
-def channel_out(cfg: PhyConfig, x1, x2) -> tuple[Fraction, Fraction]:
-    """Noiseless channel observations, exact."""
-    return _channel(cfg.gains, x1, x2)
-
-
-def send_frame(cfg: PhyConfig, g1: int, g2: int, g3: int, g4: int) -> PhyFrame:
-    y1, y2 = channel_out(cfg, *front_end(cfg, g1, g2, g3, g4))
-    return PhyFrame(g1, g2, g3, g4, y1, y2)
-
-
 def aligned_coefficients(cfg: PhyConfig) -> tuple[AlignedTriple, AlignedTriple]:
     """Per-user coefficients of the aligned observation linear form.
 
     User 1's observation is c.direct_a*g1 + c.direct_b*g3 + c.pair_sum*(g2+g4);
     user 2's is the mirror on (g2, g4, g1+g3).
     """
-    user1, user2 = _aligned(cfg.gains)
-    return AlignedTriple(*user1), AlignedTriple(*user2)
+    d, h = _cleared(cfg)
+    return tuple(AlignedTriple(*(Fraction(c, d * d) for c in user)) for user in _aligned(h))
 
 
 @lru_cache(maxsize=64)
@@ -266,7 +235,7 @@ def e2e_run(
     for user, decoder in zip((1, 2), witnesses):
         if decoder is None:
             raise ValueError(f"scheme is not decodable for demand {d}, user {user}")
-    x = np.asarray(file_bits, dtype=np.uint8)
+    x = _as_bits(file_bits, "file bits")
     symbols = np.column_stack(message_bits(s, d, x)).astype(np.int64)
     outputs = []
     for user, y, witness in zip((1, 2), _received(cfg, symbols), witnesses):

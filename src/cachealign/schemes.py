@@ -19,7 +19,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .gf2 import BitMatrix, _rows_from_text, vstack
+from .gf2 import BitMatrix, vstack
 from .netchannel import FILES, Demand
 
 __all__ = [
@@ -306,8 +306,6 @@ def _embed(x: BitMatrix, n_sub: int, scale: int, n_total: int, part_offset: int)
     The sub-scheme's parts land on the combined file's parts
     [part_offset, part_offset + n_sub*scale) for both files.
     """
-    if scale == 0:
-        return BitMatrix.zeros(0, 2 * n_total)
     expanded = np.kron(x.data, np.eye(scale, dtype=np.uint8))
     out = np.zeros((x.rows * scale, 2 * n_total), dtype=np.uint8)
     width = n_sub * scale
@@ -471,7 +469,8 @@ def _read_matrix(reader: _LineReader, count: int, width: int) -> BitMatrix:
                 no, f"expected a row of exactly {width} characters over 0/1, got {line!r}"
             )
         lines.append(line)
-    return BitMatrix(_rows_from_text(lines, width))
+    raw = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
+    return BitMatrix((raw - ord("0")).reshape(len(lines), width))
 
 
 def read_scheme(text: str) -> LinearScheme:

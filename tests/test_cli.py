@@ -1,17 +1,23 @@
-"""Command-line surface, exercised in-process."""
+"""Command-line surface, exercised in-process and through ``python -m``."""
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachealign import (
+    CORNER_NAMES,
     MAX_ALPHABET,
     MAX_GRANULARITY,
     MAX_SWEEP_ROWS,
@@ -19,6 +25,7 @@ from cachealign import (
     BitMatrix,
     corner_scheme,
     read_scheme,
+    scheme_for_memory,
     write_scheme,
 )
 from cachealign.cli import main
@@ -296,11 +303,9 @@ def cli_argv(draw) -> list[str]:
     return argv
 
 
-@settings(max_examples=150, deadline=None)
-@given(cli_argv())
-def test_fuzzed_arguments_exit_cleanly(argv):
-    # Any input ends in exit 0, 1 or 2: never a traceback, and a refusal
-    # from main comes with exactly one error line.
+def assert_exits_cleanly(argv: list[str]) -> None:
+    """main ends in exit 0, 1 or 2: never a traceback, and a refusal from
+    main comes with exactly one error line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -312,3 +317,58 @@ def test_fuzzed_arguments_exit_cleanly(argv):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_fuzzed_arguments_exit_cleanly(argv):
+    assert_exits_cleanly(argv)
+
+
+# Valid files to mutate: the corners and one memory-shared scheme (n = 12).
+SCHEME_TEXTS = [write_scheme(corner_scheme(name)) for name in CORNER_NAMES] + [
+    write_scheme(scheme_for_memory(Fraction(1, 6)))
+]
+# Characters of the format, plus a few it never uses.  Row bits come up
+# in half the edits, so that many mutants still parse and reach verify.
+EDIT_CHARS = st.sampled_from("01") | st.sampled_from("01 \n\t#/+-DZUVMnc2345789x\u00e9\uff13")
+
+
+@st.composite
+def mutated_scheme(draw) -> str:
+    text = draw(st.sampled_from(SCHEME_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = draw(EDIT_CHARS)
+        keep = at if edit == "insert" else at + 1
+        text = text[:at] + ("" if edit == "delete" else char) + text[keep:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_scheme())
+def test_fuzzed_scheme_files_exit_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.scheme"
+    path.write_text(text, encoding="utf-8")
+    assert_exits_cleanly(["verify", str(path)])
+
+
+@pytest.mark.parametrize("module", ["cachealign", "cachealign.cli"])
+def test_python_dash_m_runs_the_command(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        command = [sys.executable, "-m", module, *argv]
+        return subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+
+    shown = run("corner", "M13")
+    assert shown.returncode == 0
+    assert shown.stdout == write_scheme(corner_scheme("M13"))
+    refused = run("construct", "--m", "1/0")
+    assert refused.returncode == 2
+    assert refused.stdout == ""
+    lines = refused.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines

@@ -206,19 +206,14 @@ def test_solve_left_sound_and_complete(system):
     assert mat_mul(r, g) == e
 
 
-def test_text_round_trip():
-    rng = np.random.default_rng(5)
-    m = random_matrix(rng, 4, 6)
-    assert BitMatrix.from_text(m.to_text()) == m
-    assert BitMatrix.from_text("", cols=3) == BitMatrix.zeros(0, 3)
-    with pytest.raises(ValueError, match="0/1"):
-        BitMatrix.from_text("01\n2x")
-
-
 def test_entries_must_be_bits():
     for data in ([[0.5, 1.7]], [[2, 0]], [[-1, 0]], [[257, 0]]):
         with pytest.raises(ValueError, match="0 or 1"):
             BitMatrix(data)
+    # apply checks its vector the same way: a cast would give [0 1] for each.
+    for vec in ([2, 3], [0.5, 1.7], [257, 0], [-1, 0]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            BitMatrix.identity(2).apply(vec)
     assert BitMatrix([[True, False]]) == BitMatrix([[1.0, 0.0]]) == BitMatrix([[1, 0]])
 
 

@@ -20,7 +20,10 @@ from cachealign import (
     DeliveryQuad,
     Demand,
     LinearScheme,
+    PhyConfig,
     corner_scheme,
+    decode_bits,
+    e2e_run,
     file_selector,
     observation_matrix,
     observe,
@@ -29,6 +32,7 @@ from cachealign import (
     verify_all,
     vstack,
 )
+from cachealign.verifier import message_bits
 
 # Selector/XOR patterns mapping stacked (v1; v2; v3; v4) to one user's
 # stacked observation, one row per output block.
@@ -114,6 +118,15 @@ def test_unequal_lengths_rejected():
 def test_non_bit_entries_rejected(bad):
     with pytest.raises(ValueError, match="0 or 1"):
         observe(1, [1], bad, [0], [1])
+    # File bits are checked where they enter, never cast.
+    scheme, file_bits = corner_scheme("M13"), bad + [0] * 5
+    for run in (
+        lambda: message_bits(scheme, Demand.AB, file_bits),
+        lambda: decode_bits(scheme, Demand.AB, 1, file_bits),
+        lambda: e2e_run(scheme, Demand.AB, PhyConfig(2, 3, 5, 7), file_bits),
+    ):
+        with pytest.raises(ValueError, match="0 or 1"):
+            run()
 
 
 def test_mixed_block_kinds_rejected():

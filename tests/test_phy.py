@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,18 +19,15 @@ from cachealign import (
     DemodError,
     PhyConfig,
     aligned_coefficients,
-    channel_out,
     corner_scheme,
     decode_bits,
     demodulate,
     e2e_run,
     enumerate_constellation,
     file_selector,
-    front_end,
     monte_carlo,
     power_for_min_gap,
     scheme_for_memory,
-    send_frame,
     uniqueness_certificate,
 )
 
@@ -39,16 +37,28 @@ CFG = PhyConfig(2, 3, 5, 7)
 DEGENERATE = PhyConfig(1, 1, 1, 1)
 
 
-# Oracles for the integer pipeline: a Fraction constellation, an exact
-# nearest point and a float Monte Carlo.  Coefficients are read off the
-# model (y = H x, x the front-end mix), not the package's formulas.
+# Oracles for the integer pipeline: the Fraction channel model, a Fraction
+# constellation, an exact nearest point and a float Monte Carlo.  Values
+# are read off the model (y = H x, x the front-end mix), not the
+# package's formulas.
+
+
+def oracle_model(cfg):
+    """The channel matrix H and the front-end mix X, so that y = H X g."""
+    h11, h12, h21, h22 = cfg.gains
+    return ((h11, h12), (h21, h22)), ((h22, h12, 0, 0), (0, 0, h21, h11))
+
+
+def oracle_received(cfg, g):
+    """Both users' noiseless observations (y1, y2) of symbols g, in Fractions."""
+    chan, mix = oracle_model(cfg)
+    x = [sum(m * gi for m, gi in zip(row, g)) for row in mix]
+    return tuple(sum(h * xi for h, xi in zip(row, x)) for row in chan)
 
 
 def oracle_coefficients(cfg):
     """Per user, the Fraction coefficients of (direct, direct, pair sum)."""
-    h11, h12, h21, h22 = cfg.gains
-    mix = ((h22, h12, 0, 0), (0, 0, h21, h11))
-    chan = ((h11, h12), (h21, h22))
+    chan, mix = oracle_model(cfg)
     c1, c2 = ([ch[0] * mix[0][j] + ch[1] * mix[1][j] for j in range(4)] for ch in chan)
     assert c1[1] == c1[3] and c2[0] == c2[2], "interfering streams are not aligned"
     return (c1[0], c1[2], c1[1]), (c2[1], c2[3], c2[0])
@@ -122,24 +132,40 @@ def test_config_validation():
             PhyConfig(*gains)
 
 
+# CFG's gains are integers, so its cleared gains are the gains themselves.
+
+
 def test_front_end_single_stream():
-    assert front_end(CFG, 1, 0, 0, 0) == (F(7), F(0))
+    assert phy._front_end(phy._cleared(CFG)[1], 1, 0, 0, 0) == (7, 0)
 
 
 def test_front_end_all_streams():
-    assert front_end(CFG, 1, 1, 1, 1) == (F(10), F(7))
-
-
-def test_front_end_zeros_and_alphabet():
-    assert front_end(CFG, 0, 0, 0, 0) == (F(0), F(0))
-    with pytest.raises(ValueError, match="alphabet"):
-        front_end(CFG, 2, 0, 0, 0)
+    assert phy._front_end(phy._cleared(CFG)[1], 1, 1, 1, 1) == (10, 7)
 
 
 def test_channel_out_aligned_values():
-    assert channel_out(CFG, *front_end(CFG, 1, 0, 1, 0))[0] == F(29)
-    assert channel_out(CFG, *front_end(CFG, 0, 1, 0, 1))[0] == F(12)
-    assert channel_out(CFG, F(0), F(0)) == (F(0), F(0))
+    y1, y2 = phy._received(CFG, np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0]]))
+    assert y1.tolist() == [29, 12, 0]
+    assert y2.tolist() == [70, 29, 0]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        CFG,
+        PhyConfig(1, -2, 3, -5, q=3),
+        PhyConfig(F(1, 2), F(3, 7), F(-2, 5), F(11, 3), q=3),
+        PhyConfig(F(7, 3), F(5, 11), 13, F(3, 4), q=4),
+        PhyConfig(10**9 + 9, 10**9 - 7, 3, 10**9 + 3),
+    ],
+)
+def test_received_matches_fraction_model(cfg):
+    # Every symbol quadruple: the integer channel over D^2 is y = H x exactly.
+    d = math.lcm(*(h.denominator for h in cfg.gains))
+    quads = list(itertools.product(range(cfg.q), repeat=4))
+    y1, y2 = phy._received(cfg, np.array(quads, dtype=np.int64))
+    for g, v1, v2 in zip(quads, y1.tolist(), y2.tolist()):
+        assert (F(v1, d * d), F(v2, d * d)) == oracle_received(cfg, g), g
 
 
 def test_aligned_coefficients():
@@ -166,7 +192,7 @@ def test_aligned_coefficients_degenerate():
 def test_alignment_identity_exhaustive(cfg):
     user1, user2 = aligned_coefficients(cfg)
     for g in itertools.product((0, 1), repeat=4):
-        y1, y2 = channel_out(cfg, *front_end(cfg, *g))
+        y1, y2 = oracle_received(cfg, g)
         assert y1 == user1.direct_a * g[0] + user1.direct_b * g[2] + user1.pair_sum * (g[1] + g[3])
         assert y2 == user2.direct_a * g[1] + user2.direct_b * g[3] + user2.pair_sum * (g[0] + g[2])
 
@@ -216,9 +242,9 @@ def test_demodulate_noisy_nearest_and_ties():
 
 def test_round_trip_all_quadruples():
     for g in itertools.product((0, 1), repeat=4):
-        frame = send_frame(CFG, *g)
-        assert demodulate(CFG, frame.y1, 1) == (g[0], g[2], g[1] + g[3])
-        assert demodulate(CFG, frame.y2, 2) == (g[1], g[3], g[0] + g[2])
+        y1, y2 = oracle_received(CFG, g)
+        assert demodulate(CFG, y1, 1) == (g[0], g[2], g[1] + g[3])
+        assert demodulate(CFG, y2, 2) == (g[1], g[3], g[0] + g[2])
         # Integer pair sums reduce mod 2 to the XOR the network layer needs.
         assert (g[1] + g[3]) % 2 == g[1] ^ g[3]
 
@@ -369,9 +395,9 @@ def test_pipeline_exact_near_the_int64_limit():
         assert enumerate_constellation(cfg, user) == oracle_constellation(cfg, user)
     assert uniqueness_certificate(cfg)
     for g in itertools.product((0, 1), repeat=4):
-        frame = send_frame(cfg, *g)
-        assert demodulate(cfg, frame.y1, 1) == (g[0], g[2], g[1] + g[3])
-        assert demodulate(cfg, frame.y2, 2) == (g[1], g[3], g[0] + g[2])
+        y1, y2 = oracle_received(cfg, g)
+        assert demodulate(cfg, y1, 1) == (g[0], g[2], g[1] + g[3])
+        assert demodulate(cfg, y2, 2) == (g[1], g[3], g[0] + g[2])
 
 
 @pytest.mark.parametrize(
