@@ -1,78 +1,157 @@
-"""Exact dense linear algebra over GF(2).
+"""Exact sparse linear algebra over GF(2).
 
 All placement, delivery, and decodability computations reduce to matrix
-arithmetic mod 2.  Matrices are immutable 0/1 arrays; empty shapes
-(0 x k, k x 0) are valid and act as empty linear maps, so degenerate
-cases (no cache rows, no delivery rows) need no special handling.
+arithmetic mod 2.  A matrix stores only its set entries, as compressed
+sparse rows: ``indptr`` and ``indices``, the column indices of each row
+sorted and unique.  Empty shapes (0 x k, k x 0) are valid and act as
+empty linear maps, so degenerate cases (no cache rows, no delivery rows)
+need no special handling.
 
-Products and elimination pack each row into a Python integer (bit j =
-column j) so that a row operation is a single XOR; pivots are always
-the first nonzero column from the left.
+Products, sums and stacks are index arithmetic on the entries: an entry
+that occurs an odd number of times survives, an even count cancels.
+Elimination first splits the columns into the connected components of
+the rows that share them, since no row operation crosses a component.
+Each row is packed into a Python integer over its component's columns
+(bit j = the component's j-th column) so that a row operation is a
+single XOR; pivots are always the first nonzero column from the left.
+A dense matrix is one component and runs the same code.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import xor
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 __all__ = ["BitMatrix", "mat_mul", "rank", "solve_left", "vstack"]
 
+# Largest number of entries a product expands to at once; bounds the
+# memory of mat_mul on dense operands.
+_PRODUCT_CHUNK = 1 << 20
+
 
 def _as_bits(data, what: str) -> np.ndarray:
     """*data* as a uint8 array of 0/1 entries, uncopied if it is one; else ValueError."""
     given = np.asarray(data)
-    # The cast truncates and wraps (0.5 -> 0, 257 -> 1): other dtypes must survive it.
-    arr = given if given.dtype == np.uint8 else given.astype(np.uint8)
-    if (arr is not given and not np.array_equal(arr, given)) or (arr.size and arr.max() > 1):
+    if given.dtype == np.uint8:
+        if given.size and given.max() > 1:
+            raise ValueError(f"{what} must be 0 or 1")
+        return given
+    # Compare before casting: a cast truncates and wraps (0.5 -> 0, 257 -> 1)
+    # and warns on NaN and complex values.
+    if given.dtype.kind not in "biuf" or not ((given == 0) | (given == 1)).all():
         raise ValueError(f"{what} must be 0 or 1")
-    return arr
+    return given.astype(np.uint8)
+
+
+def _csr(keys: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, int]:
+    """CSR arrays of the entries whose sorted unique keys are r * cols + c."""
+    rows, cols = np.divmod(keys, shape[1])
+    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return indptr, cols, shape[1]
+
+
+def _odd_keys(keys: np.ndarray) -> np.ndarray:
+    """Sorted keys (all >= 0) that occur an odd number of times; pairs cancel."""
+    if np.all(keys[1:] > keys[:-1]):
+        return keys
+    keys = np.sort(keys)
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(first, append=keys.size)
+    return keys[first[counts % 2 == 1]]
+
+
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ranges [start, start + length) for each pair."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
 
 
 class BitMatrix:
-    """Immutable dense matrix over GF(2), backed by a read-only uint8 array."""
+    """Immutable sparse matrix over GF(2).
 
-    __slots__ = ("_data",)
+    Row i's ones are at columns ``indices[indptr[i]:indptr[i + 1]]``,
+    sorted and unique; both arrays are read-only.
+    """
+
+    __slots__ = ("indptr", "indices", "cols", "_dense")
 
     def __init__(self, data) -> None:
-        arr = np.array(_as_bits(data, "matrix entries"))  # a private copy
+        arr = _as_bits(data, "matrix entries")
         if arr.ndim == 1 and arr.size == 0:
             arr = arr.reshape(0, 0)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array of bits, got shape {arr.shape}")
-        arr.setflags(write=False)
-        self._data = arr
+        self._set(*_csr(np.flatnonzero(arr), arr.shape))
+
+    def _set(self, indptr: np.ndarray, indices: np.ndarray, cols: int) -> None:
+        # Canonical arrays only: indices sorted and unique within each row.
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        self.indptr, self.indices, self.cols = indptr, indices, int(cols)
+        self._dense = None
+
+    @classmethod
+    def _from_keys(cls, keys: np.ndarray, shape: tuple[int, int]) -> "BitMatrix":
+        out = cls.__new__(cls)
+        out._set(*_csr(keys, shape))
+        return out
+
+    @classmethod
+    def from_entries(cls, rows, cols, shape: tuple[int, int]) -> "BitMatrix":
+        """The matrix of *shape* whose entry (r, c) is the parity of the pairs (r, c) given.
+
+        Pairs may come in any order; a pair given twice cancels.
+        """
+        n_rows, n_cols = (int(x) for x in shape)
+        rows = np.asarray(rows, dtype=np.intp).ravel()
+        cols = np.asarray(cols, dtype=np.intp).ravel()
+        if rows.shape != cols.shape:
+            raise ValueError(f"{rows.size} row indices for {cols.size} column indices")
+        if n_rows < 0 or n_cols < 0:
+            raise ValueError(f"negative shape {shape}")
+        for name, idx, bound in (("row", rows, n_rows), ("column", cols, n_cols)):
+            if idx.size and (idx.min() < 0 or idx.max() >= bound):
+                raise ValueError(f"{name} index out of range for shape {(n_rows, n_cols)}")
+        return cls._from_keys(_odd_keys(rows * n_cols + cols), (n_rows, n_cols))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
+        return cls.from_entries([], [], (rows, cols))
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls(np.eye(n, dtype=np.uint8))
+        return cls.from_entries(np.arange(n), np.arange(n), (n, n))
 
     @property
     def data(self) -> np.ndarray:
-        """Read-only uint8 view of the entries."""
-        return self._data
+        """Dense read-only uint8 copy of the entries, built on first use."""
+        if self._dense is None:
+            dense = np.zeros(self.shape, dtype=np.uint8)
+            dense[self.nonzero()] = 1
+            dense.setflags(write=False)
+            self._dense = dense
+        return self._dense
 
     @property
     def rows(self) -> int:
-        return self._data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._data.shape[1]
+        return self.indptr.size - 1
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._data.shape
+        return (self.rows, self.cols)
+
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the set entries, in row-major order."""
+        return np.repeat(np.arange(self.rows), np.diff(self.indptr)), self.indices
 
     def row_texts(self) -> list[str]:
-        text = (self._data + ord("0")).tobytes().decode("ascii")
         w = self.cols
+        rows, cols = self.nonzero()
+        text = np.full(self.rows * w, ord("0"), dtype=np.uint8)
+        text[rows * w + cols] = ord("1")
+        text = text.tobytes().decode("ascii")
         return [text[i * w : (i + 1) * w] for i in range(self.rows)]
 
     def apply(self, bits) -> np.ndarray:
@@ -82,9 +161,11 @@ class BitMatrix:
             raise ValueError(
                 f"vector of length {vec.shape} does not match {self.cols} columns"
             )
-        if self.rows == 0 or self.cols == 0:
-            return np.zeros(self.rows, dtype=np.uint8)
-        return ((self._data.astype(np.int64) @ vec.astype(np.int64)) % 2).astype(np.uint8)
+        # Running XOR over the selected bits; each row's parity is the
+        # difference of the running values at its two ends.
+        running = np.zeros(self.indices.size + 1, dtype=np.uint8)
+        np.bitwise_xor.accumulate(vec[self.indices], out=running[1:])
+        return running[self.indptr[1:]] ^ running[self.indptr[:-1]]
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         return mat_mul(self, other)
@@ -92,15 +173,21 @@ class BitMatrix:
     def __xor__(self, other: "BitMatrix") -> "BitMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch for XOR: {self.shape} vs {other.shape}")
-        return BitMatrix(self._data ^ other._data)
+        (r1, c1), (r2, c2) = self.nonzero(), other.nonzero()
+        rows, cols = np.concatenate([r1, r2]), np.concatenate([c1, c2])
+        return BitMatrix.from_entries(rows, cols, self.shape)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):
             return NotImplemented
-        return self.shape == other.shape and bool(np.array_equal(self._data, other._data))
+        return (
+            self.shape == other.shape
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.shape, self._data.tobytes()))
+        return hash((self.shape, self.indptr.tobytes(), self.indices.tobytes()))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
@@ -109,20 +196,26 @@ class BitMatrix:
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Matrix product over GF(2): XOR-accumulate of entrywise ANDs.
 
-    Row i of the product is the XOR of the packed rows of *b* that the
-    set entries of row i of *a* select, so a selection row costs one
-    lookup and the arithmetic is exact at any size.
+    Row i of the product is the XOR of the rows of *b* that the set
+    entries of row i of *a* select: every entry (i, k) of *a* contributes
+    the entries of row k of *b* to row i, and entries that arrive an even
+    number of times cancel.  Rows of *a* are taken in chunks that expand
+    to a bounded number of entries.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    picks = _pack_rows(b.data).__getitem__
-    rows, cols = np.nonzero(a.data)
-    cols = cols.tolist()
-    out, start = [], 0
-    for end in np.cumsum(np.bincount(rows, minlength=a.rows)).tolist():
-        out.append(reduce(xor, map(picks, cols[start:end]), 0))
-        start = end
-    return BitMatrix(_unpack_rows(out, b.cols))
+    a_rows, picks = a.nonzero()
+    lengths = np.diff(b.indptr)[picks]
+    # Expanded entries before each row of a; chunk boundaries fall between rows.
+    before = np.concatenate([[0], np.cumsum(lengths)])[a.indptr]
+    cuts = np.searchsorted(before, np.arange(0, before[-1], _PRODUCT_CHUNK), side="right") - 1
+    keys = [np.zeros(0, dtype=np.intp)]
+    for lo, hi in zip(cuts.tolist(), [*cuts[1:].tolist(), a.rows]):
+        span = slice(a.indptr[lo], a.indptr[hi])
+        rows = np.repeat(a_rows[span], lengths[span])
+        cols = b.indices[_ragged_arange(b.indptr[picks[span]], lengths[span])]
+        keys.append(_odd_keys(rows * b.cols + cols))
+    return BitMatrix._from_keys(np.concatenate(keys), (a.rows, b.cols))
 
 
 def vstack(mats: Iterable[BitMatrix]) -> BitMatrix:
@@ -134,54 +227,136 @@ def vstack(mats: Iterable[BitMatrix]) -> BitMatrix:
     for m in mats[1:]:
         if m.cols != cols:
             raise ValueError(f"column mismatch in vstack: {m.cols} vs {cols}")
-    return BitMatrix(np.vstack([m.data for m in mats]))
-
-
-def _pack_rows(arr: np.ndarray) -> list[int]:
-    # Bit j of each integer is column j of the row.
-    if arr.shape[0] == 0 or arr.shape[1] == 0:
-        return [0] * arr.shape[0]
-    packed = np.packbits(arr, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _unpack_rows(rows: Sequence[int], cols: int) -> np.ndarray:
-    nbytes = (cols + 7) // 8
-    raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8)
-    return np.unpackbits(
-        raw.reshape(len(rows), nbytes), axis=1, count=cols, bitorder="little"
+    offsets = np.cumsum([0] + [m.indices.size for m in mats])
+    out = BitMatrix.__new__(BitMatrix)
+    out._set(
+        np.concatenate([[0]] + [m.indptr[1:] + off for m, off in zip(mats, offsets)]),
+        np.concatenate([m.indices for m in mats]),
+        cols,
     )
+    return out
 
 
-def _lead(r: int) -> int:
-    # Index of the first nonzero column (lowest set bit).
-    return (r & -r).bit_length() - 1
+def _components(m: BitMatrix) -> np.ndarray:
+    """Label of every column: the smallest column of its connected component.
 
-
-def _eliminate(rows: Iterable[int]) -> dict[int, tuple[int, int]]:
-    """Echelon pivots of packed rows, keyed by leading column.
-
-    Each pivot carries the combination of input rows (bit i = row i)
-    that produced it.
+    Columns that share a row are joined.  Each pass hooks every root onto
+    the smallest root it shares a row with, then jumps pointers until
+    every column points at a root.
     """
-    pivots: dict[int, tuple[int, int]] = {}
-    for i, r in enumerate(rows):
-        combo = 1 << i
-        while r:
-            lead = _lead(r)
-            if lead in pivots:
-                pv, pc = pivots[lead]
-                r ^= pv
-                combo ^= pc
-            else:
-                pivots[lead] = (r, combo)
+    rows, ends = m.nonzero()
+    starts = m.indices[m.indptr[rows]]  # each entry is joined to its row's first column
+    parent = np.arange(m.cols)
+    while True:
+        a, b = parent[starts], parent[ends]
+        split = a != b
+        if not split.any():
+            return parent
+        np.minimum.at(parent, np.maximum(a, b)[split], np.minimum(a, b)[split])
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
                 break
-    return pivots
+            parent = up
+
+
+class _Echelon:
+    """Echelon pivots of a matrix, eliminated component by component.
+
+    Columns are laid out component by component, each in its original
+    order; a pivot is keyed by the layout position of its leading column
+    and carries the combination of its component's rows that produced it
+    (bit i = the component's i-th row).
+    """
+
+    def __init__(self, g: BitMatrix) -> None:
+        label = _components(g)
+        self.g_rows = g.rows
+        layout = np.argsort(label, kind="stable")
+        self.position = np.empty(g.cols, dtype=np.intp)
+        self.position[layout] = np.arange(g.cols)
+        self.label = label
+        self.width = np.bincount(label, minlength=g.cols)
+        row_lengths = np.diff(g.indptr)
+        live = np.flatnonzero(row_lengths)
+        comp = label[g.indices[g.indptr[live]]]
+        # Rows grouped by component, in row order within each.
+        by_comp = np.argsort(comp, kind="stable")
+        self.row_count = np.bincount(comp, minlength=g.cols)
+        self.row_start = np.concatenate([[0], np.cumsum(self.row_count)])
+        self.comp_rows = live[by_comp]
+        local_row = np.empty(live.size, dtype=np.intp)
+        local_row[by_comp] = np.arange(live.size) - self.row_start[comp[by_comp]]
+        rows = self._packed(np.repeat(np.arange(live.size), row_lengths[live]), g.indices, comp)
+        self.pivots = pivots = {}
+        get = pivots.get
+        for r, base, i in zip(rows, self.position[comp].tolist(), local_row.tolist()):
+            combo = 1 << i
+            while r:
+                key = base + (r & -r).bit_length() - 1
+                hit = get(key)
+                if hit is None:
+                    pivots[key] = (r, combo)
+                    break
+                r ^= hit[0]
+                combo ^= hit[1]
+
+    def _packed(self, pieces: np.ndarray, cols: np.ndarray, comp: np.ndarray) -> Iterator[int]:
+        """One integer per piece, over the columns of its component *comp*.
+
+        Entries (pieces[i], cols[i]) are listed piece by piece, columns
+        ascending; bit j is the component's j-th column.
+        """
+        bits = self.position[cols] - self.position[self.label[cols]]
+        starts = np.concatenate([[0], np.cumsum((self.width[comp] + 7) >> 3)])
+        at = starts[pieces] + (bits >> 3)
+        buf = np.zeros(starts[-1], dtype=np.uint8)
+        if at.size:
+            runs = np.flatnonzero(np.diff(at, prepend=-1))
+            masks = np.left_shift(1, bits & 7).astype(np.uint8)
+            buf[at[runs]] = np.bitwise_or.reduceat(masks, runs)
+        raw, bounds = buf.tobytes(), starts.tolist()
+        return (int.from_bytes(raw[lo:hi], "little") for lo, hi in zip(bounds, bounds[1:]))
+
+    def decoder(self, e: BitMatrix) -> BitMatrix | None:
+        """R with R @ g == e, or None when some row of e is outside g's row space.
+
+        Each row of e is split into its pieces in each component; every
+        piece must reduce to zero, and the combinations that reduce the
+        pieces of a row make up its decoder row.
+        """
+        rows, cols = e.nonzero()
+        base = self.position[self.label[cols]]
+        key = rows * e.cols + base
+        order = np.argsort(key, kind="stable")
+        rows, cols, base = rows[order], cols[order], base[order]
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        comp = self.label[cols[first]]
+        pieces = np.repeat(np.arange(first.size), np.diff(first, append=rows.size))
+        nbytes = (self.row_count[comp] + 7) >> 3
+        combos = []
+        get = self.pivots.get
+        for r, b, n in zip(self._packed(pieces, cols, comp), base[first].tolist(), nbytes.tolist()):
+            combo = 0
+            while r:
+                hit = get(b + (r & -r).bit_length() - 1)
+                if hit is None:
+                    return None
+                r ^= hit[0]
+                combo ^= hit[1]
+            combos.append(combo.to_bytes(n, "little"))
+        # Unpack the combinations into the rows of g they select.
+        starts = 8 * np.concatenate([[0], np.cumsum(nbytes)])
+        raw = np.frombuffer(b"".join(combos), dtype=np.uint8)
+        hit = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+        owner = np.searchsorted(starts, hit, side="right") - 1
+        picked = self.comp_rows[self.row_start[comp[owner]] + hit - starts[owner]]
+        return BitMatrix.from_entries(rows[first[owner]], picked, (e.rows, self.g_rows))
 
 
 def rank(a: BitMatrix) -> int:
     """Row rank over GF(2): the number of pivots; 0 for empty matrices."""
-    return len(_eliminate(_pack_rows(a.data)))
+    return len(_Echelon(a).pivots)
 
 
 def solve_left(g: BitMatrix, e: BitMatrix) -> BitMatrix | None:
@@ -193,16 +368,4 @@ def solve_left(g: BitMatrix, e: BitMatrix) -> BitMatrix | None:
     """
     if g.cols != e.cols:
         raise ValueError(f"dimension mismatch: g is {g.shape}, e is {e.shape}")
-    pivots = _eliminate(_pack_rows(g.data))
-    out: list[int] = []
-    for r in _pack_rows(e.data):
-        combo = 0
-        while r:
-            lead = _lead(r)
-            if lead not in pivots:
-                return None
-            pv, pc = pivots[lead]
-            r ^= pv
-            combo ^= pc
-        out.append(combo)
-    return BitMatrix(_unpack_rows(out, g.rows))
+    return _Echelon(g).decoder(e)

@@ -14,12 +14,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .gf2 import BitMatrix, vstack
+from .gf2 import BitMatrix
 from .netchannel import FILES, Demand
 
 __all__ = [
@@ -38,9 +40,10 @@ __all__ = [
 
 CORNER_NAMES = ("M0", "M13", "M45", "M2")
 
-# Largest granularity memory_share builds.  Schemes are dense: the
-# placement blocks alone take 2n^2 bytes each, and certifying one takes
-# about n^3 bit operations.
+# Largest granularity memory_share builds and read_scheme accepts.  Built
+# schemes are sparse, with at most 3 ones in a placement row, and certify
+# in about 0.1 s at n = 4093.  The scheme file still spells every row out
+# in full, 2n characters each, which is about 200 MB at this limit.
 MAX_GRANULARITY = 4096
 
 _MESSAGE_TAGS = ("V1", "V2", "V3", "V4")
@@ -77,7 +80,7 @@ class LinearScheme:
     def __post_init__(self) -> None:
         object.__setattr__(self, "memory", Fraction(self.memory))
         object.__setattr__(self, "load", Fraction(self.load))
-        object.__setattr__(self, "delivery", dict(self.delivery))
+        object.__setattr__(self, "delivery", MappingProxyType(dict(self.delivery)))
         if self.n <= 0:
             raise ValueError(f"granularity must be positive, got {self.n}")
         if not 0 <= self.memory <= 2:
@@ -135,10 +138,8 @@ def file_selector(n: int, file_id: str) -> BitMatrix:
     """n x 2n matrix picking out one file's parts from the stacked file bits."""
     if file_id not in FILES:
         raise ValueError(f"unknown file id {file_id!r}")
-    out = np.zeros((n, 2 * n), dtype=np.uint8)
     offset = 0 if file_id == "A" else n
-    out[np.arange(n), offset + np.arange(n)] = 1
-    return BitMatrix(out)
+    return BitMatrix.from_entries(np.arange(n), offset + np.arange(n), (n, 2 * n))
 
 
 def _xor_row(n: int, *terms: str) -> np.ndarray:
@@ -290,39 +291,52 @@ _CORNER_BUILDERS = {
 }
 
 
+@cache
+def _corner(name: str) -> LinearScheme:
+    # Schemes are immutable, so each corner is built once and shared.
+    return _CORNER_BUILDERS[name]()
+
+
 def corner_scheme(name: str) -> LinearScheme:
     """One of the four built-in schemes at memory 0, 1/3, 4/5, or 2."""
-    try:
-        return _CORNER_BUILDERS[name]()
-    except KeyError:
+    if name not in CORNER_NAMES:
         raise ValueError(
             f"unknown corner scheme {name!r}: expected one of {', '.join(CORNER_NAMES)}"
-        ) from None
+        )
+    return _corner(name)
 
 
-def _embed(x: BitMatrix, n_sub: int, scale: int, n_total: int, part_offset: int) -> BitMatrix:
-    """Expand a sub-scheme matrix so each file part covers *scale* bits.
+def _scaled(x: BitMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of the Kronecker product of *x* with I_k, in row-major order.
 
-    The sub-scheme's parts land on the combined file's parts
-    [part_offset, part_offset + n_sub*scale) for both files.
+    Entry j of row r of *x*, at column c, becomes (r*k + i, c*k + i) for
+    i < k; it is entry j of output row r*k + i, which starts at
+    k*indptr[r] + i*len(row r).
     """
-    expanded = np.kron(x.data, np.eye(scale, dtype=np.uint8))
-    out = np.zeros((x.rows * scale, 2 * n_total), dtype=np.uint8)
-    width = n_sub * scale
-    out[:, part_offset : part_offset + width] = expanded[:, :width]
-    out[:, n_total + part_offset : n_total + part_offset + width] = expanded[:, width:]
-    return BitMatrix(out)
+    rows, cols = x.nonzero()
+    lengths = np.diff(x.indptr)[rows]
+    j = np.arange(rows.size) - x.indptr[rows]
+    i = np.arange(k)
+    at = (k * x.indptr[rows] + j)[:, None] + lengths[:, None] * i
+    out_rows = np.empty(rows.size * k, dtype=np.intp)
+    out_cols = np.empty(rows.size * k, dtype=np.intp)
+    out_rows[at] = rows[:, None] * k + i
+    out_cols[at] = cols[:, None] * k + i
+    return out_rows, out_cols
 
 
-def _share_delivery(a: BitMatrix, b: BitMatrix, k1: int, k2: int) -> BitMatrix:
-    top = np.kron(a.data, np.eye(k1, dtype=np.uint8))
-    bot = np.kron(b.data, np.eye(k2, dtype=np.uint8))
-    out = np.zeros(
-        (top.shape[0] + bot.shape[0], top.shape[1] + bot.shape[1]), dtype=np.uint8
-    )
-    out[: top.shape[0], : top.shape[1]] = top
-    out[top.shape[0] :, top.shape[1] :] = bot
-    return BitMatrix(out)
+def _stacked(blocks, cols: int) -> BitMatrix:
+    """Stack the scaled copies kron(m, I_k) of (m, k, place) blocks vertically.
+
+    *place* maps each copy's column indices to columns of the result.
+    """
+    rows, out_cols, top = [], [], 0
+    for m, k, place in blocks:
+        r, c = _scaled(m, k)
+        rows.append(r + top)
+        out_cols.append(place(c))
+        top += m.rows * k
+    return BitMatrix.from_entries(np.concatenate(rows), np.concatenate(out_cols), (top, cols))
 
 
 def memory_share(s1: LinearScheme, s2: LinearScheme, lam: Fraction) -> LinearScheme:
@@ -351,17 +365,24 @@ def memory_share(s1: LinearScheme, s2: LinearScheme, lam: Fraction) -> LinearSch
         )
     k1 = p * t // s1.n
     k2 = (q - p) * t // s2.n
-    offset = p * t
+
+    def parts(offset: int, width: int):
+        # A sub-scheme's columns [0, width) and [width, 2*width) are its
+        # A and B parts; they land on parts [offset, offset + width).
+        return lambda c: np.where(c < width, offset + c, n + offset + c - width)
+
+    place1, place2 = parts(0, s1.n * k1), parts(s1.n * k1, s2.n * k2)
 
     def stack(m1: BitMatrix, m2: BitMatrix) -> BitMatrix:
-        return vstack([_embed(m1, s1.n, k1, n, 0), _embed(m2, s2.n, k2, n, offset)])
+        return _stacked([(m1, k1, place1), (m2, k2, place2)], 2 * n)
 
-    delivery = {}
-    for d in Demand:
-        q1, q2 = s1.delivery[d], s2.delivery[d]
-        delivery[d] = DeliveryQuad(
-            *(_share_delivery(a, b, k1, k2) for a, b in zip(q1, q2))
-        )
+    def block_diagonal(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+        shift = a.cols * k1
+        return _stacked([(a, k1, lambda c: c), (b, k2, lambda c: c + shift)], shift + b.cols * k2)
+
+    delivery = {
+        d: DeliveryQuad(*map(block_diagonal, s1.delivery[d], s2.delivery[d])) for d in Demand
+    }
     return LinearScheme(
         n=n,
         memory=lam * s1.memory + (1 - lam) * s2.memory,
@@ -420,12 +441,15 @@ def write_scheme(s: LinearScheme) -> str:
 
 
 _ROW_RE = re.compile(r"^[01]+$")
-_FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only: int() and Fraction() also take other Unicode digits
+# and underscores between digits.
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_FRACTION_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_fraction(text: str) -> Fraction:
     """Parse 'p/q' or a bare integer; floating-point forms are rejected."""
-    if not _FRACTION_RE.match(text):
+    if not _FRACTION_RE.fullmatch(text):
         raise ValueError(f"expected a rational like 'p/q' or an integer, got {text!r}")
     try:
         return Fraction(text)
@@ -485,10 +509,9 @@ def read_scheme(text: str) -> LinearScheme:
         return no, parts[1]
 
     no, raw = header("n")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SchemeFormatError(no, f"granularity must be an integer, got {raw!r}") from None
+    if not _INTEGER_RE.fullmatch(raw):
+        raise SchemeFormatError(no, f"granularity must be an integer, got {raw!r}")
+    n = int(raw)
     if n <= 0:
         raise SchemeFormatError(no, f"granularity must be positive, got {n}")
     if n > MAX_GRANULARITY:
@@ -513,12 +536,9 @@ def read_scheme(text: str) -> LinearScheme:
     width = 2 * n
 
     def count_from(no: int, raw: str, tag: str) -> int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise SchemeFormatError(
-                no, f"{tag} row count must be an integer, got {raw!r}"
-            ) from None
+        if not _INTEGER_RE.fullmatch(raw):
+            raise SchemeFormatError(no, f"{tag} row count must be an integer, got {raw!r}")
+        return int(raw)
 
     def cache_block(tag: str, expected_rows: int | None, max_rows: int | None) -> BitMatrix:
         no, raw = header(tag)

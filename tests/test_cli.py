@@ -184,6 +184,21 @@ def test_bad_gains_rejected(capsys):
     assert "four comma-separated gains" in capsys.readouterr().err
 
 
+@dataclasses.dataclass(frozen=True)
+class M13Edit:
+    """The M13 corner's scheme file with one line replaced."""
+
+    old: str
+    new: str
+
+    def write(self, directory: Path) -> str:
+        lines = write_scheme(corner_scheme("M13")).splitlines()
+        lines[lines.index(self.old)] = self.new
+        path = directory / "edited.scheme"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+
 @pytest.mark.parametrize(
     "argv,expected",
     [
@@ -203,9 +218,16 @@ def test_bad_gains_rejected(capsys):
             ["sweep", "--from", "0", "--to", "2", "--step", "1/100000000"],
             f"sweep of 200000001 rows is above the limit of {MAX_SWEEP_ROWS}",
         ),
+        # Integers are ASCII digits: int() alone would take these as 3 and 1.
+        (["construct", "--m", "\uff11/3"], "expected a rational"),
+        (["verify", M13Edit("n 3", "n \uff13")], "line 1: granularity must be an integer"),
+        (["verify", M13Edit("n 3", "n 0_3")], "line 1: granularity must be an integer"),
+        (["verify", M13Edit("Z1 1", "Z1 0_1")], "line 4: Z1 row count must be an integer"),
+        (["verify", M13Edit("M 1/3", "M \uff11/3")], "line 2: expected a rational"),
     ],
 )
-def test_bad_values_exit_2_with_one_error_line(capsys, argv, expected):
+def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, argv, expected):
+    argv = [arg.write(tmp_path) if isinstance(arg, M13Edit) else arg for arg in argv]
     # Each value is refused before anything sized by it is allocated.
     tracemalloc.start()
     try:

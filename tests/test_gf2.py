@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cachealign import BitMatrix, mat_mul, rank, solve_left, vstack
+import gf2_oracle as oracle
+from cachealign import BitMatrix, gf2, mat_mul, rank, solve_left, vstack
 
 
 def oracle_mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -207,17 +209,154 @@ def test_solve_left_sound_and_complete(system):
 
 
 def test_entries_must_be_bits():
-    for data in ([[0.5, 1.7]], [[2, 0]], [[-1, 0]], [[257, 0]]):
-        with pytest.raises(ValueError, match="0 or 1"):
-            BitMatrix(data)
-    # apply checks its vector the same way: a cast would give [0 1] for each.
-    for vec in ([2, 3], [0.5, 1.7], [257, 0], [-1, 0]):
-        with pytest.raises(ValueError, match="0 or 1"):
-            BitMatrix.identity(2).apply(vec)
-    assert BitMatrix([[True, False]]) == BitMatrix([[1.0, 0.0]]) == BitMatrix([[1, 0]])
+    odd = ([None, 0], [np.nan, 0], [1 + 1j, 0], [1 + 0j, 0], ["1", "0"], [object(), 1])
+    with warnings.catch_warnings():
+        # Refused before any cast: no RuntimeWarning or ComplexWarning.
+        warnings.simplefilter("error")
+        for data in ([[0.5, 1.7]], [[2, 0]], [[-1, 0]], [[257, 0]], *([row] for row in odd)):
+            with pytest.raises(ValueError, match="0 or 1"):
+                BitMatrix(data)
+        # apply checks its vector the same way: a cast would give [0 1] for each.
+        for vec in ([2, 3], [0.5, 1.7], [257, 0], [-1, 0], *odd):
+            with pytest.raises(ValueError, match="0 or 1"):
+                BitMatrix.identity(2).apply(vec)
+        assert BitMatrix([[True, False]]) == BitMatrix([[1.0, 0.0]]) == BitMatrix([[1, 0]])
 
 
 def test_empty_matrices_are_first_class():
     empty = BitMatrix.zeros(0, 4)
     assert mat_mul(empty, BitMatrix.zeros(4, 2)) == BitMatrix.zeros(0, 2)
     assert vstack([empty, BitMatrix.identity(4)]) == BitMatrix.identity(4)
+
+
+# --- The sparse kernel against the dense packed-row reference -------------
+
+
+def shaped_bits(rng: np.random.Generator, kind: str, rows: int, cols: int) -> np.ndarray:
+    """A 0/1 array of one kind: dense, sparse, or block-diagonal up to permutations."""
+    if kind == "dense":
+        return rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    if kind == "sparse":
+        return (rng.random((rows, cols)) < 0.12).astype(np.uint8)
+    # Blocks of about three columns, each row inside one block; columns
+    # and rows are shuffled so that components interleave.
+    out = np.zeros((rows, cols), dtype=np.uint8)
+    cuts = rng.choice(np.arange(1, cols), size=cols // 3, replace=False) if cols > 1 else []
+    bounds = [0, *np.sort(cuts), cols]
+    for i in range(rows):
+        b = int(rng.integers(len(bounds) - 1))
+        lo, hi = bounds[b], bounds[b + 1]
+        out[i, lo:hi] = rng.integers(0, 2, size=hi - lo)
+    return out[rng.permutation(rows)][:, rng.permutation(cols)]
+
+
+def with_cancelling_rows(rng: np.random.Generator, arr: np.ndarray) -> np.ndarray:
+    """Zero some rows, and overwrite the last two with a repeat and a pair XOR."""
+    arr = arr.copy()
+    rows = arr.shape[0]
+    arr[rng.random(rows) < 0.2] = 0
+    if rows >= 3:
+        i, j, k = rng.integers(0, rows - 2, size=3)
+        arr[-2], arr[-1] = arr[i], arr[j] ^ arr[k]
+    return arr
+
+
+@st.composite
+def bit_arrays(draw, rows=None, cols=None, max_dim: int = 12):
+    rows = draw(st.integers(0, max_dim)) if rows is None else rows
+    cols = draw(st.integers(0, max_dim)) if cols is None else cols
+    kind = draw(st.sampled_from(["dense", "sparse", "blocks"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = shaped_bits(rng, kind, rows, cols)
+    if draw(st.booleans()):
+        arr = with_cancelling_rows(rng, arr)
+    return arr
+
+
+@st.composite
+def systems(draw):
+    """(g, e): rows of e from g's row space, random rows, and zero rows."""
+    g = draw(bit_arrays())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_targets = draw(st.integers(0, 6))
+    mix = rng.integers(0, 2, size=(n_targets, g.shape[0]), dtype=np.uint8)
+    e = oracle.mat_mul(mix, g)
+    if n_targets and draw(st.booleans()):
+        e[rng.integers(n_targets)] = rng.integers(0, 2, size=g.shape[1])  # maybe unsolvable
+    if n_targets and draw(st.booleans()):
+        e[rng.integers(n_targets)] = 0
+    return g, e
+
+
+def check_solve_left(g: np.ndarray, e: np.ndarray) -> None:
+    r = solve_left(BitMatrix(g), BitMatrix(e))
+    expected = oracle.solve_left(g, e)
+    assert (r is None) == (expected is None)
+    if r is not None:
+        # Decoders are not unique; each witness must satisfy R g = e.
+        assert r.shape == (e.shape[0], g.shape[0])
+        assert np.array_equal(oracle.mat_mul(r.data, g), e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_solve_left_matches_dense_reference(system):
+    check_solve_left(*system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bit_arrays())
+def test_rank_matches_dense_reference(arr):
+    assert rank(BitMatrix(arr)) == oracle.rank(arr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_products_sums_and_stacks_match_dense_reference(data):
+    a = data.draw(bit_arrays())
+    b = data.draw(bit_arrays(rows=a.shape[1]))
+    c = data.draw(bit_arrays(cols=a.shape[1]))
+    twin = data.draw(bit_arrays(rows=a.shape[0], cols=a.shape[1]))
+    v = np.array(data.draw(st.lists(st.integers(0, 1), min_size=a.shape[1], max_size=a.shape[1])))
+    ma = BitMatrix(a)
+    assert np.array_equal(mat_mul(ma, BitMatrix(b)).data, oracle.mat_mul(a, b))
+    assert np.array_equal(vstack([ma, BitMatrix(c)]).data, np.vstack([a, c]))
+    assert np.array_equal((ma ^ BitMatrix(twin)).data, a ^ twin)
+    assert np.array_equal(ma.apply(v), oracle.apply(a, v))
+    assert BitMatrix(ma.data) == ma and hash(BitMatrix(ma.data)) == hash(ma)
+
+
+def test_wide_components_match_dense_reference():
+    # Rows and components wider than 64 bits, where packed rows span many bytes.
+    rng = np.random.default_rng(11)
+    for kind, rows, cols in (("dense", 70, 140), ("blocks", 90, 300), ("sparse", 120, 200)):
+        g = with_cancelling_rows(rng, shaped_bits(rng, kind, rows, cols))
+        assert rank(BitMatrix(g)) == oracle.rank(g)
+        mix = rng.integers(0, 2, size=(9, g.shape[0]), dtype=np.uint8)
+        e = oracle.mat_mul(mix, g)
+        check_solve_left(g, e)
+        e[4] ^= rng.integers(0, 2, size=cols, dtype=np.uint8)
+        check_solve_left(g, e)
+        b = shaped_bits(rng, kind, cols, 65)
+        assert np.array_equal(mat_mul(BitMatrix(g), BitMatrix(b)).data, oracle.mat_mul(g, b))
+
+
+def test_mat_mul_in_chunks_matches_one_pass(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = BitMatrix(with_cancelling_rows(rng, shaped_bits(rng, "dense", 30, 40)))
+    b = BitMatrix(shaped_bits(rng, "dense", 40, 50))
+    whole = mat_mul(a, b)
+    monkeypatch.setattr(gf2, "_PRODUCT_CHUNK", 7)
+    assert mat_mul(a, b) == whole
+    assert np.array_equal(whole.data, oracle.mat_mul(a.data, b.data))
+
+
+def test_from_entries_keeps_odd_counts():
+    m = BitMatrix.from_entries([2, 0, 2, 0, 0], [1, 3, 1, 0, 3], (3, 4))
+    assert m == BitMatrix([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    assert m.indptr.tolist() == [0, 1, 1, 1] and m.indices.tolist() == [0]
+    with pytest.raises(ValueError):
+        m.indices[0] = 1
+    for rows, cols in (([3], [0]), ([0], [4]), ([-1], [0]), ([0, 1], [0])):
+        with pytest.raises(ValueError):
+            BitMatrix.from_entries(rows, cols, (3, 4))

@@ -238,6 +238,27 @@ def test_non_integer_cache_size_rejected():
         read_scheme(text)
 
 
+@pytest.mark.parametrize(
+    "old,new,expected",
+    [
+        ("n 3", "n \uff13", "line 1: granularity must be an integer"),
+        ("n 3", "n 0_3", "line 1: granularity must be an integer"),
+        ("n 3", "n 3.0", "line 1: granularity must be an integer"),
+        ("Z1 1", "Z1 0_1", "line 4: Z1 row count must be an integer"),
+        ("Z1 1", "Z1 \u0661", "line 4: Z1 row count must be an integer"),
+        ("D AA V1 1", "D AA V1 \uff11", "D AA V1 row count must be an integer"),
+        ("M 1/3", "M \uff11/3", "line 2: expected a rational"),
+        ("M 1/3", "M 1/3_0", "line 2: expected a rational"),
+    ],
+)
+def test_headers_take_ascii_integers_only(old, new, expected):
+    # int() and Fraction() would read each of these as the plain value.
+    lines = write_scheme(corner_scheme("M13")).splitlines()
+    lines[lines.index(old)] = new
+    with pytest.raises(SchemeFormatError, match=expected):
+        read_scheme("\n".join(lines) + "\n")
+
+
 def test_truncated_file_rejected():
     lines = write_scheme(corner_scheme("M13")).splitlines()
     with pytest.raises(SchemeFormatError, match="unexpected end of file"):

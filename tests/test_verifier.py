@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from cachealign import (
     mat_mul,
     observation_matrix,
     rank,
+    scheme_for_memory,
     verify_all,
     vstack,
 )
@@ -174,3 +180,44 @@ def test_extra_cache_rows_never_hurt(name):
     )
     for demand, user in ALL_CASES:
         assert decodable(grown, demand, user) is not None
+
+
+# Budget for the traced peak allocation of building and certifying the
+# n = 4093 scheme.  Sparse rows peak under 4 MB; dense blocks took about
+# 450 MB.
+SCALING_WALL_BUDGET = 24 * 2**20
+
+
+def test_scaling_wall_certifies_within_memory_budget():
+    tracemalloc.start()
+    try:
+        scheme = scheme_for_memory(F(1, 4093))
+        report = verify_all(scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scheme.n == 4093
+    assert report.passed and len(report.cases) == 8
+    assert peak < SCALING_WALL_BUDGET, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_certification_imports_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import cachealign\n"
+        "report = cachealign.verify_all(cachealign.scheme_for_memory(Fraction(1, 7)))\n"
+        "assert report.passed\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
