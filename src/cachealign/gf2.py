@@ -7,8 +7,12 @@ sorted and unique.  Empty shapes (0 x k, k x 0) are valid and act as
 empty linear maps, so degenerate cases (no cache rows, no delivery rows)
 need no special handling.
 
-Products, sums and stacks are index arithmetic on the entries: an entry
-that occurs an odd number of times survives, an even count cancels.
+Sums and stacks are index arithmetic on the entries: an entry that
+occurs an odd number of times survives, an even count cancels.  A
+product row that selects one row of the right operand copies it; the
+other product rows XOR the right operand's rows, packed into Python
+integers (bit j = column j), so a dense product costs what it did on
+dense storage.
 Elimination first splits the columns into the connected components of
 the rows that share them, since no row operation crosses a component.
 Each row is packed into a Python integer over its component's columns
@@ -19,15 +23,13 @@ A dense matrix is one component and runs the same code.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from functools import reduce
+from operator import xor
+from typing import Iterable
 
 import numpy as np
 
 __all__ = ["BitMatrix", "mat_mul", "rank", "solve_left", "vstack"]
-
-# Largest number of entries a product expands to at once; bounds the
-# memory of mat_mul on dense operands.
-_PRODUCT_CHUNK = 1 << 20
 
 
 def _as_bits(data, what: str) -> np.ndarray:
@@ -46,10 +48,8 @@ def _as_bits(data, what: str) -> np.ndarray:
 
 def _csr(keys: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, int]:
     """CSR arrays of the entries whose sorted unique keys are r * cols + c."""
-    rows, cols = np.divmod(keys, shape[1])
-    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return indptr, cols, shape[1]
+    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
+    return indptr, keys % shape[1], shape[1]
 
 
 def _odd_keys(keys: np.ndarray) -> np.ndarray:
@@ -66,6 +66,31 @@ def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenated ranges [start, start + length) for each pair."""
     ends = np.cumsum(lengths)
     return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _pack(pieces: np.ndarray, bits: np.ndarray, nbytes: np.ndarray) -> list[int]:
+    """One integer per piece, with bit bits[i] set in integer pieces[i].
+
+    Integer p spans nbytes[p] bytes.
+    """
+    starts = np.concatenate([[0], np.cumsum(nbytes)])
+    flags = np.zeros(8 * starts[-1], dtype=bool)
+    flags[8 * starts[pieces] + bits] = True
+    raw, bounds = np.packbits(flags, bitorder="little").tobytes(), starts.tolist()
+    return [int.from_bytes(raw[lo:hi], "little") for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _unpack(ints: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the integer and position of every set bit, integer by integer."""
+    chunks = [r.to_bytes((r.bit_length() + 63) >> 6 << 3, "little") for r in ints]
+    starts = np.cumsum([0, *map(len, chunks)]) >> 3
+    words = np.frombuffer(b"".join(chunks), dtype=np.uint64)
+    at = np.flatnonzero(words)
+    owner = np.searchsorted(starts, at, side="right") - 1
+    # Each word holds 8 little-endian bytes, whatever the machine's order.
+    hit = np.flatnonzero(np.unpackbits(words[at].view(np.uint8), bitorder="little"))
+    word = hit >> 6
+    return owner[word], 64 * (at - starts[owner])[word] + (hit & 63)
 
 
 class BitMatrix:
@@ -197,25 +222,28 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Matrix product over GF(2): XOR-accumulate of entrywise ANDs.
 
     Row i of the product is the XOR of the rows of *b* that the set
-    entries of row i of *a* select: every entry (i, k) of *a* contributes
-    the entries of row k of *b* to row i, and entries that arrive an even
-    number of times cancel.  Rows of *a* are taken in chunks that expand
-    to a bounded number of entries.
+    entries of row i of *a* select.  A row that selects one row of *b*
+    is a copy of it.  For rows that select more, the rows of *b* are
+    packed into Python integers (bit j = column j), so each selection
+    costs one integer XOR, however dense the operands.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    a_rows, picks = a.nonzero()
-    lengths = np.diff(b.indptr)[picks]
-    # Expanded entries before each row of a; chunk boundaries fall between rows.
-    before = np.concatenate([[0], np.cumsum(lengths)])[a.indptr]
-    cuts = np.searchsorted(before, np.arange(0, before[-1], _PRODUCT_CHUNK), side="right") - 1
-    keys = [np.zeros(0, dtype=np.intp)]
-    for lo, hi in zip(cuts.tolist(), [*cuts[1:].tolist(), a.rows]):
-        span = slice(a.indptr[lo], a.indptr[hi])
-        rows = np.repeat(a_rows[span], lengths[span])
-        cols = b.indices[_ragged_arange(b.indptr[picks[span]], lengths[span])]
-        keys.append(_odd_keys(rows * b.cols + cols))
-    return BitMatrix._from_keys(np.concatenate(keys), (a.rows, b.cols))
+    picks = np.diff(a.indptr)
+    one = np.flatnonzero(picks == 1)
+    src = a.indices[a.indptr[one]]
+    lengths = np.diff(b.indptr)[src]
+    copied = b.indices[_ragged_arange(b.indptr[src], lengths)]
+    keys = [np.repeat(one, lengths) * b.cols + copied]
+    many = np.flatnonzero(picks > 1)
+    if many.size:
+        row = _pack(*b.nonzero(), np.full(b.rows, (b.cols + 7) >> 3)).__getitem__
+        sel, bounds = a.indices.tolist(), a.indptr.tolist()
+        owner, cols = _unpack(
+            reduce(xor, map(row, sel[bounds[i] : bounds[i + 1]])) for i in many.tolist()
+        )
+        keys.append(many[owner] * b.cols + cols)
+    return BitMatrix._from_keys(_odd_keys(np.concatenate(keys)), (a.rows, b.cols))
 
 
 def vstack(mats: Iterable[BitMatrix]) -> BitMatrix:
@@ -240,24 +268,31 @@ def vstack(mats: Iterable[BitMatrix]) -> BitMatrix:
 def _components(m: BitMatrix) -> np.ndarray:
     """Label of every column: the smallest column of its connected component.
 
-    Columns that share a row are joined.  Each pass hooks every root onto
-    the smallest root it shares a row with, then jumps pointers until
-    every column points at a root.
+    Columns that share a row are joined: each entry to its row's first
+    column, which is the row's smallest.  Every column first points at
+    the smallest first column of its rows.  Then each pass jumps
+    pointers until every column points at a root, and hooks every root
+    onto the smallest root it shares an entry with.
     """
-    rows, ends = m.nonzero()
-    starts = m.indices[m.indptr[rows]]  # each entry is joined to its row's first column
+    lengths = np.diff(m.indptr)
+    live = lengths > 0
+    starts = np.repeat(m.indices[m.indptr[:-1][live]], lengths[live])
+    ends = m.indices
     parent = np.arange(m.cols)
+    np.minimum.at(parent, ends, starts)
     while True:
-        a, b = parent[starts], parent[ends]
-        split = a != b
-        if not split.any():
-            return parent
-        np.minimum.at(parent, np.maximum(a, b)[split], np.minimum(a, b)[split])
         while True:
             up = parent[parent]
             if np.array_equal(up, parent):
                 break
             parent = up
+        a, b = parent[starts], parent[ends]
+        split = a != b
+        if not split.any():
+            return parent
+        # Joined columns stay joined, so later passes check only the rest.
+        starts, ends, a, b = starts[split], ends[split], a[split], b[split]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
 
 
 class _Echelon:
@@ -301,22 +336,14 @@ class _Echelon:
                 r ^= hit[0]
                 combo ^= hit[1]
 
-    def _packed(self, pieces: np.ndarray, cols: np.ndarray, comp: np.ndarray) -> Iterator[int]:
+    def _packed(self, pieces: np.ndarray, cols: np.ndarray, comp: np.ndarray) -> list[int]:
         """One integer per piece, over the columns of its component *comp*.
 
-        Entries (pieces[i], cols[i]) are listed piece by piece, columns
-        ascending; bit j is the component's j-th column.
+        Piece pieces[i] has a one in column cols[i]; bit j is the
+        component's j-th column.
         """
         bits = self.position[cols] - self.position[self.label[cols]]
-        starts = np.concatenate([[0], np.cumsum((self.width[comp] + 7) >> 3)])
-        at = starts[pieces] + (bits >> 3)
-        buf = np.zeros(starts[-1], dtype=np.uint8)
-        if at.size:
-            runs = np.flatnonzero(np.diff(at, prepend=-1))
-            masks = np.left_shift(1, bits & 7).astype(np.uint8)
-            buf[at[runs]] = np.bitwise_or.reduceat(masks, runs)
-        raw, bounds = buf.tobytes(), starts.tolist()
-        return (int.from_bytes(raw[lo:hi], "little") for lo, hi in zip(bounds, bounds[1:]))
+        return _pack(pieces, bits, (self.width[comp] + 7) >> 3)
 
     def decoder(self, e: BitMatrix) -> BitMatrix | None:
         """R with R @ g == e, or None when some row of e is outside g's row space.
@@ -333,10 +360,9 @@ class _Echelon:
         first = np.flatnonzero(np.diff(key[order], prepend=-1))
         comp = self.label[cols[first]]
         pieces = np.repeat(np.arange(first.size), np.diff(first, append=rows.size))
-        nbytes = (self.row_count[comp] + 7) >> 3
         combos = []
         get = self.pivots.get
-        for r, b, n in zip(self._packed(pieces, cols, comp), base[first].tolist(), nbytes.tolist()):
+        for r, b in zip(self._packed(pieces, cols, comp), base[first].tolist()):
             combo = 0
             while r:
                 hit = get(b + (r & -r).bit_length() - 1)
@@ -344,13 +370,10 @@ class _Echelon:
                     return None
                 r ^= hit[0]
                 combo ^= hit[1]
-            combos.append(combo.to_bytes(n, "little"))
+            combos.append(combo)
         # Unpack the combinations into the rows of g they select.
-        starts = 8 * np.concatenate([[0], np.cumsum(nbytes)])
-        raw = np.frombuffer(b"".join(combos), dtype=np.uint8)
-        hit = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
-        owner = np.searchsorted(starts, hit, side="right") - 1
-        picked = self.comp_rows[self.row_start[comp[owner]] + hit - starts[owner]]
+        owner, local = _unpack(combos)
+        picked = self.comp_rows[self.row_start[comp[owner]] + local]
         return BitMatrix.from_entries(rows[first[owner]], picked, (e.rows, self.g_rows))
 
 

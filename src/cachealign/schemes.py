@@ -14,9 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
-from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -80,7 +78,7 @@ class LinearScheme:
     def __post_init__(self) -> None:
         object.__setattr__(self, "memory", Fraction(self.memory))
         object.__setattr__(self, "load", Fraction(self.load))
-        object.__setattr__(self, "delivery", MappingProxyType(dict(self.delivery)))
+        object.__setattr__(self, "delivery", dict(self.delivery))
         if self.n <= 0:
             raise ValueError(f"granularity must be positive, got {self.n}")
         if not 0 <= self.memory <= 2:
@@ -291,38 +289,21 @@ _CORNER_BUILDERS = {
 }
 
 
-@cache
-def _corner(name: str) -> LinearScheme:
-    # Schemes are immutable, so each corner is built once and shared.
-    return _CORNER_BUILDERS[name]()
-
-
 def corner_scheme(name: str) -> LinearScheme:
     """One of the four built-in schemes at memory 0, 1/3, 4/5, or 2."""
-    if name not in CORNER_NAMES:
+    try:
+        return _CORNER_BUILDERS[name]()
+    except KeyError:
         raise ValueError(
             f"unknown corner scheme {name!r}: expected one of {', '.join(CORNER_NAMES)}"
-        )
-    return _corner(name)
+        ) from None
 
 
 def _scaled(x: BitMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Entries of the Kronecker product of *x* with I_k, in row-major order.
-
-    Entry j of row r of *x*, at column c, becomes (r*k + i, c*k + i) for
-    i < k; it is entry j of output row r*k + i, which starts at
-    k*indptr[r] + i*len(row r).
-    """
+    """Entries of the Kronecker product of *x* with I_k: (r, c) becomes (r*k + i, c*k + i)."""
     rows, cols = x.nonzero()
-    lengths = np.diff(x.indptr)[rows]
-    j = np.arange(rows.size) - x.indptr[rows]
     i = np.arange(k)
-    at = (k * x.indptr[rows] + j)[:, None] + lengths[:, None] * i
-    out_rows = np.empty(rows.size * k, dtype=np.intp)
-    out_cols = np.empty(rows.size * k, dtype=np.intp)
-    out_rows[at] = rows[:, None] * k + i
-    out_cols[at] = cols[:, None] * k + i
-    return out_rows, out_cols
+    return (rows[:, None] * k + i).ravel(), (cols[:, None] * k + i).ravel()
 
 
 def _stacked(blocks, cols: int) -> BitMatrix:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gf2_oracle as oracle
-from cachealign import BitMatrix, gf2, mat_mul, rank, solve_left, vstack
+from cachealign import BitMatrix, mat_mul, rank, solve_left, vstack
 
 
 def oracle_mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -341,14 +341,20 @@ def test_wide_components_match_dense_reference():
         assert np.array_equal(mat_mul(BitMatrix(g), BitMatrix(b)).data, oracle.mat_mul(g, b))
 
 
-def test_mat_mul_in_chunks_matches_one_pass(monkeypatch):
-    rng = np.random.default_rng(5)
-    a = BitMatrix(with_cancelling_rows(rng, shaped_bits(rng, "dense", 30, 40)))
-    b = BitMatrix(shaped_bits(rng, "dense", 40, 50))
-    whole = mat_mul(a, b)
-    monkeypatch.setattr(gf2, "_PRODUCT_CHUNK", 7)
-    assert mat_mul(a, b) == whole
-    assert np.array_equal(whole.data, oracle.mat_mul(a.data, b.data))
+def test_mat_mul_copies_single_selections_and_xors_the_rest():
+    # Rows of a that select nothing, one row of b, or several rows of b
+    # (two equal rows cancel), interleaved, with b wider than 64 columns.
+    rng = np.random.default_rng(3)
+    b = with_cancelling_rows(rng, shaped_bits(rng, "sparse", 12, 130))
+    b[0] = 0
+    a = np.zeros((7, 12), dtype=np.uint8)
+    a[1, 3] = a[2, [3, 5]] = a[3, 0] = a[4, [0, 4, 5, 9, 10, 11]] = a[6, 11] = 1
+    b[4] = b[9]
+    a[5, [4, 9]] = 1
+    product = mat_mul(BitMatrix(a), BitMatrix(b))
+    assert np.array_equal(product.data, oracle.mat_mul(a, b))
+    assert not product.data[[0, 3, 5]].any()
+    assert np.array_equal(product.data[[1, 6]], b[[3, 11]])
 
 
 def test_from_entries_keeps_odd_counts():
