@@ -22,6 +22,7 @@ from .schemes import (
     corner_scheme,
     file_selector,
     parse_fraction,
+    parse_integer,
     read_scheme,
     scheme_for_memory,
     write_scheme,
@@ -104,7 +105,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_phy_cert(args) -> int:
-    cfg = PhyConfig(*_gains(args.gains), q=args.q)
+    cfg = PhyConfig(*_gains(args.gains), q=parse_integer(args.q))
     if uniqueness_certificate(cfg):
         print("CERTIFICATE PASS")
         return 0
@@ -113,8 +114,8 @@ def _cmd_phy_cert(args) -> int:
 
 
 def _cmd_phy_mc(args) -> int:
-    cfg = PhyConfig(*_gains(args.gains), q=args.q, power=args.power)
-    result = monte_carlo(cfg, trials=args.trials, seed=args.seed)
+    cfg = PhyConfig(*_gains(args.gains), q=parse_integer(args.q), power=args.power)
+    result = monte_carlo(cfg, trials=parse_integer(args.trials), seed=parse_integer(args.seed))
     print(MC_CSV_HEADER)
     print(result.csv_row())
     return 0
@@ -124,7 +125,7 @@ def _cmd_e2e(args) -> int:
     scheme = read_scheme(Path(args.scheme).read_text())
     demand = Demand.from_string(args.demand)
     cfg = PhyConfig(*_gains(args.gains))
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(parse_integer(args.seed))
     file_bits = rng.integers(0, 2, size=2 * scheme.n).astype(np.uint8)
     decoded = e2e_run(scheme, demand, cfg, file_bits)
     ok = True
@@ -175,22 +176,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = phy_sub.add_parser("cert", help="uniqueness certificate for a gain/alphabet choice")
     pc.add_argument("--gains", required=True, help="h11,h12,h21,h22 as rationals")
-    pc.add_argument("--q", type=int, default=2)
+    pc.add_argument("--q", default="2")
     pc.set_defaults(func=_cmd_phy_cert)
 
     pm = phy_sub.add_parser("mc", help="Monte Carlo symbol error rate")
     pm.add_argument("--gains", required=True, help="h11,h12,h21,h22 as rationals")
-    pm.add_argument("--q", type=int, default=2)
+    pm.add_argument("--q", default="2")
     pm.add_argument("--power", type=float, required=True)
-    pm.add_argument("--trials", type=int, required=True)
-    pm.add_argument("--seed", type=int, default=0)
+    pm.add_argument("--trials", required=True)
+    pm.add_argument("--seed", default="0")
     pm.set_defaults(func=_cmd_phy_mc)
 
     p = sub.add_parser("e2e", help="deliver random files over the noiseless phy path")
     p.add_argument("--scheme", required=True)
     p.add_argument("--demand", required=True, help="one of AA, AB, BA, BB")
     p.add_argument("--gains", required=True, help="h11,h12,h21,h22 as rationals")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.set_defaults(func=_cmd_e2e)
 
     return parser

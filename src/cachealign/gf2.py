@@ -171,14 +171,6 @@ class BitMatrix:
         """Row and column indices of the set entries, in row-major order."""
         return np.repeat(np.arange(self.rows), np.diff(self.indptr)), self.indices
 
-    def row_texts(self) -> list[str]:
-        w = self.cols
-        rows, cols = self.nonzero()
-        text = np.full(self.rows * w, ord("0"), dtype=np.uint8)
-        text[rows * w + cols] = ord("1")
-        text = text.tobytes().decode("ascii")
-        return [text[i * w : (i + 1) * w] for i in range(self.rows)]
-
     def apply(self, bits) -> np.ndarray:
         """Multiply this matrix by a column bit vector, returning a 1-d array."""
         vec = _as_bits(bits, "vector entries")

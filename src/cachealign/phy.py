@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gf2 import _as_bits
-from .netchannel import Demand
+from .netchannel import Demand, _check_user
 from .schemes import LinearScheme
 from .verifier import decoders, message_bits, observed_bits
 
@@ -153,6 +153,7 @@ def _constellation(cfg: PhyConfig, user: int) -> tuple[np.ndarray, np.ndarray]:
 
     Equal values keep the enumeration order: a, then b, then s.
     """
+    _check_user(user)
     q = cfg.q
     grid = np.meshgrid(np.arange(q), np.arange(q), np.arange(2 * q - 1), indexing="ij")
     triples = np.stack([axis.ravel() for axis in grid], axis=1).astype(np.int64)
@@ -168,8 +169,6 @@ def enumerate_constellation(
     cfg: PhyConfig, user: int
 ) -> list[tuple[Fraction, tuple[int, int, int]]]:
     """All (value, (direct_a, direct_b, pair_sum)) points, sorted by value."""
-    if user not in (1, 2):
-        raise ValueError(f"user must be 1 or 2, got {user!r}")
     values, triples = _constellation(cfg, user)
     d2 = _cleared(cfg)[0] ** 2
     return [(Fraction(v, d2), tuple(t)) for v, t in zip(values.tolist(), triples.tolist())]

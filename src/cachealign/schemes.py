@@ -12,6 +12,7 @@ Schemes are immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -35,8 +36,6 @@ __all__ = [
     "scheme_for_memory",
     "write_scheme",
 ]
-
-CORNER_NAMES = ("M0", "M13", "M45", "M2")
 
 # Largest granularity memory_share builds and read_scheme accepts.  Built
 # schemes are sparse, with at most 3 ones in a placement row, and certify
@@ -92,9 +91,7 @@ class LinearScheme:
         width = 2 * self.n
         for name, mat in (("z1", self.z1), ("z2", self.z2)):
             if mat.shape != (self.cache_rows, width):
-                raise ValueError(
-                    f"{name} must be {self.cache_rows}x{width}, got {mat.shape}"
-                )
+                raise ValueError(f"{name} must be {self.cache_rows}x{width}, got {mat.shape}")
         for name, mat in (("u1", self.u1), ("u2", self.u2)):
             if mat.cols != width or mat.rows > self.n:
                 raise ValueError(
@@ -103,17 +100,13 @@ class LinearScheme:
                 )
         if set(self.delivery) != set(Demand):
             raise ValueError("delivery must cover exactly the four demands")
+        message_rows = self.message_rows
         for d, quad in self.delivery.items():
-            for tag, mat, src in (
-                ("d1", quad.d1, self.u1),
-                ("d2", quad.d2, self.u1),
-                ("d3", quad.d3, self.u2),
-                ("d4", quad.d4, self.u2),
-            ):
-                if mat.shape != (self.message_rows, src.rows):
+            for tag, mat, src in zip(quad._fields, quad, (self.u1, self.u1, self.u2, self.u2)):
+                if mat.shape != (message_rows, src.rows):
                     raise ValueError(
                         f"delivery {tag} for {d} must be "
-                        f"{self.message_rows}x{src.rows}, got {mat.shape}"
+                        f"{message_rows}x{src.rows}, got {mat.shape}"
                     )
 
     @property
@@ -140,163 +133,84 @@ def file_selector(n: int, file_id: str) -> BitMatrix:
     return BitMatrix.from_entries(np.arange(n), offset + np.arange(n), (n, 2 * n))
 
 
-def _xor_row(n: int, *terms: str) -> np.ndarray:
-    # A term like "B3" is part 3 of file B (1-based).
-    row = np.zeros(2 * n, dtype=np.uint8)
-    for term in terms:
-        offset = 0 if term[0] == "A" else n
-        row[offset + int(term[1:]) - 1] ^= 1
-    return row
+class _Corner(NamedTuple):
+    """A built-in scheme as data.
+
+    Placement rows are XOR terms: "B5 B2 A4" is part 5 of B XOR part 2 of
+    B XOR part 4 of A, parts counted from 1.  *picks* gives, for each
+    demand in the order AA, AB, BA, BB, the U row each message sends: v1
+    and v2 from U1, v3 and v4 from U2.
+    """
+
+    n: int
+    memory: Fraction
+    load: Fraction
+    z1: tuple[str, ...]
+    z2: tuple[str, ...]
+    u1: tuple[str, ...]
+    u2: tuple[str, ...]
+    picks: tuple[tuple[int, int, int, int], ...]
 
 
-def _mat(n: int, rows: list[tuple[str, ...]]) -> BitMatrix:
-    return BitMatrix(np.array([_xor_row(n, *terms) for terms in rows], dtype=np.uint8))
-
-
-def _unit_row(width: int, index: int) -> BitMatrix:
-    row = np.zeros((1, width), dtype=np.uint8)
-    row[0, index] = 1
-    return BitMatrix(row)
-
-
-def _pick_delivery(rows_u1: int, rows_u2: int, picks: tuple[int, int, int, int]) -> DeliveryQuad:
-    # Each message equals exactly one transmitter cache row.
-    i1, i2, i3, i4 = picks
-    return DeliveryQuad(
-        _unit_row(rows_u1, i1),
-        _unit_row(rows_u1, i2),
-        _unit_row(rows_u2, i3),
-        _unit_row(rows_u2, i4),
-    )
-
-
-def _corner_m0() -> LinearScheme:
+# In increasing memory, which scheme_for_memory bisects.
+_CORNERS = {
     # Split files in halves; cache 1 holds the first halves, cache 2 the
     # second.  Each demand is served by sending the four demanded halves.
-    n = 2
-    u1 = _mat(n, [("A1",), ("B1",)])
-    u2 = _mat(n, [("A2",), ("B2",)])
-    idx = {"A": 0, "B": 1}
-    delivery = {
-        d: _pick_delivery(2, 2, (idx[d.w1], idx[d.w2], idx[d.w1], idx[d.w2]))
-        for d in Demand
-    }
-    return LinearScheme(
-        n=n,
-        memory=Fraction(0),
-        load=Fraction(1, 2),
-        z1=BitMatrix.zeros(0, 2 * n),
-        z2=BitMatrix.zeros(0, 2 * n),
-        u1=u1,
-        u2=u2,
-        delivery=delivery,
-    )
-
-
-def _corner_m13() -> LinearScheme:
-    n = 3
-    z1 = _mat(n, [("A1", "B1")])
-    z2 = _mat(n, [("A2", "B2")])
-    u1 = _mat(n, [("A3",), ("B1", "B3"), ("B2", "B3")])
-    u2 = _mat(n, [("B3",), ("A1", "A3"), ("A2", "A3")])
-    picks = {
-        Demand.AA: (0, 0, 1, 2),
-        Demand.AB: (0, 1, 2, 0),
-        Demand.BA: (2, 0, 0, 1),
-        Demand.BB: (1, 2, 0, 0),
-    }
-    delivery = {d: _pick_delivery(3, 3, p) for d, p in picks.items()}
-    return LinearScheme(
-        n=n,
-        memory=Fraction(1, 3),
-        load=Fraction(1, 3),
-        z1=z1,
-        z2=z2,
-        u1=u1,
-        u2=u2,
-        delivery=delivery,
-    )
-
-
-def _corner_m45() -> LinearScheme:
-    n = 5
-    z1 = _mat(n, [("A1",), ("A2",), ("B1",), ("B2",)])
-    z2 = _mat(n, [("A3",), ("A4",), ("B3",), ("B4",)])
+    "M0": _Corner(
+        2, Fraction(0), Fraction(1, 2), (), (), ("A1", "B1"), ("A2", "B2"),
+        ((0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)),
+    ),
+    "M13": _Corner(
+        3, Fraction(1, 3), Fraction(1, 3), ("A1 B1",), ("A2 B2",),
+        ("A3", "B1 B3", "B2 B3"), ("B3", "A1 A3", "A2 A3"),
+        ((0, 0, 1, 2), (0, 1, 2, 0), (2, 0, 0, 1), (1, 2, 0, 0)),
+    ),
     # Cache 1 row i>0 is B5 XOR S_i, cache 2 row i>0 is A5 XOR T_i, with
     # the S/T pair combinations placed whether or not a demand uses them.
-    u1 = _mat(
-        n,
-        [
-            ("A5",),
-            ("B5", "B2", "A4"),
-            ("B5", "A1", "B3"),
-            ("B5", "B1", "B3"),
-            ("B5", "B2", "B4"),
-        ],
-    )
-    u2 = _mat(
-        n,
-        [
-            ("B5",),
-            ("A5", "A1", "A3"),
-            ("A5", "A2", "A4"),
-            ("A5", "B1", "A3"),
-            ("A5", "A2", "B4"),
-        ],
-    )
-    picks = {
-        Demand.AA: (0, 0, 1, 2),
-        Demand.AB: (0, 1, 3, 0),
-        Demand.BA: (2, 0, 0, 4),
-        Demand.BB: (3, 4, 0, 0),
-    }
-    delivery = {d: _pick_delivery(5, 5, p) for d, p in picks.items()}
-    return LinearScheme(
-        n=n,
-        memory=Fraction(4, 5),
-        load=Fraction(1, 5),
-        z1=z1,
-        z2=z2,
-        u1=u1,
-        u2=u2,
-        delivery=delivery,
-    )
-
-
-def _corner_m2() -> LinearScheme:
+    "M45": _Corner(
+        5, Fraction(4, 5), Fraction(1, 5), ("A1", "A2", "B1", "B2"), ("A3", "A4", "B3", "B4"),
+        ("A5", "B5 B2 A4", "B5 A1 B3", "B5 B1 B3", "B5 B2 B4"),
+        ("B5", "A5 A1 A3", "A5 A2 A4", "A5 B1 A3", "A5 A2 B4"),
+        ((0, 0, 1, 2), (0, 1, 3, 0), (2, 0, 0, 4), (3, 4, 0, 0)),
+    ),
     # Both files fit in each receiver cache; nothing is ever transmitted.
-    n = 1
-    empty = BitMatrix.zeros(0, 2 * n)
-    nothing = BitMatrix.zeros(0, 0)
-    delivery = {d: DeliveryQuad(nothing, nothing, nothing, nothing) for d in Demand}
-    return LinearScheme(
-        n=n,
-        memory=Fraction(2),
-        load=Fraction(0),
-        z1=BitMatrix.identity(2),
-        z2=BitMatrix.identity(2),
-        u1=empty,
-        u2=empty,
-        delivery=delivery,
-    )
-
-
-_CORNER_BUILDERS = {
-    "M0": _corner_m0,
-    "M13": _corner_m13,
-    "M45": _corner_m45,
-    "M2": _corner_m2,
+    "M2": _Corner(1, Fraction(2), Fraction(0), ("A1", "B1"), ("A1", "B1"), (), (), ()),
 }
+
+CORNER_NAMES = tuple(_CORNERS)
+
+
+def _term_column(n: int, term: str) -> int:
+    """Column of a term like "B3", part 3 of file B (parts counted from 1)."""
+    return (0 if term[0] == "A" else n) + int(term[1:]) - 1
+
+
+def _placement(n: int, rows: tuple[str, ...]) -> BitMatrix:
+    """Placement rows given as XOR terms, as a len(rows) x 2n matrix."""
+    terms = [(i, term) for i, row in enumerate(rows) for term in row.split()]
+    return BitMatrix.from_entries(
+        [i for i, _ in terms], [_term_column(n, term) for _, term in terms], (len(rows), 2 * n)
+    )
 
 
 def corner_scheme(name: str) -> LinearScheme:
     """One of the four built-in schemes at memory 0, 1/3, 4/5, or 2."""
     try:
-        return _CORNER_BUILDERS[name]()
+        corner = _CORNERS[name]
     except KeyError:
         raise ValueError(
             f"unknown corner scheme {name!r}: expected one of {', '.join(CORNER_NAMES)}"
         ) from None
+    n = corner.n
+    z1, z2, u1, u2 = (_placement(n, rows) for rows in (corner.z1, corner.z2, corner.u1, corner.u2))
+    # Each message is one U row.  U1 and U2 have as many rows, so one set
+    # of unit rows serves both; BitMatrix is immutable, so they are shared.
+    units = [BitMatrix.from_entries([0], [i], (1, u1.rows)) for i in range(u1.rows)]
+    if corner.picks:
+        delivery = {d: DeliveryQuad(*(units[i] for i in p)) for d, p in zip(Demand, corner.picks)}
+    else:
+        delivery = dict.fromkeys(Demand, DeliveryQuad(*[BitMatrix.zeros(0, 0)] * 4))
+    return LinearScheme(n, corner.memory, corner.load, z1, z2, u1, u2, delivery)
 
 
 def _scaled(x: BitMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -385,15 +299,12 @@ def scheme_for_memory(m: Fraction) -> LinearScheme:
     m = Fraction(m)
     if not 0 <= m <= 2:
         raise ValueError(f"M out of range [0, 2]: {m}")
-    corners = [corner_scheme(name) for name in CORNER_NAMES]
-    for s in corners:
-        if s.memory == m:
-            return s
-    for lo, hi in zip(corners, corners[1:]):
-        if lo.memory < m < hi.memory:
-            lam = (hi.memory - m) / (hi.memory - lo.memory)
-            return memory_share(lo, hi, lam)
-    raise AssertionError("unreachable: corner memories cover [0, 2]")
+    memories = [_CORNERS[name].memory for name in CORNER_NAMES]
+    hi = bisect_left(memories, m)
+    if memories[hi] == m:
+        return corner_scheme(CORNER_NAMES[hi])
+    lam = (memories[hi] - m) / (memories[hi] - memories[hi - 1])
+    return memory_share(corner_scheme(CORNER_NAMES[hi - 1]), corner_scheme(CORNER_NAMES[hi]), lam)
 
 
 class SchemeFormatError(ValueError):
@@ -408,17 +319,25 @@ def _frac_text(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _rows_text(mat: BitMatrix) -> np.ndarray:
+    """The rows of *mat* as lines of 0/1 characters, in one uint8 buffer."""
+    text = np.full((mat.rows, mat.cols + 1), ord("0"), dtype=np.uint8)
+    text[:, -1] = ord("\n")
+    text[mat.nonzero()] = ord("1")
+    return text
+
+
 def write_scheme(s: LinearScheme) -> str:
     """Serialize to the scheme file format (round-trips with read_scheme)."""
-    lines = [f"n {s.n}", f"M {_frac_text(s.memory)}", f"c {_frac_text(s.load)}"]
-    for tag, mat in (("Z1", s.z1), ("Z2", s.z2), ("U1", s.u1), ("U2", s.u2)):
-        lines.append(f"{tag} {mat.rows}")
-        lines.extend(mat.row_texts())
+    blocks = [("Z1", s.z1), ("Z2", s.z2), ("U1", s.u1), ("U2", s.u2)]
     for d in Demand:
-        for vtag, mat in zip(_MESSAGE_TAGS, s.delivery[d]):
-            lines.append(f"D {d} {vtag} {mat.rows}")
-            lines.extend(mat.row_texts())
-    return "\n".join(lines) + "\n"
+        blocks += [(f"D {d} {vtag}", mat) for vtag, mat in zip(_MESSAGE_TAGS, s.delivery[d])]
+    parts = [f"n {s.n}\nM {_frac_text(s.memory)}\nc {_frac_text(s.load)}\n".encode("ascii")]
+    for header, mat in blocks:
+        parts += [f"{header} {mat.rows}\n".encode("ascii"), _rows_text(mat)]
+    text = b"".join(parts)
+    del parts  # so that only the bytes and the text are alive at once
+    return text.decode("ascii")
 
 
 _ROW_RE = re.compile(r"^[01]+$")
@@ -426,6 +345,13 @@ _ROW_RE = re.compile(r"^[01]+$")
 # and underscores between digits.
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _FRACTION_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer written in ASCII digits, with an optional sign."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -489,10 +415,14 @@ def read_scheme(text: str) -> LinearScheme:
             raise SchemeFormatError(no, f"expected header '{tag} <value>', got {line!r}")
         return no, parts[1]
 
+    def integer(no: int, raw: str, what: str) -> int:
+        try:
+            return parse_integer(raw)
+        except ValueError:
+            raise SchemeFormatError(no, f"{what} must be an integer, got {raw!r}") from None
+
     no, raw = header("n")
-    if not _INTEGER_RE.fullmatch(raw):
-        raise SchemeFormatError(no, f"granularity must be an integer, got {raw!r}")
-    n = int(raw)
+    n = integer(no, raw, "granularity")
     if n <= 0:
         raise SchemeFormatError(no, f"granularity must be positive, got {n}")
     if n > MAX_GRANULARITY:
@@ -516,14 +446,9 @@ def read_scheme(text: str) -> LinearScheme:
     message_rows = int(load * n)
     width = 2 * n
 
-    def count_from(no: int, raw: str, tag: str) -> int:
-        if not _INTEGER_RE.fullmatch(raw):
-            raise SchemeFormatError(no, f"{tag} row count must be an integer, got {raw!r}")
-        return int(raw)
-
     def cache_block(tag: str, expected_rows: int | None, max_rows: int | None) -> BitMatrix:
         no, raw = header(tag)
-        count = count_from(no, raw, tag)
+        count = integer(no, raw, f"{tag} row count")
         if expected_rows is not None and count != expected_rows:
             raise SchemeFormatError(no, f"{tag} must declare {expected_rows} rows, got {count}")
         if max_rows is not None and not 0 <= count <= max_rows:
@@ -536,7 +461,7 @@ def read_scheme(text: str) -> LinearScheme:
         parts = line.split()
         if len(parts) != 4 or parts[:3] != ["D", str(demand), vtag]:
             raise SchemeFormatError(no, f"expected header '{expected} <rows>', got {line!r}")
-        count = count_from(no, parts[3], expected)
+        count = integer(no, parts[3], f"{expected} row count")
         if count != message_rows:
             raise SchemeFormatError(no, f"{expected} must declare {message_rows} rows, got {count}")
         return _read_matrix(reader, count, row_width)

@@ -224,6 +224,16 @@ class M13Edit:
         (["verify", M13Edit("n 3", "n 0_3")], "line 1: granularity must be an integer"),
         (["verify", M13Edit("Z1 1", "Z1 0_1")], "line 4: Z1 row count must be an integer"),
         (["verify", M13Edit("M 1/3", "M \uff11/3")], "line 2: expected a rational"),
+        # The same on the command line, where int() would read 3, 10 and 3.
+        (["phy", "cert", "--gains", "2,3,5,7", "--q", "\uff13"], "expected an integer, got"),
+        (
+            ["phy", "mc", "--gains", "2,3,5,7", "--power", "100", "--trials", "1_0"],
+            "expected an integer, got '1_0'",
+        ),
+        (
+            ["phy", "mc", "--gains", "2,3,5,7", "--power", "1", "--trials", "9", "--seed=\u0663"],
+            "expected an integer, got",
+        ),
     ],
 )
 def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, argv, expected):

@@ -148,8 +148,8 @@ def test_observe_is_linear():
 
 def test_channel_matrix_k1_rows():
     for channel in (routed_channel_matrix, oracle_channel):
-        assert channel(1, 1).row_texts() == ["1000", "0010", "0101"]
-        assert channel(2, 1).row_texts() == ["0100", "0001", "1010"]
+        assert channel(1, 1).data.tolist() == [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1]]
+        assert channel(2, 1).data.tolist() == [[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 1, 0]]
 
 
 def test_channel_matrix_agrees_with_observe_exhaustively_at_k1():

@@ -234,6 +234,15 @@ def test_demodulate_requires_certificate():
             demodulate(DEGENERATE, F(0), 1)
 
 
+@pytest.mark.parametrize("user", [0, 3, -1])
+def test_user_outside_1_and_2_rejected(user):
+    # Unchecked, user 0 would read user 2's constellation through index user - 1.
+    with pytest.raises(ValueError, match="user must be 1 or 2"):
+        demodulate(CFG, F(15), user)
+    with pytest.raises(ValueError, match="user must be 1 or 2"):
+        enumerate_constellation(CFG, user)
+
+
 def test_demodulate_noisy_nearest_and_ties():
     # 16 is nearer to 15 than to 14; 14.5 ties and goes to the smaller value.
     assert demodulate(CFG, 16.0, 1, noisy=True) == demodulate(CFG, F(15), 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,20 @@ M45_MESSAGES = {
     "BB": ("B5+B1+B3", "B5+B2+B4", "B5", "B5"),
 }
 
+# Placement rows Z1, Z2, U1, U2 of each corner, transcribed by hand in the
+# same notation.
+PLACEMENTS = {
+    "M0": ((), (), ("A1", "B1"), ("A2", "B2")),
+    "M13": (("A1+B1",), ("A2+B2",), ("A3", "B1+B3", "B2+B3"), ("B3", "A1+A3", "A2+A3")),
+    "M45": (
+        ("A1", "A2", "B1", "B2"),
+        ("A3", "A4", "B3", "B4"),
+        ("A5", "B5+B2+A4", "B5+A1+B3", "B5+B1+B3", "B5+B2+B4"),
+        ("B5", "A5+A1+A3", "A5+A2+A4", "A5+B1+A3", "A5+A2+B4"),
+    ),
+    "M2": (("A1", "B1"), ("A1", "B1"), (), ()),
+}
+
 
 def combo_row(n: int, expr: str) -> np.ndarray:
     row = np.zeros(2 * n, dtype=np.uint8)
@@ -93,6 +108,15 @@ def test_delivery_matches_transcribed_tables(name, expected):
         for actual, expr in zip(maps, expected[str(demand)]):
             want = BitMatrix(combo_row(scheme.n, expr).reshape(1, -1))
             assert actual == want, f"{name} {demand} expected {expr}"
+
+
+@pytest.mark.parametrize("name", list(PLACEMENTS))
+def test_placements_match_transcribed_tables(name):
+    scheme = corner_scheme(name)
+    width = 2 * scheme.n
+    for mat, exprs in zip((scheme.z1, scheme.z2, scheme.u1, scheme.u2), PLACEMENTS[name]):
+        rows = [combo_row(scheme.n, expr) for expr in exprs]
+        assert mat == BitMatrix(np.array(rows, dtype=np.uint8).reshape(len(rows), width)), name
 
 
 def test_m13_delivery_for_split_demand():
@@ -193,6 +217,19 @@ def test_scheme_for_memory_verifies_on_coarse_grid():
         assert scheme.memory == m
         assert scheme.rho == rho_star(m)
         assert verify_all(scheme).passed, m
+
+
+def test_write_scheme_peak_memory_stays_near_the_text_size():
+    # At most the text and one byte buffer of it are alive at once.
+    scheme = scheme_for_memory(F(1, 1021))
+    tracemalloc.start()
+    try:
+        text = write_scheme(scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read_scheme(text) == scheme
+    assert peak <= 2.5 * len(text)
 
 
 def test_write_header_lines():
