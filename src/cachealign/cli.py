@@ -21,6 +21,7 @@ from .schemes import (
     CORNER_NAMES,
     corner_scheme,
     file_selector,
+    parse_float,
     parse_fraction,
     parse_integer,
     read_scheme,
@@ -114,7 +115,7 @@ def _cmd_phy_cert(args) -> int:
 
 
 def _cmd_phy_mc(args) -> int:
-    cfg = PhyConfig(*_gains(args.gains), q=parse_integer(args.q), power=args.power)
+    cfg = PhyConfig(*_gains(args.gains), q=parse_integer(args.q), power=parse_float(args.power))
     result = monte_carlo(cfg, trials=parse_integer(args.trials), seed=parse_integer(args.seed))
     print(MC_CSV_HEADER)
     print(result.csv_row())
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = phy_sub.add_parser("mc", help="Monte Carlo symbol error rate")
     pm.add_argument("--gains", required=True, help="h11,h12,h21,h22 as rationals")
     pm.add_argument("--q", default="2")
-    pm.add_argument("--power", type=float, required=True)
+    pm.add_argument("--power", required=True)
     pm.add_argument("--trials", required=True)
     pm.add_argument("--seed", default="0")
     pm.set_defaults(func=_cmd_phy_mc)

@@ -15,8 +15,9 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -42,9 +43,6 @@ __all__ = [
 # in about 0.1 s at n = 4093.  The scheme file still spells every row out
 # in full, 2n characters each, which is about 200 MB at this limit.
 MAX_GRANULARITY = 4096
-
-_MESSAGE_TAGS = ("V1", "V2", "V3", "V4")
-
 
 class DeliveryQuad(NamedTuple):
     """Per-demand delivery maps; d1,d2 act on cache 1's bits, d3,d4 on cache 2's."""
@@ -327,24 +325,29 @@ def _rows_text(mat: BitMatrix) -> np.ndarray:
     return text
 
 
+# The blocks of a scheme file in file order: the placements, then the
+# delivery maps V1..V4 of each demand in turn.
+_BLOCKS = ("Z1", "Z2", "U1", "U2", *(f"D {d} V{i}" for d in Demand for i in range(1, 5)))
+
+
 def write_scheme(s: LinearScheme) -> str:
     """Serialize to the scheme file format (round-trips with read_scheme)."""
-    blocks = [("Z1", s.z1), ("Z2", s.z2), ("U1", s.u1), ("U2", s.u2)]
-    for d in Demand:
-        blocks += [(f"D {d} {vtag}", mat) for vtag, mat in zip(_MESSAGE_TAGS, s.delivery[d])]
+    mats = (s.z1, s.z2, s.u1, s.u2, *(mat for d in Demand for mat in s.delivery[d]))
     parts = [f"n {s.n}\nM {_frac_text(s.memory)}\nc {_frac_text(s.load)}\n".encode("ascii")]
-    for header, mat in blocks:
-        parts += [f"{header} {mat.rows}\n".encode("ascii"), _rows_text(mat)]
+    for tag, mat in zip(_BLOCKS, mats):
+        parts += [f"{tag} {mat.rows}\n".encode("ascii"), _rows_text(mat)]
     text = b"".join(parts)
     del parts  # so that only the bytes and the text are alive at once
     return text.decode("ascii")
 
 
-_ROW_RE = re.compile(r"^[01]+$")
-# ASCII digits only: int() and Fraction() also take other Unicode digits
-# and underscores between digits.
+# ASCII digits only: int(), float() and Fraction() also take other Unicode
+# digits and underscores between digits.
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _FRACTION_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_FLOAT_RE = re.compile(
+    r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?|[+-]?(inf|infinity|nan)", re.IGNORECASE
+)
 
 
 def parse_integer(text: str) -> int:
@@ -352,6 +355,13 @@ def parse_integer(text: str) -> int:
     if not _INTEGER_RE.fullmatch(text):
         raise ValueError(f"expected an integer, got {text!r}")
     return int(text)
+
+
+def parse_float(text: str) -> float:
+    """Parse a decimal or exponent form written in ASCII, such as 40000, 2.5 or 1e3."""
+    if not _FLOAT_RE.fullmatch(text):
+        raise ValueError(f"expected a number, got {text!r}")
+    return float(text)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -364,56 +374,60 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-class _LineReader:
-    def __init__(self, text: str):
-        self._lines = []
-        for no, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            self._lines.append((no, stripped))
-        self._pos = 0
-        self.last_no = 0
-
-    def next(self, what: str) -> tuple[int, str]:
-        if self._pos >= len(self._lines):
-            raise SchemeFormatError(self.last_no + 1, f"unexpected end of file: expected {what}")
-        no, line = self._lines[self._pos]
-        self._pos += 1
-        self.last_no = no
-        return no, line
-
-    def at_end(self) -> bool:
-        return self._pos >= len(self._lines)
-
-    def peek_no(self) -> int:
-        return self._lines[self._pos][0] if self._pos < len(self._lines) else self.last_no
+def _content_lines(text: str) -> Iterator[tuple[int, str | None]]:
+    """(number, stripped text) of each line that is not blank or a comment, then (end, None)."""
+    no = 0
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            no = i
+            yield no, line
+    yield no + 1, None
 
 
-def _read_matrix(reader: _LineReader, count: int, width: int) -> BitMatrix:
-    # Built from the rows actually read, never from the declared count alone.
-    lines = []
-    for _ in range(count):
-        no, line = reader.next("a matrix row")
-        if not _ROW_RE.match(line) or len(line) != width:
-            raise SchemeFormatError(
-                no, f"expected a row of exactly {width} characters over 0/1, got {line!r}"
-            )
-        lines.append(line)
-    raw = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
-    return BitMatrix((raw - ord("0")).reshape(len(lines), width))
+def _read_block(lines: Iterator[tuple[int, str | None]], count: int, width: int) -> BitMatrix:
+    """The next *count* lines as a matrix, each a row of *width* characters over 0/1.
+
+    All rows are checked at once over their joined bytes; the first bad
+    row, or else the end of the file, is reported with its line number.
+    """
+    rows = list(islice(lines, count))
+    end = rows.pop()[0] if rows and rows[-1][1] is None else None
+    texts = [line for _, line in rows]
+    # One byte per character, so that byte offsets are character offsets;
+    # a non-ASCII character becomes "?", which is not a bit.
+    data = "".join(texts).encode("ascii", "replace")
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    wrong = np.flatnonzero(lengths != width)
+    if wrong.size or data.translate(None, b"01"):
+        raw = np.frombuffer(data, dtype=np.uint8)
+        chars = np.flatnonzero((raw != ord("0")) & (raw != ord("1")))[:1]
+        no, line = rows[min([*wrong[:1], *np.searchsorted(np.cumsum(lengths), chars, "right")])]
+        raise SchemeFormatError(
+            no, f"expected a row of exactly {width} characters over 0/1, got {line!r}"
+        )
+    if end is not None:
+        raise SchemeFormatError(end, "unexpected end of file: expected a matrix row")
+    # Every row has *width* characters, so the offset of a "1" in the
+    # joined rows is its key r * width + c, and the offsets come sorted.
+    ones = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("1"))
+    return BitMatrix._from_keys(ones, (count, width))
 
 
 def read_scheme(text: str) -> LinearScheme:
     """Parse a scheme file; raises SchemeFormatError with a line number."""
-    reader = _LineReader(text)
+    lines = _content_lines(text)
 
-    def header(tag: str) -> tuple[int, str]:
-        no, line = reader.next(f"header '{tag} ...'")
-        parts = line.split()
-        if len(parts) != 2 or parts[0] != tag:
-            raise SchemeFormatError(no, f"expected header '{tag} <value>', got {line!r}")
-        return no, parts[1]
+    def header(tag: str, value: str) -> tuple[int, str]:
+        """Number and value of the next line, which must read '<tag> <value>'."""
+        no, line = next(lines)
+        if line is None:
+            shown = value if tag[0] == "D" else "..."
+            raise SchemeFormatError(no, f"unexpected end of file: expected header '{tag} {shown}'")
+        *words, raw = line.split()
+        if words != tag.split():
+            raise SchemeFormatError(no, f"expected header '{tag} {value}', got {line!r}")
+        return no, raw
 
     def integer(no: int, raw: str, what: str) -> int:
         try:
@@ -421,65 +435,48 @@ def read_scheme(text: str) -> LinearScheme:
         except ValueError:
             raise SchemeFormatError(no, f"{what} must be an integer, got {raw!r}") from None
 
-    no, raw = header("n")
+    no, raw = header("n", "<value>")
     n = integer(no, raw, "granularity")
     if n <= 0:
         raise SchemeFormatError(no, f"granularity must be positive, got {n}")
     if n > MAX_GRANULARITY:
-        raise SchemeFormatError(
-            no, f"n = {n}, above the limit of {MAX_GRANULARITY} parts per file"
-        )
+        raise SchemeFormatError(no, f"n = {n}, above the limit of {MAX_GRANULARITY} parts per file")
 
-    def rational(tag: str) -> Fraction:
-        no, raw = header(tag)
+    def rational(tag: str) -> tuple[int, Fraction]:
+        no, raw = header(tag, "<value>")
         try:
             value = parse_fraction(raw)
         except ValueError as exc:
             raise SchemeFormatError(no, str(exc)) from None
         if (value * n).denominator != 1:
             raise SchemeFormatError(no, f"{tag}*n = {value * n} is not an integer")
-        return value
+        return no, value
 
-    memory = rational("M")
-    load = rational("c")
-    cache_rows = int(memory * n)
-    message_rows = int(load * n)
-    width = 2 * n
+    no, memory = rational("M")
+    if not 0 <= memory <= 2:
+        raise SchemeFormatError(no, f"memory {memory} out of range [0, 2]")
+    no, load = rational("c")
+    if load < 0:
+        raise SchemeFormatError(no, f"load {load} must be nonnegative")
 
-    def cache_block(tag: str, expected_rows: int | None, max_rows: int | None) -> BitMatrix:
-        no, raw = header(tag)
+    mats = []
+    for tag in _BLOCKS:
+        no, raw = header(tag, "<rows>")
         count = integer(no, raw, f"{tag} row count")
-        if expected_rows is not None and count != expected_rows:
-            raise SchemeFormatError(no, f"{tag} must declare {expected_rows} rows, got {count}")
-        if max_rows is not None and not 0 <= count <= max_rows:
-            raise SchemeFormatError(no, f"{tag} must declare at most {max_rows} rows, got {count}")
-        return _read_matrix(reader, count, width)
-
-    def delivery_block(demand: Demand, vtag: str, row_width: int) -> BitMatrix:
-        expected = f"D {demand} {vtag}"
-        no, line = reader.next(f"header '{expected} <rows>'")
-        parts = line.split()
-        if len(parts) != 4 or parts[:3] != ["D", str(demand), vtag]:
-            raise SchemeFormatError(no, f"expected header '{expected} <rows>', got {line!r}")
-        count = integer(no, parts[3], f"{expected} row count")
-        if count != message_rows:
-            raise SchemeFormatError(no, f"{expected} must declare {message_rows} rows, got {count}")
-        return _read_matrix(reader, count, row_width)
-
-    z1 = cache_block("Z1", cache_rows, None)
-    z2 = cache_block("Z2", cache_rows, None)
-    u1 = cache_block("U1", None, n)
-    u2 = cache_block("U2", None, n)
-
-    delivery = {}
-    for d in Demand:
-        mats = [
-            delivery_block(d, vtag, src.rows)
-            for vtag, src in zip(_MESSAGE_TAGS, (u1, u1, u2, u2))
-        ]
-        delivery[d] = DeliveryQuad(*mats)
-    if not reader.at_end():
-        raise SchemeFormatError(reader.peek_no(), "unexpected content after the last block")
-    return LinearScheme(
-        n=n, memory=memory, load=load, z1=z1, z2=z2, u1=u1, u2=u2, delivery=delivery
-    )
+        if tag[0] == "U":
+            if not 0 <= count <= n:
+                raise SchemeFormatError(no, f"{tag} must declare at most {n} rows, got {count}")
+        else:
+            expected = int((memory if tag[0] == "Z" else load) * n)
+            if count != expected:
+                raise SchemeFormatError(no, f"{tag} must declare {expected} rows, got {count}")
+        # Placement rows span the 2n file parts; V1 and V2 act on U1's
+        # rows, V3 and V4 on U2's.
+        width = mats[2 if tag[-1] in "12" else 3].rows if tag[0] == "D" else 2 * n
+        mats.append(_read_block(lines, count, width))
+    no, line = next(lines)
+    if line is not None:
+        raise SchemeFormatError(no, "unexpected content after the last block")
+    z1, z2, u1, u2, *maps = mats
+    delivery = {d: DeliveryQuad(*maps[4 * i : 4 * i + 4]) for i, d in enumerate(Demand)}
+    return LinearScheme(n, memory, load, z1, z2, u1, u2, delivery)

@@ -153,6 +153,13 @@ def test_phy_mc_outputs_csv(capsys):
     assert lines[1] == "40000,100,0.000000,0.000000,7"
 
 
+@pytest.mark.parametrize("power,shown", [("2.5", "2.5"), ("1e3", "1000")])
+def test_phy_mc_power_forms(capsys, power, shown):
+    argv = ["phy", "mc", "--gains", "2,3,5,7", "--power", power, "--trials", "10", "--seed", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(f"{shown},10,")
+
+
 def test_e2e_command(tmp_path, capsys):
     path = tmp_path / "m45.scheme"
     main(["corner", "M45", "-o", str(path)])
@@ -234,6 +241,14 @@ class M13Edit:
             ["phy", "mc", "--gains", "2,3,5,7", "--power", "1", "--trials", "9", "--seed=\u0663"],
             "expected an integer, got",
         ),
+        # float() would read these as 40000, 10 and 3.
+        (
+            ["phy", "mc", "--gains", "2,3,5,7", "--power", "\uff14\uff10_\uff10\uff10\uff10"]
+            + ["--trials", "10", "--seed", "1"],
+            "expected a number, got",
+        ),
+        (["phy", "mc", "--gains", "2,3,5,7", "--power", "1_0", "--trials", "10"], "got '1_0'"),
+        (["phy", "mc", "--gains", "2,3,5,7", "--power", "\u0663", "--trials", "10"], "a number"),
     ],
 )
 def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, argv, expected):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -232,6 +233,20 @@ def test_write_scheme_peak_memory_stays_near_the_text_size():
     assert peak <= 2.5 * len(text)
 
 
+def test_read_scheme_peak_memory_stays_near_the_text_size():
+    # The text's lines and one block's bytes, never a dense matrix per block.
+    scheme = scheme_for_memory(F(1, 1021))
+    text = write_scheme(scheme)
+    tracemalloc.start()
+    try:
+        read = read_scheme(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == scheme
+    assert peak <= 2 * len(text)
+
+
 def test_write_header_lines():
     text = write_scheme(corner_scheme("M13"))
     assert text.splitlines()[:3] == ["n 3", "M 1/3", "c 1/3"]
@@ -294,6 +309,82 @@ def test_headers_take_ascii_integers_only(old, new, expected):
     lines[lines.index(old)] = new
     with pytest.raises(SchemeFormatError, match=expected):
         read_scheme("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "old,new,expected",
+    [
+        ("M 1/3", "M -1/3", "line 2: memory -1/3 out of range [0, 2]"),
+        ("M 1/3", "M 7/3", "line 2: memory 7/3 out of range [0, 2]"),
+        ("c 1/3", "c -1/3", "line 3: load -1/3 must be nonnegative"),
+    ],
+)
+def test_memory_and_load_ranges_checked_at_their_header(old, new, expected):
+    # Each is a whole number of rows, so only the range can refuse it.
+    lines = write_scheme(corner_scheme("M13")).splitlines()
+    lines[lines.index(old)] = new
+    with pytest.raises(SchemeFormatError, match=f"^{re.escape(expected)}$"):
+        read_scheme("\n".join(lines) + "\n")
+
+
+def m13_lines(edits: dict[int, str]) -> list[str]:
+    """The M13 file's lines, with line number -> new text replacements."""
+    lines = write_scheme(corner_scheme("M13")).splitlines()
+    for no, text in edits.items():
+        lines[no - 1] = text
+    return lines
+
+
+def row_error(no: int, row: str) -> str:
+    message = f"line {no}: expected a row of exactly 6 characters over 0/1, got {row!r}"
+    return f"^{re.escape(message)}$"
+
+
+# Lines 9, 10 and 11 of the M13 file are U1's rows 001000, 000101 and 000011.
+@pytest.mark.parametrize(
+    "edits,no,row",
+    [
+        ({9: "001020", 10: "0001011"}, 9, "001020"),  # a bad character, then a bad length
+        ({9: "0010001", 10: "000121"}, 9, "0010001"),  # a bad length, then a bad character
+        ({10: "00010\u00e9", 11: "\uff1300011"}, 10, "00010\u00e9"),
+        ({9: "00100", 11: "0000111"}, 9, "00100"),
+        ({11: "\uff1300011"}, 11, "\uff1300011"),
+        ({10: "000 01"}, 10, "000 01"),
+    ],
+)
+def test_first_bad_row_of_a_block_is_reported(edits, no, row):
+    text = "\n".join(m13_lines(edits)) + "\n"
+    with pytest.raises(SchemeFormatError, match=row_error(no, row)):
+        read_scheme(text)
+    with pytest.raises(SchemeFormatError, match=row_error(no, row)):
+        read_scheme(text.replace("\n", "\r\n"))
+
+
+def test_comments_and_blank_lines_inside_a_block_keep_line_numbers():
+    lines = m13_lines({})
+    lines[9:9] = ["# inside U1", "   "]
+    assert read_scheme("\n".join(lines) + "\n") == corner_scheme("M13")
+    lines[12] = "0000x1"  # U1's last row, now on line 13
+    with pytest.raises(SchemeFormatError, match=row_error(13, "0000x1")):
+        read_scheme("\n".join(lines) + "\n")
+
+
+def test_crlf_line_ends_read_the_same_scheme():
+    for name in CORNER_METRICS:
+        text = write_scheme(corner_scheme(name))
+        assert read_scheme(text.replace("\n", "\r\n")) == corner_scheme(name)
+
+
+def test_delivery_rows_over_an_empty_u_block_are_refused():
+    # M2 has no U rows, so a declared delivery row has width 0; an empty
+    # row is a blank line and is skipped, so the next header is read as a row.
+    text = write_scheme(corner_scheme("M2")).replace("c 0/1", "c 1/1")
+    text = text.replace("D AA V1 0", "D AA V1 1")
+    with pytest.raises(
+        SchemeFormatError,
+        match="^line 13: expected a row of exactly 0 characters over 0/1, got 'D AA V2 0'$",
+    ):
+        read_scheme(text)
 
 
 def test_truncated_file_rejected():
