@@ -96,9 +96,15 @@ class LinearScheme:
                     f"{name} must have at most {self.n} rows and {width} columns, "
                     f"got {mat.shape}"
                 )
+        message_rows = self.message_rows
+        for name, mat in (("u1", self.u1), ("u2", self.u2)):
+            # Such rows carry no bits, and a scheme file cannot spell them.
+            if message_rows and not mat.rows:
+                raise ValueError(
+                    f"load*n = {message_rows} message rows over an empty {name} carry no bits"
+                )
         if set(self.delivery) != set(Demand):
             raise ValueError("delivery must cover exactly the four demands")
-        message_rows = self.message_rows
         for d, quad in self.delivery.items():
             for tag, mat, src in zip(quad._fields, quad, (self.u1, self.u1, self.u2, self.u2)):
                 if mat.shape != (message_rows, src.rows):

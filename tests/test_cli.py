@@ -29,6 +29,8 @@ from cachealign import (
     write_scheme,
 )
 from cachealign.cli import main
+from tradeoff_oracle import sweep_csv as oracle_sweep_csv
+from tradeoff_oracle import sweep_rows
 
 
 def test_tradeoff_prints_curve_values(capsys):
@@ -127,6 +129,14 @@ def test_sweep_stdout_and_file(tmp_path, capsys):
     ) == 0
     assert "wrote 7 rows" in capsys.readouterr().out
     assert "1/3,4/3,1,5/6,1/6" in path.read_text()
+
+
+def test_sweep_huge_denominator_stays_exact(capsys):
+    start = "1/1000000000000000000000000000007"
+    argv = ["sweep", "--from", start, "--to", "2", "--step", "1/7", "--exact"]
+    assert main(argv) == 0
+    rows = sweep_rows(Fraction(start), Fraction(2), Fraction(1, 7))
+    assert capsys.readouterr().out == oracle_sweep_csv(rows, exact=True)
 
 
 def test_sweep_bad_range(capsys):

@@ -222,7 +222,8 @@ def dense_schemes(draw, max_n: int = 5):
     n = draw(st.integers(1, max_n))
     cache_rows = draw(st.integers(0, 2 * n))
     k = draw(st.integers(0, n))
-    rows_u1, rows_u2 = draw(st.integers(0, n)), draw(st.integers(0, n))
+    # A scheme refuses message rows over an empty U block.
+    rows_u1, rows_u2 = (draw(st.integers(1 if k else 0, n)) for _ in range(2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def bits(rows: int, cols: int) -> BitMatrix:

@@ -11,6 +11,7 @@ import pytest
 
 from cachealign import (
     BitMatrix,
+    DeliveryQuad,
     Demand,
     MAX_GRANULARITY,
     LinearScheme,
@@ -385,6 +386,18 @@ def test_delivery_rows_over_an_empty_u_block_are_refused():
         match="^line 13: expected a row of exactly 0 characters over 0/1, got 'D AA V2 0'$",
     ):
         read_scheme(text)
+
+
+def test_scheme_refuses_message_rows_over_an_empty_u_block():
+    # M2's placements with one message row per demand over its empty U
+    # blocks: such rows carry no bits, and their text would not read back.
+    m2 = corner_scheme("M2")
+    empty = DeliveryQuad(*(BitMatrix.zeros(1, 0) for _ in range(4)))
+    with pytest.raises(ValueError, match=r"^load\*n = 1 message rows over an empty u1 carry"):
+        LinearScheme(1, F(2), F(1), m2.z1, m2.z2, m2.u1, m2.u2, {d: empty for d in Demand})
+    # No built scheme hits the refusal.
+    for m in [F(p, 60) for p in range(121)]:
+        scheme_for_memory(m)
 
 
 def test_truncated_file_rejected():

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachealign import (
     MAX_SWEEP_ROWS,
@@ -20,7 +23,9 @@ from cachealign import (
     sweep,
     sweep_csv,
 )
-from tradeoff_oracle import inverse_dof_direct
+from cachealign.tradeoff import _INT64_MAX_DENOMINATOR, _SWEEP_SCALE
+from tradeoff_oracle import inverse_dof_direct, sweep_rows
+from tradeoff_oracle import sweep_csv as oracle_sweep_csv
 
 F = Fraction
 
@@ -198,14 +203,34 @@ def test_sweep_rejects_bad_ranges():
             sweep(start, stop, step)
 
 
-@pytest.mark.parametrize(
-    "start,stop,step",
-    [(F(0), F(2), F(1, 60)), (F(1, 7), F(13, 7), F(3, 11)), (F(0), F(1), F(1, 3))],
-)
+# The largest lcm(den(from), den(step)) whose sweep columns are int64.
+INT64_LCM = _INT64_MAX_DENOMINATOR // _SWEEP_SCALE
+
+SWEEP_GRIDS = [
+    (F(0), F(2), F(1, 60)),
+    (F(1, 7), F(13, 7), F(3, 11)),
+    (F(0), F(1), F(1, 3)),
+    # M = 1/128 = 0.0078125 is an exact binary tie at the 7th decimal.
+    (F(0), F(2), F(1, 128)),
+    (F(0), F(0), F(1)),
+    (F(2), F(2), F(1)),
+    # lcm just below and just above the int64 threshold.
+    (F(1, INT64_LCM), F(2), F(1, 60)),
+    (F(1, INT64_LCM + 1), F(2), F(INT64_LCM // 60, INT64_LCM + 1)),
+    (F(1, 10**30 + 7), F(2), F(1, 7)),
+]
+
+
+@pytest.mark.parametrize("start,stop,step", SWEEP_GRIDS)
 def test_sweep_rows_match_the_curve_functions(start, stop, step):
     rows = sweep(start, stop, step)
+    assert len(rows) == (stop - start) // step + 1
     assert [r.memory for r in rows] == [start + i * step for i in range(len(rows))]
     assert rows[-1].memory <= stop < rows[-1].memory + step
+    first, *rest = rows
+    assert [first, *rest] == [rows[i] for i in range(len(rows))]
+    assert rows[-1] == rows[len(rows) - 1] and rows[-len(rows)] == first
+    assert list(rows[1:]) == rest
     for r in rows:
         assert (r.rho, r.inv_dof, r.lower_bound, r.gap) == (
             rho_star(r.memory),
@@ -222,3 +247,48 @@ def test_sweep_csv_decimal_and_exact():
     assert decimal.splitlines()[1] == "0.800000,0.800000,0.600000,0.600000,0.000000"
     exact = sweep_csv(rows, exact=True)
     assert exact.splitlines()[1] == "4/5,4/5,3/5,3/5,0"
+
+
+def test_sweep_columns_switch_to_python_ints_above_the_int64_threshold():
+    below = sweep(F(1, INT64_LCM), F(2), F(1, 60))
+    above = sweep(F(1, INT64_LCM + 1), F(2), F(INT64_LCM // 60, INT64_LCM + 1))
+    assert below.denominator == _SWEEP_SCALE * INT64_LCM <= _INT64_MAX_DENOMINATOR
+    assert above.denominator == _SWEEP_SCALE * (INT64_LCM + 1) > _INT64_MAX_DENOMINATOR
+    assert {column.dtype for column in below.columns} == {np.dtype(np.int64)}
+    assert {column.dtype for column in above.columns} == {np.dtype(object)}
+
+
+@pytest.mark.parametrize("start,stop,step", SWEEP_GRIDS)
+@pytest.mark.parametrize("exact", [False, True])
+def test_sweep_csv_matches_the_fraction_oracle(start, stop, step, exact):
+    expected = oracle_sweep_csv(sweep_rows(start, stop, step), exact=exact)
+    assert sweep_csv(sweep(start, stop, step), exact=exact) == expected
+
+
+DENOMINATORS = st.one_of(
+    st.integers(1, 10**6),
+    st.integers(INT64_LCM - 10**3, INT64_LCM + 10**3),
+    st.integers(INT64_LCM + 1, 10**30),
+)
+
+
+@st.composite
+def rational_grids(draw):
+    """from <= to in [0, 2] and a positive step, giving at most 300 rows."""
+    b, e, d = draw(DENOMINATORS), draw(DENOMINATORS), draw(DENOMINATORS)
+    start = F(draw(st.integers(0, 2 * b)), b)
+    stop = start + F(draw(st.integers(0, int((2 - start) * e))), e)
+    # A step of at least (to - from) / intervals gives at most intervals + 1 rows.
+    intervals = draw(st.integers(1, 299))
+    step = F(max(1, -(-(stop - start) * d // intervals)), d)
+    return start, stop, step
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_grids())
+def test_sweep_csv_matches_the_fraction_oracle_on_random_grids(grid):
+    rows = sweep_rows(*grid)
+    columnar = sweep(*grid)
+    assert len(columnar) == len(rows)
+    for exact in (False, True):
+        assert sweep_csv(columnar, exact=exact) == oracle_sweep_csv(rows, exact=exact)

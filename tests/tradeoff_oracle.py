@@ -1,14 +1,21 @@
-"""Test oracle for the trade-off curve, shared by the tradeoff and acceptance tests.
+"""Test oracles for the trade-off curve, shared by the tradeoff, CLI and acceptance tests.
 
 The achievable inverse-DoF envelope is transcribed here from its own
 affine pieces, independently of ``tradeoff.inverse_dof`` (which scales
 the optimal load by 3/4), so that the two routes can be checked against
 each other.
+
+``sweep_rows`` and ``sweep_csv`` are the row-by-row ``Fraction`` sweep:
+one ``SweepRow`` per grid point from the scalar curve functions, and
+cells rendered by ``str(Fraction)`` and ``float(Fraction)``.  The
+package's columnar sweep must reproduce their CSV byte for byte.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from cachealign import SweepRow, dof_lower_bound, rho_star
 
 INV_DOF_PIECES: tuple[tuple[Fraction, Fraction], ...] = (
     (Fraction(3, 2), Fraction(-3, 2)),
@@ -24,3 +31,33 @@ def inverse_dof_direct(m: Fraction) -> Fraction:
     if not 0 <= m <= 2:
         raise ValueError(f"M out of range [0, 2]: {m}")
     return max(intercept + slope * m for intercept, slope in INV_DOF_PIECES)
+
+
+def sweep_rows(start: Fraction, stop: Fraction, step: Fraction) -> list[SweepRow]:
+    """Curve rows on the grid start, start+step, ... up to stop, one Fraction row at a time."""
+    start, stop, step = Fraction(start), Fraction(stop), Fraction(step)
+    rows = []
+    for i in range((stop - start) // step + 1):
+        m = start + i * step
+        rho = rho_star(m)
+        lower_bound = dof_lower_bound(m)
+        inv_dof = Fraction(3, 4) * rho
+        rows.append(SweepRow(m, rho, inv_dof, lower_bound, inv_dof - lower_bound))
+    return rows
+
+
+def sweep_csv(rows: list[SweepRow], exact: bool = False) -> str:
+    """Render rows as CSV; decimal cells by default, p/q with exact=True."""
+
+    def cell(f: Fraction) -> str:
+        return str(f) if exact else f"{float(f):.6f}"
+
+    lines = ["M,rho_star,inv_dof,lower_bound,gap"]
+    for row in rows:
+        lines.append(
+            ",".join(
+                cell(v)
+                for v in (row.memory, row.rho, row.inv_dof, row.lower_bound, row.gap)
+            )
+        )
+    return "\n".join(lines) + "\n"
