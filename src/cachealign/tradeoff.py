@@ -11,6 +11,7 @@ denominator.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -259,11 +260,17 @@ class Sweep(Sequence[SweepRow]):
     def __len__(self) -> int:
         return len(self.memory)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Sweep(self.denominator, *(column[index] for column in self.columns))
+    def __getitem__(self, index: int) -> SweepRow:
+        # One row per integer index; a slice is refused, not read as a row.
+        index = operator.index(index)
         values = (int(column[index]) for column in self.columns)
         return SweepRow(*(Fraction(value, self.denominator) for value in values))
+
+    def __eq__(self, other: object) -> bool:
+        # Equal to a sweep or a list with the same rows, as a list of rows is.
+        if not isinstance(other, (Sweep, list)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
 
 
 def sweep(start: Fraction, stop: Fraction, step: Fraction) -> Sweep:
@@ -276,6 +283,9 @@ def sweep(start: Fraction, stop: Fraction, step: Fraction) -> Sweep:
     count = (stop - start) // step + 1
     if count > MAX_SWEEP_ROWS:
         raise ValueError(f"sweep of {count} rows is above the limit of {MAX_SWEEP_ROWS}")
+    # A step above 2 gives one row whatever its value; capping it keeps
+    # step * d, like every numerator, within 2d.
+    step = min(step, Fraction(2))
     d = _SWEEP_SCALE * lcm(start.denominator, step.denominator)
     index = np.arange(count, dtype=np.int64 if d <= _INT64_MAX_DENOMINATOR else object)
     memory = int(start * d) + index * int(step * d)

@@ -139,6 +139,14 @@ def test_sweep_huge_denominator_stays_exact(capsys):
     assert capsys.readouterr().out == oracle_sweep_csv(rows, exact=True)
 
 
+def test_sweep_step_beyond_int64_gives_one_row(capsys):
+    argv = ["sweep", "--from", "0", "--to", "2", "--step", "100000000000000000000"]
+    for exact in ([], ["--exact"]):
+        assert main(argv + exact) == 0
+        rows = sweep_rows(Fraction(0), Fraction(2), Fraction(10**20))
+        assert capsys.readouterr().out == oracle_sweep_csv(rows, exact=bool(exact))
+
+
 def test_sweep_bad_range(capsys):
     assert main(["sweep", "--from", "1", "--to", "0", "--step", "1/3"]) == 2
     assert "bad range" in capsys.readouterr().err
@@ -324,7 +332,14 @@ MEMORY = mostly(
         st.integers(-3, 5).map(str),
     )
 )
-STEP = mostly(st.one_of(rational(st.integers(1, 40), st.integers(1, 200)), MEMORY))
+# Steps above 2 reach past int64 and give one row.
+STEP = mostly(
+    st.one_of(
+        rational(st.integers(1, 40), st.integers(1, 200)),
+        MEMORY,
+        st.integers(3, 10**22).map(str),
+    )
+)
 GAIN = st.one_of(
     rational(st.integers(1, 20), st.integers(1, 200)),
     st.integers(1, 9).map(str),

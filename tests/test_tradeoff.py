@@ -230,7 +230,10 @@ def test_sweep_rows_match_the_curve_functions(start, stop, step):
     first, *rest = rows
     assert [first, *rest] == [rows[i] for i in range(len(rows))]
     assert rows[-1] == rows[len(rows) - 1] and rows[-len(rows)] == first
-    assert list(rows[1:]) == rest
+    assert rows == sweep(start, stop, step) == sweep_rows(start, stop, step)
+    assert rows != rest and rows != tuple(rows)
+    with pytest.raises(TypeError):
+        rows[:1]
     for r in rows:
         assert (r.rho, r.inv_dof, r.lower_bound, r.gap) == (
             rho_star(r.memory),
@@ -281,6 +284,8 @@ def rational_grids(draw):
     # A step of at least (to - from) / intervals gives at most intervals + 1 rows.
     intervals = draw(st.integers(1, 299))
     step = F(max(1, -(-(stop - start) * d // intervals)), d)
+    # A step above 2, up to far beyond int64, gives one row.
+    step = draw(st.sampled_from([step, step + 2, step + 10**20]))
     return start, stop, step
 
 
