@@ -8,6 +8,7 @@ Rational arguments are written as 'p/q' or bare integers.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -138,7 +139,9 @@ def _cmd_e2e(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="cachealign",
         description="Caching schemes and trade-off curves for the two-user "

@@ -100,7 +100,7 @@ class BitMatrix:
     sorted and unique; both arrays are read-only.
     """
 
-    __slots__ = ("indptr", "indices", "cols", "_dense")
+    __slots__ = ("indptr", "indices", "cols")
 
     def __init__(self, data) -> None:
         arr = _as_bits(data, "matrix entries")
@@ -115,7 +115,6 @@ class BitMatrix:
         indptr.setflags(write=False)
         indices.setflags(write=False)
         self.indptr, self.indices, self.cols = indptr, indices, int(cols)
-        self._dense = None
 
     @classmethod
     def _from_keys(cls, keys: np.ndarray, shape: tuple[int, int]) -> "BitMatrix":
@@ -151,13 +150,11 @@ class BitMatrix:
 
     @property
     def data(self) -> np.ndarray:
-        """Dense read-only uint8 copy of the entries, built on first use."""
-        if self._dense is None:
-            dense = np.zeros(self.shape, dtype=np.uint8)
-            dense[self.nonzero()] = 1
-            dense.setflags(write=False)
-            self._dense = dense
-        return self._dense
+        """Dense read-only uint8 copy of the entries, built on each read."""
+        dense = np.zeros(self.shape, dtype=np.uint8)
+        dense[self.nonzero()] = 1
+        dense.setflags(write=False)
+        return dense
 
     @property
     def rows(self) -> int:

@@ -383,7 +383,8 @@ def parse_fraction(text: str) -> Fraction:
 def _content_lines(text: str) -> Iterator[tuple[int, str | None]]:
     """(number, stripped text) of each line that is not blank or a comment, then (end, None)."""
     no = 0
-    for i, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only; strip() drops the "\r" of a "\r\n" line end.
+    for i, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             no = i

@@ -1,12 +1,12 @@
 """Closed-form trade-off curves, converse checks, and comparison constants.
 
 Everything here is exact rational arithmetic; floats appear only when
-rendering.  The optimal sum network load is the upper envelope of four
-affine pieces of memory; the end-to-end inverse degrees of freedom is
-3/4 of it and is matched by a cut-set style lower bound once the
-receiver caches hold at least 4/5 of a file.  A sweep evaluates the
-curve on a whole grid at once, as integer numerators over one common
-denominator.
+rendering.  The optimal sum network load is the least one that one table
+of converse inequalities allows at each memory; the end-to-end inverse
+degrees of freedom is 3/4 of it and is matched by a cut-set style lower
+bound once the receiver caches hold at least 4/5 of a file.  A sweep
+evaluates the curve on a whole grid at once, as integer numerators over
+one common denominator.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from math import lcm
 
 import numpy as np
@@ -39,21 +40,22 @@ __all__ = [
     "sweep_csv",
 ]
 
-# Affine pieces (intercept, slope), as integers over _PIECE_DENOMINATOR,
-# whose pointwise max is the optimal sum network load as a function of
-# receiver memory: 2 - 2M, 12/7 - 8/7 M, 4/3 - 2/3 M and 0.
-_PIECE_DENOMINATOR = 21
-_RHO_PIECES: tuple[tuple[int, int], ...] = ((42, -42), (36, -24), (28, -14), (0, 0))
+# The converse, one row (a, b, r) per inequality a*c + b*M >= r on the
+# per-user load c = rho/4: one cut-set bound per pair of users, the merged
+# non-cut-set bound, and the single-user two-request cut-set bound.  The
+# optimal load is their envelope together with c >= 0, the row (1, 0, 0).
+_CONVERSE: tuple[tuple[int, int, int], ...] = ((4, 2, 2), (7, 2, 3), (6, 1, 2))
+_LOAD_ROWS = _CONVERSE + ((1, 0, 0),)
 
 # A sweep's common denominator is this times lcm(den(from), den(step)):
-# 84 = 4 * 21 clears the pieces' 21, the 4 of 3/4 * rho and the 2 of M/2.
-_SWEEP_SCALE = 4 * _PIECE_DENOMINATOR
+# 84 = lcm(2, 4, 7, 6) clears the 2 of M/2 and each row's division by a.
+_SWEEP_SCALE = lcm(2, *(a for a, _, _ in _CONVERSE))
 
-# Largest common denominator L whose sweep columns are int64.  Every
-# numerator is at most 2L <= 2**53, so numerators and L convert to float64
-# exactly and numpy's division rounds as float(Fraction) does; the piece
-# products stay within 84L < 2**63.  Above it the same expressions run on
-# object arrays of Python ints.
+# Largest common denominator d whose sweep columns are int64.  Every
+# numerator is at most 2d <= 2**53, so numerators and d convert to float64
+# exactly and numpy's division rounds as float(Fraction) does; every
+# product in the kernel is at most 4d < 2**63.  Above it the same
+# expressions run on object arrays of Python ints.
 _INT64_MAX_DENOMINATOR = 2**52
 
 # Most rows one sweep builds: at 10^5 rows, `cachealign sweep` writes the
@@ -71,19 +73,19 @@ def _check_memory(m: Fraction) -> Fraction:
 def rho_star(m: Fraction) -> Fraction:
     """Optimal sum network load at memory m, exactly."""
     m = _check_memory(m)
-    return max(intercept + slope * m for intercept, slope in _RHO_PIECES) / _PIECE_DENOMINATOR
+    return 4 * max((r - b * m) / a for a, b, r in _LOAD_ROWS)
 
 
 def breakpoints() -> list[Fraction]:
     """Memory values where the optimal load changes slope, plus the origin.
 
-    Computed as intersections of consecutive pieces in slope order, not
+    Computed as crossings of consecutive load rows in slope order, not
     hard-coded.
     """
-    pieces = sorted(_RHO_PIECES, key=lambda piece: piece[1])
+    rows = sorted(_LOAD_ROWS, key=lambda row: Fraction(-row[1], row[0]))
     points = [Fraction(0)]
-    for (b1, s1), (b2, s2) in zip(pieces, pieces[1:]):
-        points.append(Fraction(b1 - b2, s2 - s1))
+    for (a1, b1, r1), (a2, b2, r2) in pairwise(rows):
+        points.append(Fraction(a1 * r2 - a2 * r1, a1 * b2 - a2 * b1))
     return points
 
 
@@ -149,21 +151,15 @@ class ConverseReport:
 
 
 def check_converse(m: Fraction, rho: Fraction) -> ConverseReport:
-    """Slacks of the three lower-bound inequalities at a candidate (M, rho) pair.
-
-    With c = rho/4: one cut-set bound per pair of users (4c + 2M >= 2),
-    the merged non-cut-set bound (7c + 2M >= 3), and the single-user
-    two-request cut-set bound (6c + M >= 2).
-    """
+    """Slacks of the converse inequalities at a candidate (M, rho) pair, with c = rho/4."""
     m = Fraction(m)
     rho = Fraction(rho)
     if m < 0 or rho < 0:
         raise ValueError(f"memory and rho must be nonnegative, got ({m}, {rho})")
     c = rho / 4
-    checks = (
-        InequalityCheck("4c+2M >= 2", 4 * c + 2 * m - 2),
-        InequalityCheck("7c+2M >= 3", 7 * c + 2 * m - 3),
-        InequalityCheck("6c+M >= 2", 6 * c + m - 2),
+    checks = tuple(
+        InequalityCheck(f"{a}c+{'' if b == 1 else b}M >= {r}", a * c + b * m - r)
+        for a, b, r in _CONVERSE
     )
     return ConverseReport(memory=m, rho=rho, checks=checks)
 
@@ -289,9 +285,11 @@ def sweep(start: Fraction, stop: Fraction, step: Fraction) -> Sweep:
     d = _SWEEP_SCALE * lcm(start.denominator, step.denominator)
     index = np.arange(count, dtype=np.int64 if d <= _INT64_MAX_DENOMINATOR else object)
     memory = int(start * d) + index * int(step * d)
-    # Every piece value is a multiple of 21, and rho's numerator one of 4.
-    rho = np.maximum.reduce([b * d + s * memory for b, s in _RHO_PIECES]) // _PIECE_DENOMINATOR
-    inv_dof = 3 * rho // 4
+    # d and every memory numerator are multiples of each a, so each load
+    # numerator divides exactly.
+    load = np.maximum.reduce([(r * d - b * memory) // a for a, b, r in _LOAD_ROWS])
+    rho = 4 * load
+    inv_dof = 3 * load
     # max(1 - M/2, 0) is 1 - M/2, since M <= 2.
     lower_bound = d - memory // 2
     return Sweep(d, memory, rho, inv_dof, lower_bound, inv_dof - lower_bound)

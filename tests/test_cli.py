@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -33,14 +34,71 @@ from tradeoff_oracle import sweep_csv as oracle_sweep_csv
 from tradeoff_oracle import sweep_rows
 
 
-def test_tradeoff_prints_curve_values(capsys):
-    assert main(["tradeoff", "--m", "4/5"]) == 0
-    out = capsys.readouterr().out
-    assert "rho_star    4/5" in out
-    assert "inv_dof     3/5" in out
-    assert "lower_bound 3/5" in out
-    assert "gap         0 " in out
-    assert "converse 7c+2M >= 3: slack 0 (0.000000) tight" in out
+# Whole stdout of `tradeoff --m`: values, converse labels in order, slacks and states.
+@pytest.mark.parametrize(
+    "m,expected",
+    [
+        (
+            "0",
+            "M           0 (0.000000)\n"
+            "rho_star    2 (2.000000)\n"
+            "inv_dof     3/2 (1.500000)\n"
+            "lower_bound 1 (1.000000)\n"
+            "gap         1/2 (0.500000)\n"
+            "converse 4c+2M >= 2: slack 0 (0.000000) tight\n"
+            "converse 7c+2M >= 3: slack 1/2 (0.500000) satisfied\n"
+            "converse 6c+M >= 2: slack 1 (1.000000) satisfied\n"
+        ),
+        (
+            "1/3",
+            "M           1/3 (0.333333)\n"
+            "rho_star    4/3 (1.333333)\n"
+            "inv_dof     1 (1.000000)\n"
+            "lower_bound 5/6 (0.833333)\n"
+            "gap         1/6 (0.166667)\n"
+            "converse 4c+2M >= 2: slack 0 (0.000000) tight\n"
+            "converse 7c+2M >= 3: slack 0 (0.000000) tight\n"
+            "converse 6c+M >= 2: slack 1/3 (0.333333) satisfied\n"
+        ),
+        (
+            "1/2",
+            "M           1/2 (0.500000)\n"
+            "rho_star    8/7 (1.142857)\n"
+            "inv_dof     6/7 (0.857143)\n"
+            "lower_bound 3/4 (0.750000)\n"
+            "gap         3/28 (0.107143)\n"
+            "converse 4c+2M >= 2: slack 1/7 (0.142857) satisfied\n"
+            "converse 7c+2M >= 3: slack 0 (0.000000) tight\n"
+            "converse 6c+M >= 2: slack 3/14 (0.214286) satisfied\n"
+        ),
+        (
+            "4/5",
+            "M           4/5 (0.800000)\n"
+            "rho_star    4/5 (0.800000)\n"
+            "inv_dof     3/5 (0.600000)\n"
+            "lower_bound 3/5 (0.600000)\n"
+            "gap         0 (0.000000)\n"
+            "converse 4c+2M >= 2: slack 2/5 (0.400000) satisfied\n"
+            "converse 7c+2M >= 3: slack 0 (0.000000) tight\n"
+            "converse 6c+M >= 2: slack 0 (0.000000) tight\n"
+        ),
+        (
+            "2",
+            "M           2 (2.000000)\n"
+            "rho_star    0 (0.000000)\n"
+            "inv_dof     0 (0.000000)\n"
+            "lower_bound 0 (0.000000)\n"
+            "gap         0 (0.000000)\n"
+            "converse 4c+2M >= 2: slack 2 (2.000000) satisfied\n"
+            "converse 7c+2M >= 3: slack 1 (1.000000) satisfied\n"
+            "converse 6c+M >= 2: slack 0 (0.000000) tight\n"
+        ),
+    ],
+    ids=["0", "1/3", "1/2", "4/5", "2"],
+)
+def test_tradeoff_prints_curve_values(capsys, m, expected):
+    assert main(["tradeoff", "--m", m]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_tradeoff_rejects_out_of_range(capsys):
@@ -426,21 +484,52 @@ def test_fuzzed_scheme_files_exit_cleanly(tmp_path_factory, text):
     assert_exits_cleanly(["verify", str(path)])
 
 
-@pytest.mark.parametrize("module", ["cachealign", "cachealign.cli"])
-def test_python_dash_m_runs_the_command(module):
+def run_fresh(module: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -m module argv`` in a new process, with this checkout's src on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path}
+    command = [sys.executable, "-m", module, *argv]
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
 
-    def run(*argv: str) -> subprocess.CompletedProcess:
-        command = [sys.executable, "-m", module, *argv]
-        return subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
 
-    shown = run("corner", "M13")
+@pytest.mark.parametrize("module", ["cachealign", "cachealign.cli"])
+def test_python_dash_m_runs_the_command(module):
+    shown = run_fresh(module, "corner", "M13")
     assert shown.returncode == 0
     assert shown.stdout == write_scheme(corner_scheme("M13"))
-    refused = run("construct", "--m", "1/0")
+    refused = run_fresh(module, "construct", "--m", "1/0")
     assert refused.returncode == 2
     assert refused.stdout == ""
     lines = refused.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+def test_main_calls_share_one_parser_and_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    seen = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(parser, *args, **kwargs):
+        seen.append(parser)
+        return parse_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    scheme = str(tmp_path / "m45.scheme")
+    commands = [
+        ["corner", "M45", "-o", scheme],
+        ["tradeoff", "--m", "1/2"],
+        ["tradeoff"],
+        ["sweep", "--from", "0", "--to", "1", "--step", "1/3", "--exact"],
+        ["construct", "--m", "1/0"],
+        ["verify", scheme],
+    ]
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = run_fresh("cachealign", *argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert len(seen) == len(commands)
+    assert all(parser is seen[0] for parser in seen)

@@ -370,6 +370,16 @@ def test_comments_and_blank_lines_inside_a_block_keep_line_numbers():
         read_scheme("\n".join(lines) + "\n")
 
 
+# Characters that str.splitlines also breaks at; the file format ends lines at "\n".
+@pytest.mark.parametrize("ch", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_newline_ends_a_line(ch):
+    text = write_scheme(corner_scheme("M13"))
+    assert read_scheme(f"# note{ch}more\n" + text) == corner_scheme("M13")
+    row = f"001000{ch}000101"  # U1's first two rows, on line 9
+    with pytest.raises(SchemeFormatError, match=row_error(9, row)):
+        read_scheme("\n".join(m13_lines({9: row})) + "\n")
+
+
 def test_crlf_line_ends_read_the_same_scheme():
     for name in CORNER_METRICS:
         text = write_scheme(corner_scheme(name))
