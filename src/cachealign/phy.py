@@ -57,8 +57,15 @@ NOISE_SIGMA = 1.0  # unit-variance additive Gaussian noise
 MAX_ALPHABET = 64
 
 # Most Monte Carlo trials in one run.  A run holds a trials x 4 int64
-# symbol array and a few per-user arrays: 10^6 trials peak near 135 MB.
+# symbol array and one user's float64 noise at a time: at 10^6 trials and
+# q = 2 it takes about 0.08 s, and the process peaks near 82 MB RSS
+# (shared 2-core VM, Python 3.11, numpy 2.4).
 MAX_TRIALS = 10**6
+
+# Trials per block of Monte Carlo decisions.  A block's float64
+# temporaries stay in cache and are reused from block to block; whole
+# arrays of 2*10^5 trials took about 1.5 times as long.
+_MC_BLOCK = 2**14
 
 MC_CSV_HEADER = "P,trials,ser_user1,ser_user2,seed"
 
@@ -91,7 +98,7 @@ class PhyConfig:
         # A received value is a sum of four products of two cleared gains,
         # each times a symbol below q; below this bound every value and
         # every gap between two values fits in int64.
-        peak = max(abs(h) for h in _cleared(self)[1])
+        peak = max(abs(h) for h in _cleared(self.gains)[1])
         if 8 * peak * peak * (self.q - 1) >= 2**63:
             raise ValueError(f"gains too large: cleared integer gains overflow int64 at q={self.q}")
 
@@ -124,16 +131,20 @@ def _aligned(h):
     return (h11 * h22, h12 * h21, h11 * h12), (h12 * h21, h11 * h22, h21 * h22)
 
 
+# The tables below are cached on the gains and the alphabet, never on the
+# power budget, which changes none of them: a power sweep builds each once.
+
+
 @lru_cache(maxsize=64)
-def _cleared(cfg: PhyConfig) -> tuple[int, tuple[int, int, int, int]]:
+def _cleared(gains: tuple[Fraction, ...]) -> tuple[int, tuple[int, int, int, int]]:
     """D, the lcm of the gain denominators, and the integer gains D*h."""
-    d = math.lcm(*(h.denominator for h in cfg.gains))
-    return d, tuple(int(h * d) for h in cfg.gains)
+    d = math.lcm(*(h.denominator for h in gains))
+    return d, tuple(int(h * d) for h in gains)
 
 
 def _received(cfg: PhyConfig, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both users' noiseless observations, times D^2, of symbol rows (frames x 4)."""
-    h = _cleared(cfg)[1]
+    h = _cleared(cfg.gains)[1]
     return _channel(h, *_front_end(h, *symbols.T))
 
 
@@ -143,21 +154,20 @@ def aligned_coefficients(cfg: PhyConfig) -> tuple[AlignedTriple, AlignedTriple]:
     User 1's observation is c.direct_a*g1 + c.direct_b*g3 + c.pair_sum*(g2+g4);
     user 2's is the mirror on (g2, g4, g1+g3).
     """
-    d, h = _cleared(cfg)
+    d, h = _cleared(cfg.gains)
     return tuple(AlignedTriple(*(Fraction(c, d * d) for c in user)) for user in _aligned(h))
 
 
 @lru_cache(maxsize=64)
-def _constellation(cfg: PhyConfig, user: int) -> tuple[np.ndarray, np.ndarray]:
+def _constellation(gains: tuple[Fraction, ...], q: int, user: int) -> tuple[np.ndarray, np.ndarray]:
     """Every aligned point's integer value (times D^2), sorted, and its (a, b, s) row.
 
     Equal values keep the enumeration order: a, then b, then s.
     """
     _check_user(user)
-    q = cfg.q
     grid = np.meshgrid(np.arange(q), np.arange(q), np.arange(2 * q - 1), indexing="ij")
     triples = np.stack([axis.ravel() for axis in grid], axis=1).astype(np.int64)
-    values = triples @ np.array(_aligned(_cleared(cfg)[1])[user - 1], dtype=np.int64)
+    values = triples @ np.array(_aligned(_cleared(gains)[1])[user - 1], dtype=np.int64)
     order = np.argsort(values, kind="stable")
     values, triples = values[order], triples[order]
     values.setflags(write=False)
@@ -169,8 +179,8 @@ def enumerate_constellation(
     cfg: PhyConfig, user: int
 ) -> list[tuple[Fraction, tuple[int, int, int]]]:
     """All (value, (direct_a, direct_b, pair_sum)) points, sorted by value."""
-    values, triples = _constellation(cfg, user)
-    d2 = _cleared(cfg)[0] ** 2
+    values, triples = _constellation(cfg.gains, cfg.q, user)
+    d2 = _cleared(cfg.gains)[0] ** 2
     return [(Fraction(v, d2), tuple(t)) for v, t in zip(values.tolist(), triples.tolist())]
 
 
@@ -179,16 +189,33 @@ def uniqueness_certificate(cfg: PhyConfig) -> bool:
 
     Exhaustive over all (a, b, s) with a, b in [0, Q) and s in [0, 2Q-1).
     """
-    return all(bool(np.diff(_constellation(cfg, user)[0]).all()) for user in (1, 2))
+    return all(bool(np.diff(_constellation(cfg.gains, cfg.q, user)[0]).all()) for user in (1, 2))
 
 
 @lru_cache(maxsize=64)
-def _demod_table(cfg: PhyConfig, user: int) -> tuple[np.ndarray, np.ndarray]:
+def _demod_table(gains: tuple[Fraction, ...], q: int, user: int) -> tuple[np.ndarray, np.ndarray]:
     # A refusal raises, and lru_cache does not cache exceptions, so gains
     # failing the certificate are refused on every call.
-    if not uniqueness_certificate(cfg):
+    if not uniqueness_certificate(PhyConfig(*gains, q=q)):
         raise ValueError("gains fail the uniqueness certificate; demodulation is ambiguous")
-    return _constellation(cfg, user)
+    return _constellation(gains, q, user)
+
+
+@lru_cache(maxsize=64)
+def _cells(gains: tuple[Fraction, ...], q: int, user: int) -> np.ndarray:
+    """Each point's decision cell: float64 rows of lower neighbours, values and upper neighbours.
+
+    Column i belongs to the point (a, b, s) with i = (a*q + b)*(2q-1) + s,
+    so the columns undo the sort of the certified table.  The neighbours
+    are the adjacent sorted values, with -inf and +inf past the two ends.
+    """
+    values, triples = _demod_table(gains, q, user)
+    a, b, s = triples.T
+    padded = np.concatenate(([-np.inf], values.astype(np.float64), [np.inf]))
+    cells = np.empty((3, len(values)))
+    cells[:, (a * q + b) * (2 * q - 1) + s] = padded[:-2], padded[1:-1], padded[2:]
+    cells.setflags(write=False)
+    return cells
 
 
 def _nearest(values: np.ndarray, y):
@@ -198,13 +225,22 @@ def _nearest(values: np.ndarray, y):
     return np.where(y - values[left] <= values[right] - y, left, right)
 
 
+def _in_cell(lo, v, hi, y):
+    """Where y demodulates to the point of value v, whose sorted neighbours are lo and hi.
+
+    The two comparisons _nearest makes between the same float64 values:
+    y lies above the midpoint with lo and not above the midpoint with hi.
+    """
+    return (y - lo > v - y) & (y - v <= hi - y)
+
+
 def _demod(cfg: PhyConfig, user: int, y: np.ndarray, noisy: bool) -> np.ndarray:
     """(a, b, s) rows of observations y in received integer units (times D^2)."""
-    values, triples = _demod_table(cfg, user)
+    values, triples = _demod_table(cfg.gains, cfg.q, user)
     idx = _nearest(values, y)
     missing = np.flatnonzero(values[idx] != y)
     if missing.size and not noisy:
-        bad = Fraction(y[missing[0]]) / _cleared(cfg)[0] ** 2
+        bad = Fraction(y[missing[0]]) / _cleared(cfg.gains)[0] ** 2
         raise DemodError(f"observation {bad} is not a constellation value for user {user}")
     return triples[idx]
 
@@ -215,7 +251,7 @@ def demodulate(cfg: PhyConfig, y, user: int, noisy: bool = False) -> tuple[int, 
     Noiseless mode demands an exact constellation value; noisy mode takes
     the nearest value, ties going to the smaller one.  Both are exact.
     """
-    scaled = np.array([Fraction(y) * _cleared(cfg)[0] ** 2])
+    scaled = np.array([Fraction(y) * _cleared(cfg.gains)[0] ** 2])
     return tuple(_demod(cfg, user, scaled, noisy)[0].tolist())
 
 
@@ -246,16 +282,18 @@ def e2e_run(
 
 def _transmit_peak(cfg: PhyConfig) -> int:
     """Largest transmit magnitude over the alphabet, times D^2 like received values."""
-    d, h = _cleared(cfg)
+    d, h = _cleared(cfg.gains)
     a, b = np.meshgrid(np.arange(cfg.q), np.arange(cfg.q))
     return d * int(max(np.abs(x).max() for x in _front_end(h, a, b, a, b)))
 
 
 def power_for_min_gap(cfg: PhyConfig, sigmas: float) -> float:
     """Power that puts the smallest received constellation gap at sigmas * noise."""
+    if not (math.isfinite(sigmas) and sigmas > 0):
+        raise ValueError(f"sigmas must be positive and finite, got {sigmas}")
     if not uniqueness_certificate(cfg):
         raise ValueError("gains fail the uniqueness certificate")
-    gap = min(int(np.diff(_constellation(cfg, user)[0]).min()) for user in (1, 2))
+    gap = min(int(np.diff(_constellation(cfg.gains, cfg.q, user)[0]).min()) for user in (1, 2))
     return (sigmas * NOISE_SIGMA * _transmit_peak(cfg) / gap) ** 2
 
 
@@ -280,23 +318,49 @@ def monte_carlo(cfg: PhyConfig, trials: int, seed: int) -> MonteCarloResult:
     Uniform symbols, transmit values scaled to the power budget, nearest
     constellation value decoding.  A frame counts as an error for a user
     when any component of its demodulated triple is wrong.  Deterministic
-    given the seed.
+    given the seed: symbols are drawn first, then user 1's noise, then
+    user 2's.
+
+    No search runs.  The sent point (a, b, s) is known, and its received
+    value v is that point's aligned value, so each trial is decided by
+    the point's decision cell: with lo and hi the neighbouring sorted
+    values and y = v + noise, the frame is decoded right exactly when
+
+        y - lo > v - y   and   y - v <= hi - y.
+
+    Nearest-point decoding of y brackets it between adjacent sorted
+    values and makes one such comparison with the same float64 values.
+    Rounding is monotone and keeps the sign of a difference, so y
+    demodulates to the sent point exactly when both comparisons hold, a
+    tie going to the smaller value; neighbours that round to one float64
+    split as the search splits them.  The error rates are therefore those
+    of demodulating every noisy observation, bit for bit.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
     if cfg.power is None:
         raise ValueError("config has no power budget set")
-    tables = [_demod_table(cfg, user)[0] for user in (1, 2)]
+    q = cfg.q
+    tables = [_cells(cfg.gains, q, user) for user in (1, 2)]
     rng = np.random.default_rng(seed)
-    symbols = rng.integers(0, cfg.q, size=(trials, 4))
+    symbols = rng.integers(0, q, size=(trials, 4))
+    # User 1 sees (g1, g3, g2 + g4) and user 2 sees (g2, g4, g1 + g3), so the
+    # column (a*q + b)*(2q-1) + s of each user's point is a linear form in g.
+    span = 2 * q - 1
+    forms = np.array([(q * span, 1, span, 1), (1, q * span, 1, span)])
     # The largest transmit point sits on the power budget (the average
     # power constraint follows a fortiori): noise deviation in integer units.
     noise = NOISE_SIGMA * _transmit_peak(cfg) / float(cfg.power) ** 0.5
     rates = []
-    for values, y in zip(tables, _received(cfg, symbols)):
-        # Certified values are distinct, so a wrong index is a wrong triple.
-        errors = _nearest(values, y + noise * rng.standard_normal(trials)) != _nearest(values, y)
-        rates.append(float(np.mean(errors)))
+    for cells, form in zip(tables, forms):
+        z = rng.standard_normal(trials)
+        right = 0
+        for start in range(0, trials, _MC_BLOCK):
+            block = slice(start, start + _MC_BLOCK)
+            lo, v, hi = cells.take(symbols[block] @ form, axis=1)
+            right += int(np.count_nonzero(_in_cell(lo, v, hi, v + noise * z[block])))
+        # One division of two exact integers: the mean of the error flags.
+        rates.append((trials - right) / trials)
     return MonteCarloResult(
         power=float(cfg.power),
         trials=trials,

@@ -30,8 +30,8 @@ from cachealign import (
     write_scheme,
 )
 from cachealign.cli import main
+from tradeoff_oracle import assert_same_csv, sweep_rows
 from tradeoff_oracle import sweep_csv as oracle_sweep_csv
-from tradeoff_oracle import sweep_rows
 
 
 # Whole stdout of `tradeoff --m`: values, converse labels in order, slacks and states.
@@ -194,7 +194,7 @@ def test_sweep_huge_denominator_stays_exact(capsys):
     argv = ["sweep", "--from", start, "--to", "2", "--step", "1/7", "--exact"]
     assert main(argv) == 0
     rows = sweep_rows(Fraction(start), Fraction(2), Fraction(1, 7))
-    assert capsys.readouterr().out == oracle_sweep_csv(rows, exact=True)
+    assert_same_csv(capsys.readouterr().out, oracle_sweep_csv(rows, exact=True))
 
 
 def test_sweep_step_beyond_int64_gives_one_row(capsys):
@@ -202,7 +202,7 @@ def test_sweep_step_beyond_int64_gives_one_row(capsys):
     for exact in ([], ["--exact"]):
         assert main(argv + exact) == 0
         rows = sweep_rows(Fraction(0), Fraction(2), Fraction(10**20))
-        assert capsys.readouterr().out == oracle_sweep_csv(rows, exact=bool(exact))
+        assert_same_csv(capsys.readouterr().out, oracle_sweep_csv(rows, exact=bool(exact)))
 
 
 def test_sweep_bad_range(capsys):

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import phy_oracle
 from cachealign import phy
 from cachealign import (
     MAX_ALPHABET,
@@ -136,11 +137,11 @@ def test_config_validation():
 
 
 def test_front_end_single_stream():
-    assert phy._front_end(phy._cleared(CFG)[1], 1, 0, 0, 0) == (7, 0)
+    assert phy._front_end(phy._cleared(CFG.gains)[1], 1, 0, 0, 0) == (7, 0)
 
 
 def test_front_end_all_streams():
-    assert phy._front_end(phy._cleared(CFG)[1], 1, 1, 1, 1) == (10, 7)
+    assert phy._front_end(phy._cleared(CFG.gains)[1], 1, 1, 1, 1) == (10, 7)
 
 
 def test_channel_out_aligned_values():
@@ -320,6 +321,13 @@ def test_power_calibration():
     assert power_for_min_gap(CFG, 20.0) == pytest.approx(40000.0)
 
 
+@pytest.mark.parametrize("sigmas", [-20.0, -1e-300, 0.0, float("nan"), float("inf"), -math.inf])
+def test_power_for_min_gap_refuses_sigmas_not_positive_and_finite(sigmas):
+    # Squaring used to hide the sign: -20 gave the power of +20.
+    with pytest.raises(ValueError, match="sigmas must be positive and finite"):
+        power_for_min_gap(CFG, sigmas)
+
+
 def test_monte_carlo_deterministic():
     cfg = PhyConfig(2, 3, 5, 7, power=400.0)
     one = monte_carlo(cfg, trials=1, seed=5)
@@ -426,3 +434,110 @@ def test_monte_carlo_matches_float_oracle(gains, q):
         counts = [round(result.ser_user1 * 4000), round(result.ser_user2 * 4000)]
         assert all(abs(c - e) <= 1 for c, e in zip(counts, expected)), (counts, expected)
         assert min(expected) > 0  # the noise actually causes errors
+
+
+# Near the int64 limit the received values pass 2^53, where float64
+# rounding can merge neighbouring values.  INT64_LIMIT's points stay apart
+# in float64; in MERGING's, a and s weigh about 10^18 and 10^9 and b only
+# 1, so the two points that differ in b alone round to one float64 value.
+INT64_LIMIT = PhyConfig(10**9 + 9, 10**9 - 7, 3, 10**9 + 3)
+MERGING = PhyConfig(10**9, 1, 1, 10**9)
+
+
+def test_merging_config_has_neighbours_equal_in_float64():
+    for user in (1, 2):
+        values = phy._demod_table(MERGING.gains, MERGING.q, user)[0]
+        assert np.diff(values).all() and not np.diff(values.astype(np.float64)).all()
+
+
+def sorted_cells(cfg, user):
+    """The cell table's (lo, v, hi) rows, in the order of the sorted values."""
+    values, triples = phy._demod_table(cfg.gains, cfg.q, user)
+    a, b, s = triples.T
+    return values, phy._cells(cfg.gains, cfg.q, user)[:, (a * cfg.q + b) * (2 * cfg.q - 1) + s]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        CFG,
+        PhyConfig(F(1, 2), F(3, 7), F(-2, 5), F(11, 3), q=4),
+        PhyConfig(F(7, 3), F(5, 11), 13, F(3, 4), q=8),
+        INT64_LIMIT,
+        MERGING,
+    ],
+)
+def test_cell_rule_matches_nearest_on_crafted_points(cfg):
+    for user in (1, 2):
+        values, (lo, v, hi) = sorted_cells(cfg, user)
+        f = values.astype(np.float64)
+        assert np.array_equal(v, f)
+        assert np.array_equal(lo, np.concatenate(([-np.inf], f[:-1])))
+        assert np.array_equal(hi, np.concatenate((f[1:], [np.inf])))
+        # Every value, every midpoint (a tie: both distances round alike),
+        # the floats on either side of each midpoint, and points beyond
+        # both ends.
+        mid = f[:-1] + (f[1:] - f[:-1]) / 2
+        span = f[-1] - f[0] + 1
+        y = np.concatenate(
+            (
+                f,
+                mid,
+                np.nextafter(mid, -np.inf),
+                np.nextafter(mid, np.inf),
+                np.nextafter(f, -np.inf),
+                np.nextafter(f, np.inf),
+                [f[0] - span, f[-1] + span],
+            )
+        )
+        inside = phy._in_cell(lo[:, None], v[:, None], hi[:, None], y[None, :])
+        nearest = phy._nearest(values, y)
+        assert np.array_equal(inside, np.arange(len(values))[:, None] == nearest[None, :])
+        # Exact midpoints of small values are ties, and go to the lower point.
+        if f[-1] < 2**52:
+            assert np.array_equal(phy._nearest(values, mid), np.arange(len(values) - 1))
+
+
+def assert_same_as_oracle(cfg, trials, seed):
+    result = monte_carlo(cfg, trials, seed)
+    assert result == phy_oracle.monte_carlo(cfg, trials, seed)
+    # MonteCarloResult's == compares floats; the bits must be equal too.
+    assert result.csv_row() == phy_oracle.monte_carlo(cfg, trials, seed).csv_row()
+    assert (result.ser_user1.hex(), result.ser_user2.hex()) == (
+        phy_oracle.monte_carlo(cfg, trials, seed).ser_user1.hex(),
+        phy_oracle.monte_carlo(cfg, trials, seed).ser_user2.hex(),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gains=st.tuples(gain, gain, gain, gain),
+    q=st.integers(2, 8),
+    sigmas=st.floats(0.5, 20.0),
+    trials=st.integers(1, 5000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_monte_carlo_equals_the_two_search_oracle(gains, q, sigmas, trials, seed):
+    cfg = PhyConfig(*gains, q=q)
+    assume(uniqueness_certificate(cfg))
+    assert_same_as_oracle(PhyConfig(*gains, q=q, power=power_for_min_gap(cfg, sigmas)), trials, seed)
+
+
+@pytest.mark.parametrize("cfg", [INT64_LIMIT, MERGING])
+@pytest.mark.parametrize("sigmas", [0.5, 1.0, 3.0])
+def test_monte_carlo_equals_the_oracle_near_the_int64_limit(cfg, sigmas):
+    power = power_for_min_gap(cfg, sigmas)
+    for seed, trials in ((1, 1), (2, 4999), (3, 3 * 2**14 + 5)):
+        assert_same_as_oracle(PhyConfig(*cfg.gains, q=cfg.q, power=power), trials, seed)
+
+
+def test_power_sweep_builds_each_table_once_per_user():
+    gains = (F(13, 5), F(-7, 3), F(11, 2), F(5, 9))
+    tables = (phy._constellation, phy._demod_table, phy._cells)
+    before = [table.cache_info().misses for table in tables]
+    base = PhyConfig(*gains, q=8)
+    for sigmas in (0.5, 1.0, 2.0, 4.0, 8.0):
+        cfg = PhyConfig(*gains, q=8, power=power_for_min_gap(base, sigmas))
+        assert uniqueness_certificate(cfg)
+        monte_carlo(cfg, trials=1000, seed=1)
+    assert [table.cache_info().misses - b for table, b in zip(tables, before)] == [2, 2, 2]

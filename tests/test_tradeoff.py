@@ -24,7 +24,7 @@ from cachealign import (
     sweep_csv,
 )
 from cachealign.tradeoff import _INT64_MAX_DENOMINATOR, _SWEEP_SCALE
-from tradeoff_oracle import inverse_dof_direct, sweep_rows
+from tradeoff_oracle import assert_same_csv, inverse_dof_direct, sweep_rows
 from tradeoff_oracle import sweep_csv as oracle_sweep_csv
 
 F = Fraction
@@ -265,7 +265,7 @@ def test_sweep_columns_switch_to_python_ints_above_the_int64_threshold():
 @pytest.mark.parametrize("exact", [False, True])
 def test_sweep_csv_matches_the_fraction_oracle(start, stop, step, exact):
     expected = oracle_sweep_csv(sweep_rows(start, stop, step), exact=exact)
-    assert sweep_csv(sweep(start, stop, step), exact=exact) == expected
+    assert_same_csv(sweep_csv(sweep(start, stop, step), exact=exact), expected)
 
 
 DENOMINATORS = st.one_of(
@@ -296,4 +296,4 @@ def test_sweep_csv_matches_the_fraction_oracle_on_random_grids(grid):
     columnar = sweep(*grid)
     assert len(columnar) == len(rows)
     for exact in (False, True):
-        assert sweep_csv(columnar, exact=exact) == oracle_sweep_csv(rows, exact=exact)
+        assert_same_csv(sweep_csv(columnar, exact=exact), oracle_sweep_csv(rows, exact=exact))

@@ -8,7 +8,8 @@ each other.
 ``sweep_rows`` and ``sweep_csv`` are the row-by-row ``Fraction`` sweep:
 one ``SweepRow`` per grid point from the scalar curve functions, and
 cells rendered by ``str(Fraction)`` and ``float(Fraction)``.  The
-package's columnar sweep must reproduce their CSV byte for byte.
+package's columnar sweep must reproduce their CSV byte for byte, which
+``assert_same_csv`` checks.
 """
 
 from __future__ import annotations
@@ -61,3 +62,18 @@ def sweep_csv(rows: list[SweepRow], exact: bool = False) -> str:
             )
         )
     return "\n".join(lines) + "\n"
+
+
+def assert_same_csv(actual: str, expected: str) -> None:
+    """Fail unless the two texts are equal, naming the first line that differs.
+
+    Exactly as strict as ``actual == expected``.  A plain ``==`` on two long
+    texts makes pytest diff them in full when they differ, which took
+    minutes for a wrong sweep; this reports one line instead.
+    """
+    got, want = actual.split("\n"), expected.split("\n")
+    for number, (line, wanted) in enumerate(zip(got, want), start=1):
+        if line != wanted:
+            raise AssertionError(f"line {number} is {line!r}, expected {wanted!r}")
+    if len(got) != len(want):
+        raise AssertionError(f"{len(got)} lines, expected {len(want)}")
