@@ -37,6 +37,14 @@ F = Fraction
 CFG = PhyConfig(2, 3, 5, 7)
 DEGENERATE = PhyConfig(1, 1, 1, 1)
 
+# Near the int64 limit the received values pass 2^53, where float64
+# rounding can merge neighbouring values.  INT64_LIMIT's points stay apart
+# in float64.  In MERGING, one direct symbol weighs 10^18, the pair sum
+# 10^9 and the other direct symbol 1, so two points that differ only in
+# that last symbol round to one float64 value.
+INT64_LIMIT = PhyConfig(10**9 + 9, 10**9 - 7, 3, 10**9 + 3)
+MERGING = PhyConfig(10**9, 1, 1, 10**9)
+
 
 # Oracles for the integer pipeline: the Fraction channel model, a Fraction
 # constellation, an exact nearest point and a float Monte Carlo.  Values
@@ -407,7 +415,7 @@ def test_integer_pipeline_matches_fraction_oracle(gains, q, data):
 
 def test_pipeline_exact_near_the_int64_limit():
     # 8 * peak^2 * (q - 1) = 8.0e18, close under the 2^63 = 9.2e18 limit.
-    cfg = PhyConfig(10**9 + 9, 10**9 - 7, 3, 10**9 + 3)
+    cfg = INT64_LIMIT
     for user in (1, 2):
         assert enumerate_constellation(cfg, user) == oracle_constellation(cfg, user)
     assert uniqueness_certificate(cfg)
@@ -434,14 +442,6 @@ def test_monte_carlo_matches_float_oracle(gains, q):
         counts = [round(result.ser_user1 * 4000), round(result.ser_user2 * 4000)]
         assert all(abs(c - e) <= 1 for c, e in zip(counts, expected)), (counts, expected)
         assert min(expected) > 0  # the noise actually causes errors
-
-
-# Near the int64 limit the received values pass 2^53, where float64
-# rounding can merge neighbouring values.  INT64_LIMIT's points stay apart
-# in float64; in MERGING's, a and s weigh about 10^18 and 10^9 and b only
-# 1, so the two points that differ in b alone round to one float64 value.
-INT64_LIMIT = PhyConfig(10**9 + 9, 10**9 - 7, 3, 10**9 + 3)
-MERGING = PhyConfig(10**9, 1, 1, 10**9)
 
 
 def test_merging_config_has_neighbours_equal_in_float64():
@@ -474,9 +474,9 @@ def test_cell_rule_matches_nearest_on_crafted_points(cfg):
         assert np.array_equal(v, f)
         assert np.array_equal(lo, np.concatenate(([-np.inf], f[:-1])))
         assert np.array_equal(hi, np.concatenate((f[1:], [np.inf])))
-        # Every value, every midpoint (a tie: both distances round alike),
-        # the floats on either side of each midpoint, and points beyond
-        # both ends.
+        # Every value, every midpoint (an exact tie below 2^52), the floats
+        # on either side of each midpoint and of each value, and points
+        # beyond both ends.
         mid = f[:-1] + (f[1:] - f[:-1]) / 2
         span = f[-1] - f[0] + 1
         y = np.concatenate(
@@ -499,14 +499,11 @@ def test_cell_rule_matches_nearest_on_crafted_points(cfg):
 
 
 def assert_same_as_oracle(cfg, trials, seed):
-    result = monte_carlo(cfg, trials, seed)
-    assert result == phy_oracle.monte_carlo(cfg, trials, seed)
-    # MonteCarloResult's == compares floats; the bits must be equal too.
-    assert result.csv_row() == phy_oracle.monte_carlo(cfg, trials, seed).csv_row()
-    assert (result.ser_user1.hex(), result.ser_user2.hex()) == (
-        phy_oracle.monte_carlo(cfg, trials, seed).ser_user1.hex(),
-        phy_oracle.monte_carlo(cfg, trials, seed).ser_user2.hex(),
-    )
+    result, expected = monte_carlo(cfg, trials, seed), phy_oracle.monte_carlo(cfg, trials, seed)
+    assert result == expected
+    # == compares the rates as floats; their bits must be equal too.
+    rates = (result.ser_user1, result.ser_user2, expected.ser_user1, expected.ser_user2)
+    assert [r.hex() for r in rates[:2]] == [r.hex() for r in rates[2:]]
 
 
 @settings(max_examples=100, deadline=None)
@@ -520,7 +517,8 @@ def assert_same_as_oracle(cfg, trials, seed):
 def test_monte_carlo_equals_the_two_search_oracle(gains, q, sigmas, trials, seed):
     cfg = PhyConfig(*gains, q=q)
     assume(uniqueness_certificate(cfg))
-    assert_same_as_oracle(PhyConfig(*gains, q=q, power=power_for_min_gap(cfg, sigmas)), trials, seed)
+    power = power_for_min_gap(cfg, sigmas)
+    assert_same_as_oracle(PhyConfig(*gains, q=q, power=power), trials, seed)
 
 
 @pytest.mark.parametrize("cfg", [INT64_LIMIT, MERGING])
