@@ -532,10 +532,11 @@ def test_monte_carlo_equals_the_oracle_near_the_int64_limit(cfg, sigmas):
 def test_power_sweep_builds_each_table_once_per_user():
     gains = (F(13, 5), F(-7, 3), F(11, 2), F(5, 9))
     tables = (phy._constellation, phy._demod_table, phy._cells)
-    before = [table.cache_info().misses for table in tables]
+    for table in tables:
+        table.cache_clear()
     base = PhyConfig(*gains, q=8)
     for sigmas in (0.5, 1.0, 2.0, 4.0, 8.0):
         cfg = PhyConfig(*gains, q=8, power=power_for_min_gap(base, sigmas))
         assert uniqueness_certificate(cfg)
         monte_carlo(cfg, trials=1000, seed=1)
-    assert [table.cache_info().misses - b for table, b in zip(tables, before)] == [2, 2, 2]
+    assert [table.cache_info().misses for table in tables] == [2, 2, 2]
