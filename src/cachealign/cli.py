@@ -70,12 +70,9 @@ def _cmd_construct(args) -> int:
         f"M {_fmt(scheme.memory)}  c {_fmt(scheme.load)}  rho {_fmt(scheme.rho)}  "
         f"rho_star {_fmt(tradeoff.rho_star(m))}"
     )
-    if args.output is None:
-        sys.stdout.write(write_scheme(scheme))
-        print(metrics, file=sys.stderr)
-    else:
-        Path(args.output).write_text(write_scheme(scheme))
-        print(metrics)
+    _write_or_print(write_scheme(scheme), args.output)
+    # The metrics stay off stdout while stdout carries the scheme.
+    print(metrics, file=sys.stderr if args.output is None else sys.stdout)
     return 0
 
 

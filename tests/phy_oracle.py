@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from cachealign import MonteCarloResult, PhyConfig
-from cachealign.phy import NOISE_SIGMA, _demod_table, _nearest, _received, _transmit_peak
+from cachealign.phy import NOISE_SIGMA, _certified, _nearest, _received, _transmit_peak
 
 
 def monte_carlo(cfg: PhyConfig, trials: int, seed: int) -> MonteCarloResult:
     """Symbol error rates by two nearest-point searches per user and trial."""
-    tables = [_demod_table(cfg.gains, cfg.q, user)[0] for user in (1, 2)]
+    tables = _certified(cfg).values
     rng = np.random.default_rng(seed)
     symbols = rng.integers(0, cfg.q, size=(trials, 4))
     noise = NOISE_SIGMA * _transmit_peak(cfg) / float(cfg.power) ** 0.5

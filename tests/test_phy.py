@@ -141,6 +141,23 @@ def test_config_validation():
             PhyConfig(*gains)
 
 
+@pytest.mark.parametrize("q", [2.5, 2.0, "4", True, F(3), None])
+def test_config_refuses_an_alphabet_size_that_is_not_an_integer(q):
+    # q = 2.5 used to be accepted, and the constellation mixed arange(2.5)
+    # with arange(4).
+    with pytest.raises(ValueError, match="alphabet size must be an integer"):
+        PhyConfig(2, 3, 5, 7, q=q)
+
+
+def test_config_takes_numpy_integer_alphabet_sizes():
+    cfg = PhyConfig(2, 3, 5, 7, q=np.int64(3))
+    assert type(cfg.q) is int and cfg == PhyConfig(2, 3, 5, 7, q=3)
+    # With q an np.int64, 8 * peak^2 * (q - 1) wrapped around and this
+    # overflowing config was accepted.
+    with pytest.raises(ValueError, match="overflow int64"):
+        PhyConfig(10**9, 1, 1, 10**9, q=np.int64(3))
+
+
 # CFG's gains are integers, so its cleared gains are the gains themselves.
 
 
@@ -252,6 +269,14 @@ def test_user_outside_1_and_2_rejected(user):
         enumerate_constellation(CFG, user)
 
 
+@pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan, np.float64("inf")])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_demodulate_refuses_observations_that_are_not_finite(y, noisy):
+    # Fraction(inf) raised OverflowError, which callers catching ValueError missed.
+    with pytest.raises(ValueError, match=r"observation .* is not a finite number"):
+        demodulate(CFG, y, 1, noisy=noisy)
+
+
 def test_demodulate_noisy_nearest_and_ties():
     # 16 is nearer to 15 than to 14; 14.5 ties and goes to the smaller value.
     assert demodulate(CFG, 16.0, 1, noisy=True) == demodulate(CFG, F(15), 1)
@@ -278,25 +303,31 @@ def test_e2e_matches_network_layer_decode():
     assert np.array_equal(out2, file_selector(3, "B").apply(bits))
 
 
-def test_e2e_certifies_each_demod_table_once(monkeypatch):
-    calls = []
+@pytest.fixture
+def builds(monkeypatch):
+    """The (gains, q) of every constellation built while the test runs, from an empty cache."""
+    built = []
 
-    def counted(cfg):
-        calls.append(cfg)
-        return uniqueness_certificate(cfg)
+    class Counted(phy._Constellation):
+        def __init__(self, gains, q):
+            built.append((gains, q))
+            super().__init__(gains, q)
 
-    monkeypatch.setattr(phy, "uniqueness_certificate", counted)
-    phy._demod_table.cache_clear()
+    monkeypatch.setattr(phy, "_Constellation", Counted)
+    phy._constellation.cache_clear()
+    yield built
+    phy._constellation.cache_clear()
+
+
+def test_e2e_builds_the_constellation_once(builds):
     scheme = scheme_for_memory(F(7, 10))
     rng = np.random.default_rng(5)
     for demand in Demand:
         bits = rng.integers(0, 2, size=2 * scheme.n, dtype=np.uint8)
-        before = len(calls)
         out1, out2 = e2e_run(scheme, demand, CFG, bits)
-        assert len(calls) - before <= 2
         assert np.array_equal(out1, decode_bits(scheme, demand, 1, bits))
         assert np.array_equal(out2, decode_bits(scheme, demand, 2, bits))
-    assert len(calls) <= 2
+        assert builds == [(CFG.gains, 2)]
 
 
 def test_e2e_zero_files():
@@ -380,6 +411,9 @@ def test_monte_carlo_requires_power_and_trials(monkeypatch):
     for trials in (0, MAX_TRIALS + 1, 10**8):
         with pytest.raises(ValueError, match=rf"trials must be in \[1, {MAX_TRIALS}\]"):
             monte_carlo(PhyConfig(2, 3, 5, 7, power=1.0), trials=trials, seed=0)
+    for trials in (1000.0, 2.5, "10", True):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            monte_carlo(PhyConfig(2, 3, 5, 7, power=1.0), trials=trials, seed=0)
     with pytest.raises(ValueError, match="uniqueness certificate"):
         monte_carlo(PhyConfig(1, 1, 1, 1, power=1.0), trials=10, seed=0)
 
@@ -446,15 +480,15 @@ def test_monte_carlo_matches_float_oracle(gains, q):
 
 def test_merging_config_has_neighbours_equal_in_float64():
     for user in (1, 2):
-        values = phy._demod_table(MERGING.gains, MERGING.q, user)[0]
+        values = phy._constellation(MERGING.gains, MERGING.q).values[user - 1]
         assert np.diff(values).all() and not np.diff(values.astype(np.float64)).all()
 
 
 def sorted_cells(cfg, user):
     """The cell table's (lo, v, hi) rows, in the order of the sorted values."""
-    values, triples = phy._demod_table(cfg.gains, cfg.q, user)
-    a, b, s = triples.T
-    return values, phy._cells(cfg.gains, cfg.q, user)[:, (a * cfg.q + b) * (2 * cfg.q - 1) + s]
+    table = phy._certified(cfg)
+    values, points = table.for_user(user)
+    return values, table.cells[user - 1][:, points]
 
 
 @pytest.mark.parametrize(
@@ -529,14 +563,42 @@ def test_monte_carlo_equals_the_oracle_near_the_int64_limit(cfg, sigmas):
         assert_same_as_oracle(PhyConfig(*cfg.gains, q=cfg.q, power=power), trials, seed)
 
 
-def test_power_sweep_builds_each_table_once_per_user():
+def test_power_sweep_builds_each_constellation_once(builds):
     gains = (F(13, 5), F(-7, 3), F(11, 2), F(5, 9))
-    tables = (phy._constellation, phy._demod_table, phy._cells)
-    for table in tables:
-        table.cache_clear()
     base = PhyConfig(*gains, q=8)
     for sigmas in (0.5, 1.0, 2.0, 4.0, 8.0):
         cfg = PhyConfig(*gains, q=8, power=power_for_min_gap(base, sigmas))
         assert uniqueness_certificate(cfg)
         monte_carlo(cfg, trials=1000, seed=1)
-    assert [table.cache_info().misses for table in tables] == [2, 2, 2]
+        monte_carlo(PhyConfig(*gains, q=4, power=cfg.power), trials=1000, seed=1)
+    assert builds == [(base.gains, 8), (base.gains, 4)]
+
+
+def test_certificate_then_monte_carlo_builds_once(builds):
+    cfg = PhyConfig(F(7, 3), F(5, 11), 13, F(3, 4), q=4)
+    assert uniqueness_certificate(cfg)
+    result = monte_carlo(PhyConfig(*cfg.gains, q=4, power=power_for_min_gap(cfg, 2.0)), 1000, 3)
+    assert result.trials == 1000
+    assert enumerate_constellation(cfg, 2)
+    assert demodulate(cfg, 0, 1) == (0, 0, 0)
+    assert builds == [(cfg.gains, 4)]
+
+
+def test_uncertified_gains_are_built_once_and_refused_every_time(builds):
+    for _ in range(2):
+        assert not uniqueness_certificate(DEGENERATE)
+        with pytest.raises(ValueError, match="uniqueness certificate"):
+            power_for_min_gap(DEGENERATE, 1.0)
+        with pytest.raises(ValueError, match="uniqueness certificate"):
+            monte_carlo(PhyConfig(1, 1, 1, 1, power=1.0), trials=10, seed=0)
+    assert builds == [(DEGENERATE.gains, 2)]
+
+
+@pytest.mark.parametrize("cfg", [CFG, PhyConfig(F(7, 3), F(5, 11), 13, F(3, 4), q=8)])
+def test_cached_tables_are_read_only(cfg):
+    table = phy._certified(cfg)
+    arrays = [*table.values, *table.points, *table.cells]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
