@@ -17,7 +17,14 @@ import numpy as np
 
 from . import tradeoff
 from .netchannel import Demand
-from .phy import MC_CSV_HEADER, PhyConfig, e2e_run, monte_carlo, uniqueness_certificate
+from .phy import (
+    MC_CSV_HEADER,
+    PhyConfig,
+    _check_seed,
+    e2e_run,
+    monte_carlo,
+    uniqueness_certificate,
+)
 from .schemes import (
     CORNER_NAMES,
     corner_scheme,
@@ -124,7 +131,7 @@ def _cmd_e2e(args) -> int:
     scheme = read_scheme(Path(args.scheme).read_text())
     demand = Demand.from_string(args.demand)
     cfg = PhyConfig(*_gains(args.gains))
-    rng = np.random.default_rng(parse_integer(args.seed))
+    rng = np.random.default_rng(_check_seed(parse_integer(args.seed)))
     file_bits = rng.integers(0, 2, size=2 * scheme.n).astype(np.uint8)
     decoded = e2e_run(scheme, demand, cfg, file_bits)
     ok = True

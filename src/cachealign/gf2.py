@@ -13,23 +13,30 @@ product row that selects one row of the right operand copies it; the
 other product rows XOR the right operand's rows, packed into Python
 integers (bit j = column j), so a dense product costs what it did on
 dense storage.
+
 Elimination first splits the columns into the connected components of
 the rows that share them, since no row operation crosses a component.
-Each row is packed into a Python integer over its component's columns
-(bit j = the component's j-th column) so that a row operation is a
-single XOR; pivots are always the first nonzero column from the left.
-A dense matrix is one component and runs the same code.
+Components of similar width and row count form a group, stored as one
+(components x rows x words) uint64 array: each row holds its bits over
+its component's columns, then the combination of the component's rows
+that produced it, which starts as the identity.  Gauss-Jordan
+elimination runs on a whole group in lockstep, one column at a time:
+each component's pivot row for the column is XORed into its other rows
+that hold the bit, all components in one numpy pass.  A dense matrix is
+one component and runs the same code.  solve_each stacks several
+systems into one block-diagonal system, so that they share those
+passes; the failing rows of each system give its own verdict.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import xor
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-__all__ = ["BitMatrix", "mat_mul", "rank", "solve_left", "vstack"]
+__all__ = ["BitMatrix", "Solution", "mat_mul", "rank", "solve_each", "solve_left", "vstack"]
 
 
 def _as_bits(data, what: str) -> np.ndarray:
@@ -68,16 +75,14 @@ def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _pack(pieces: np.ndarray, bits: np.ndarray, nbytes: np.ndarray) -> list[int]:
-    """One integer per piece, with bit bits[i] set in integer pieces[i].
-
-    Integer p spans nbytes[p] bytes.
-    """
-    starts = np.concatenate([[0], np.cumsum(nbytes)])
-    flags = np.zeros(8 * starts[-1], dtype=bool)
-    flags[8 * starts[pieces] + bits] = True
-    raw, bounds = np.packbits(flags, bitorder="little").tobytes(), starts.tolist()
-    return [int.from_bytes(raw[lo:hi], "little") for lo, hi in zip(bounds, bounds[1:])]
+def _pack(m: BitMatrix) -> list[int]:
+    """Each row of *m* as one Python integer, bit j = column j."""
+    nbytes = (m.cols + 7) >> 3
+    rows, cols = m.nonzero()
+    flags = np.zeros(8 * nbytes * m.rows, dtype=bool)
+    flags[8 * nbytes * rows + cols] = True
+    raw = np.packbits(flags, bitorder="little").tobytes()
+    return [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") for i in range(m.rows)]
 
 
 def _unpack(ints: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -226,7 +231,7 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     keys = [np.repeat(one, lengths) * b.cols + copied]
     many = np.flatnonzero(picks > 1)
     if many.size:
-        row = _pack(*b.nonzero(), np.full(b.rows, (b.cols + 7) >> 3)).__getitem__
+        row = _pack(b).__getitem__
         sel, bounds = a.indices.tolist(), a.indptr.tolist()
         owner, cols = _unpack(
             reduce(xor, map(row, sel[bounds[i] : bounds[i + 1]])) for i in many.tolist()
@@ -263,11 +268,12 @@ def _components(m: BitMatrix) -> np.ndarray:
     pointers until every column points at a root, and hooks every root
     onto the smallest root it shares an entry with.
     """
+    idx = np.int32 if m.cols < 2**31 else np.int64
     lengths = np.diff(m.indptr)
     live = lengths > 0
-    starts = np.repeat(m.indices[m.indptr[:-1][live]], lengths[live])
-    ends = m.indices
-    parent = np.arange(m.cols)
+    ends = m.indices.astype(idx)
+    starts = np.repeat(ends[m.indptr[:-1][live]], lengths[live])
+    parent = np.arange(m.cols, dtype=idx)
     np.minimum.at(parent, ends, starts)
     while True:
         while True:
@@ -284,91 +290,307 @@ def _components(m: BitMatrix) -> np.ndarray:
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
 
 
-class _Echelon:
-    """Echelon pivots of a matrix, eliminated component by component.
+def _rank_within(labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Position of each element among the earlier elements with its label."""
+    order = np.argsort(labels, kind="stable")
+    out = np.empty_like(labels)
+    out[order] = np.arange(labels.size, dtype=labels.dtype) - (np.cumsum(counts) - counts)[
+        labels[order]
+    ]
+    return out
 
-    Columns are laid out component by component, each in its original
-    order; a pivot is keyed by the layout position of its leading column
-    and carries the combination of its component's rows that produced it
-    (bit i = the component's i-th row).
+
+def _words(bits: int) -> int:
+    return (bits + 63) >> 6
+
+
+_ONE = np.uint64(1)
+
+# Entries that one pass of _Reduced._fill turns into words.  Its index
+# arrays cost about 40 bytes an entry, so a dense system fills in passes.
+_FILL_ENTRIES = 2**16
+
+
+def _set_bits(words: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and position of every set bit below *bits* in a (rows x words) uint64 array."""
+    # Little-endian words, so that byte k holds bits 8k to 8k + 7 on any machine.
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.nonzero(np.unpackbits(raw, axis=1, count=bits, bitorder="little"))
+
+
+class _Group:
+    """Components of one size class, brought to reduced row echelon form in lockstep.
+
+    ``a`` is a (components x rows x words) uint64 array.  The first
+    ``column_words`` words of a row hold its bits over its component's
+    columns (bit j = the component's j-th column, bit j % 64 of word
+    j // 64); the rest hold the combination of the component's rows that
+    produced it (bit i = the component's i-th row), which starts as the
+    identity.  Components with fewer rows than the group are padded with
+    zero rows.
+
+    Gauss-Jordan elimination takes the columns in order.  For column j,
+    every component picks its first row that holds bit j and is no pivot
+    yet, and that row is XORed into every other row of the component
+    that holds bit j, all components in one pass.  Afterwards bit j of a
+    pivot column is set in its pivot row alone.  ``pivot[k, j]`` is the
+    pivot row of column j in component k, or -1.
+    """
+
+    def __init__(self, a: np.ndarray, width: int, column_words: int) -> None:
+        self.a, self.column_words = a, column_words
+        comps, rows, _ = a.shape
+        self.pivot = pivot = np.full((comps, width), -1, dtype=np.int32)
+        free = np.ones((comps, rows), dtype=bool)
+        every = np.arange(comps)
+        for j in range(width):
+            word = j >> 6
+            held = (a[:, :, word] & (_ONE << np.uint64(j & 63))) != 0
+            candidates = held & free
+            at = candidates.argmax(axis=1)
+            found = candidates[every, at]
+            if not found.any():
+                continue
+            pivot[:, j] = np.where(found, at, -1)
+            free[every, at] &= ~found
+            held[every, at] = False
+            held &= found[:, None]
+            # A pivot row holds no bits before its word: XOR from there on.
+            pivots = a[every, at, word:]
+            comp, row = np.nonzero(held)
+            a[comp, row, word:] ^= pivots[comp]
+        self.rank = int(np.count_nonzero(pivot >= 0))
+
+    def reduce(self, slots: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Reduce the word rows *e* in place, row i over the columns of component slots[i].
+
+        Returns whether each row is outside its component's row space,
+        and the combination words of the pivot rows that reduce it.  In
+        reduced form a row takes the pivot row of every pivot column it
+        holds, and taking one leaves its bits at the other pivot columns
+        as they were.
+        """
+        for j in range(self.pivot.shape[1]):
+            word = j >> 6
+            at = self.pivot[slots, j]
+            hit = np.flatnonzero(((e[:, word] & (_ONE << np.uint64(j & 63))) != 0) & (at >= 0))
+            if hit.size:
+                e[hit, word:] ^= self.a[slots[hit], at[hit], word:]
+        return e[:, : self.column_words].any(axis=1), e[:, self.column_words :]
+
+
+class _Reduced:
+    """Reduced row echelon form of a matrix, eliminated component by component.
+
+    The components with rows are grouped by size class, the classes of
+    their width and of their row count: 1, 2 to 4, 5 to 16, and so on by
+    powers of four.  Each group is one _Group, so a group pads its rows
+    at most fourfold and few groups cover many small components.
+    Per-column and per-row tables use int32 indices while they fit.
     """
 
     def __init__(self, g: BitMatrix) -> None:
+        idx = np.int32 if max(g.rows, g.cols) < 2**31 else np.int64
         label = _components(g)
-        self.g_rows = g.rows
-        layout = np.argsort(label, kind="stable")
-        self.position = np.empty(g.cols, dtype=np.intp)
-        self.position[layout] = np.arange(g.cols)
-        self.label = label
-        self.width = np.bincount(label, minlength=g.cols)
-        row_lengths = np.diff(g.indptr)
-        live = np.flatnonzero(row_lengths)
-        comp = label[g.indices[g.indptr[live]]]
-        # Rows grouped by component, in row order within each.
-        by_comp = np.argsort(comp, kind="stable")
-        self.row_count = np.bincount(comp, minlength=g.cols)
-        self.row_start = np.concatenate([[0], np.cumsum(self.row_count)])
-        self.comp_rows = live[by_comp]
-        local_row = np.empty(live.size, dtype=np.intp)
-        local_row[by_comp] = np.arange(live.size) - self.row_start[comp[by_comp]]
-        rows = self._packed(np.repeat(np.arange(live.size), row_lengths[live]), g.indices, comp)
-        self.pivots = pivots = {}
-        get = pivots.get
-        for r, base, i in zip(rows, self.position[comp].tolist(), local_row.tolist()):
-            combo = 1 << i
-            while r:
-                key = base + (r & -r).bit_length() - 1
-                hit = get(key)
-                if hit is None:
-                    pivots[key] = (r, combo)
-                    break
-                r ^= hit[0]
-                combo ^= hit[1]
+        root = label == np.arange(g.cols, dtype=idx)
+        self.comps = comps = int(np.count_nonzero(root))
+        self.comp_of_col = comp_of_col = np.cumsum(root, dtype=idx)[label] - 1
+        del label, root
+        width = np.bincount(comp_of_col, minlength=comps).astype(idx)
+        self.local_col = _rank_within(comp_of_col, width)
+        live = np.flatnonzero(np.diff(g.indptr)).astype(idx)
+        row_comp = comp_of_col[g.indices[g.indptr[live]]]
+        row_count = np.bincount(row_comp, minlength=comps).astype(idx)
+        local_row = _rank_within(row_comp, row_count)
+        # The g row of component k's i-th row is comp_rows[row_start[k] + i].
+        self.row_start = np.cumsum(row_count, dtype=idx) - row_count
+        self.comp_rows = np.empty_like(live)
+        self.comp_rows[self.row_start[row_comp] + local_row] = live
+        with_rows = np.flatnonzero(row_count).astype(idx)
+        # frexp(x - 1)[1] is the bit length of x - 1: a class spans 1, 2 to 4, 5 to 16, ...
+        size_class = (np.frexp(width[with_rows] - 1)[1] + 1) // 2 * 64 + (
+            np.frexp(row_count[with_rows] - 1)[1] + 1
+        ) // 2
+        classes, of_class = np.unique(size_class, return_inverse=True)
+        del size_class
+        of_class = of_class.astype(idx)
+        self.group = np.full(comps, -1, dtype=idx)
+        self.group[with_rows] = of_class
+        self.slot = np.zeros(comps, dtype=idx)
+        self.slot[with_rows] = _rank_within(of_class, np.bincount(of_class))
+        row_group = self.group[row_comp]
+        self.groups = []
+        for i in range(classes.size):
+            members = with_rows[of_class == i]
+            mine = np.flatnonzero(row_group == i)
+            rows = int(row_count[members].max())
+            span = int(width[members].max())
+            cw = _words(span)
+            a = np.zeros((members.size * rows, cw + _words(rows)), dtype=np.uint64)
+            owner = self.slot[row_comp[mine]].astype(np.int64) * rows + local_row[mine]
+            starts = g.indptr[live[mine]]
+            self._fill(a, g.indices, starts, g.indptr[live[mine] + 1] - starts, owner)
+            local = local_row[mine]
+            a[owner, cw + (local >> 6)] = _ONE << (local & 63).astype(np.uint64)
+            self.groups.append(_Group(a.reshape(members.size, rows, -1), span, cw))
+        self.rank = sum(group.rank for group in self.groups)
 
-    def _packed(self, pieces: np.ndarray, cols: np.ndarray, comp: np.ndarray) -> list[int]:
-        """One integer per piece, over the columns of its component *comp*.
+    def _fill(self, out, cols, starts, count, owner) -> None:
+        """Set the bits of cols[starts[i]:starts[i] + count[i]] in row owner[i] of *out*.
 
-        Piece pieces[i] has a one in column cols[i]; bit j is the
-        component's j-th column.
+        *out* is a (rows x words) uint64 array and a column's bit is its
+        position within its component.  Each run of columns is sorted and
+        lies in one component, so the bits of one word are consecutive
+        and one OR-reduction per word sets them.
         """
-        bits = self.position[cols] - self.position[self.label[cols]]
-        return _pack(pieces, bits, (self.width[comp] + 7) >> 3)
+        flat = out.reshape(-1)
+        words = out.shape[1]
+        ends = np.cumsum(count)
+        total = int(ends[-1]) if ends.size else 0
+        cuts = np.searchsorted(ends, np.arange(_FILL_ENTRIES, total, _FILL_ENTRIES))
+        bounds = [0, *cuts.tolist(), count.size]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo == hi:
+                continue
+            at = _ragged_arange(starts[lo:hi], count[lo:hi])
+            pos = self.local_col[cols[at]]
+            key = np.repeat(owner[lo:hi].astype(np.int64) * words, count[lo:hi]) + (pos >> 6)
+            first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+            flat[key[first]] = np.bitwise_or.reduceat(_ONE << (pos & 63).astype(np.uint64), first)
 
-    def decoder(self, e: BitMatrix) -> BitMatrix | None:
-        """R with R @ g == e, or None when some row of e is outside g's row space.
+    def decode(self, e: BitMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entries (e row, g row) of a decoder R, and the rows of e outside g's row space.
 
-        Each row of e is split into its pieces in each component; every
-        piece must reduce to zero, and the combinations that reduce the
-        pieces of a row make up its decoder row.
+        Each row of e is split into its pieces in each component.  A row
+        is in the row space when every piece is; the combinations that
+        reduce its pieces make up its decoder row.  Failing rows get no
+        entries.
         """
         rows, cols = e.nonzero()
-        base = self.position[self.label[cols]]
-        key = rows * e.cols + base
-        order = np.argsort(key, kind="stable")
-        rows, cols, base = rows[order], cols[order], base[order]
-        first = np.flatnonzero(np.diff(key[order], prepend=-1))
-        comp = self.label[cols[first]]
-        pieces = np.repeat(np.arange(first.size), np.diff(first, append=rows.size))
-        combos = []
-        get = self.pivots.get
-        for r, b in zip(self._packed(pieces, cols, comp), base[first].tolist()):
-            combo = 0
-            while r:
-                hit = get(b + (r & -r).bit_length() - 1)
-                if hit is None:
-                    return None
-                r ^= hit[0]
-                combo ^= hit[1]
-            combos.append(combo)
-        # Unpack the combinations into the rows of g they select.
-        owner, local = _unpack(combos)
-        picked = self.comp_rows[self.row_start[comp[owner]] + local]
-        return BitMatrix.from_entries(rows[first[owner]], picked, (e.rows, self.g_rows))
+        comp = self.comp_of_col[cols]
+        key = rows * self.comps + comp
+        if np.any(key[1:] < key[:-1]):
+            order = np.argsort(key, kind="stable")
+            rows, cols, comp, key = rows[order], cols[order], comp[order], key[order]
+        # Piece p holds the entries first[p] to first[p] + count[p] - 1.
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        count = np.diff(first, append=key.size)
+        del key
+        piece_row, piece_comp = rows[first], comp[first]
+        del rows, comp
+        piece_group = self.group[piece_comp]
+        # A piece over columns that no row of g touches is outside the row space.
+        failed = piece_group < 0
+        out_rows, out_cols = [], []
+        for i, group in enumerate(self.groups):
+            mine = np.flatnonzero(piece_group == i)
+            pieces = np.zeros((mine.size, group.a.shape[2]), dtype=np.uint64)
+            self._fill(pieces, cols, first[mine], count[mine], np.arange(mine.size))
+            bad, combos = group.reduce(self.slot[piece_comp[mine]], pieces)
+            failed[mine] = bad
+            owner, bit = _set_bits(combos, group.a.shape[1])
+            good = ~bad[owner]
+            owner, bit = mine[owner[good]], bit[good]
+            out_rows.append(piece_row[owner])
+            out_cols.append(self.comp_rows[self.row_start[piece_comp[owner]] + bit])
+        failed_rows = piece_row[failed]
+        # Pieces come in row order, so a row's failing pieces are adjacent.
+        failed_rows = failed_rows[np.diff(failed_rows, prepend=-1) != 0]
+        if out_rows:
+            return np.concatenate(out_rows), np.concatenate(out_cols), failed_rows
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, failed_rows
+
+
+def _diagonal(mats: list[BitMatrix]) -> BitMatrix:
+    """The block-diagonal matrix with *mats* on its diagonal, in order."""
+    if len(mats) == 1:
+        return mats[0]
+    offsets = np.cumsum([0] + [m.indices.size for m in mats])
+    shifts = np.cumsum([0] + [m.cols for m in mats])
+    out = BitMatrix.__new__(BitMatrix)
+    out._set(
+        np.concatenate([[0]] + [m.indptr[1:] + off for m, off in zip(mats, offsets)]),
+        np.concatenate([m.indices + s for m, s in zip(mats, shifts)]),
+        shifts[-1],
+    )
+    return out
+
+
+class Solution(NamedTuple):
+    """One system's answer: a decoder R with R @ g == e, or None; the failing rows of e."""
+
+    decoder: BitMatrix | None
+    failed: np.ndarray  # sorted indices of the rows of e outside g's row space
+
+
+# Most entries of g and e that one block-diagonal solve takes.  Systems
+# are solved together up to this size, so that small ones share the
+# lockstep passes; a larger system is solved on its own, so that its
+# per-entry index arrays are not those of several systems at once.
+_BATCH_ENTRIES = 2**18
+
+
+def solve_each(systems: Iterable[tuple[BitMatrix, BitMatrix]]) -> list[Solution]:
+    """Solve R @ g == e for every (g, e), several systems as one block-diagonal system.
+
+    No row operation crosses a component, so no operation crosses a
+    system, and each system's verdict comes from its own failing rows.
+    Consecutive systems are stacked up to _BATCH_ENTRIES entries.
+    """
+    systems = list(systems)
+    mismatched = [(g.shape, e.shape) for g, e in systems if g.cols != e.cols]
+    if mismatched:
+        raise ValueError("dimension mismatch: g is {}, e is {}".format(*mismatched[0]))
+    out: list[Solution] = []
+    batch: list[tuple[BitMatrix, BitMatrix]] = []
+    size = 0
+    # Popped in order, so that each system is let go once its batch is solved.
+    systems.reverse()
+    while systems:
+        entries = sum(m.indices.size for m in systems[-1])
+        if batch and size + entries > _BATCH_ENTRIES:
+            out.extend(_solve_diagonal(batch))
+            size = 0
+        batch.append(systems.pop())
+        size += entries
+    if batch:
+        out.extend(_solve_diagonal(batch))
+    return out
+
+
+def _solve_diagonal(systems: list[tuple[BitMatrix, BitMatrix]]) -> list[Solution]:
+    """solve_each of *systems* as one block-diagonal system; empties the list."""
+    shapes = [(g.rows, e.rows) for g, e in systems]
+    g = _diagonal([g for g, _ in systems])
+    e = _diagonal([e for _, e in systems])
+    # The inputs live on only as their stacked copies, and those only while used.
+    systems.clear()
+    reduced = _Reduced(g)
+    del g
+    e_rows, g_rows, failed = reduced.decode(e)
+    del reduced, e
+    g_start = np.cumsum([0] + [height for height, _ in shapes])
+    e_start = np.cumsum([0] + [height for _, height in shapes])
+    order = np.lexsort((g_rows, e_rows))
+    e_rows, g_rows = e_rows[order], g_rows[order]
+    cuts = np.searchsorted(e_rows, e_start)
+    fail_cuts = np.searchsorted(failed, e_start)
+    out = []
+    for k, (g_height, e_height) in enumerate(shapes):
+        bad = failed[fail_cuts[k] : fail_cuts[k + 1]] - e_start[k]
+        decoder = None
+        if not bad.size:
+            span = slice(cuts[k], cuts[k + 1])
+            keys = (e_rows[span] - e_start[k]) * g_height + (g_rows[span] - g_start[k])
+            decoder = BitMatrix._from_keys(keys.astype(np.int64), (e_height, g_height))
+        out.append(Solution(decoder, bad))
+    return out
 
 
 def rank(a: BitMatrix) -> int:
     """Row rank over GF(2): the number of pivots; 0 for empty matrices."""
-    return len(_Echelon(a).pivots)
+    return _Reduced(a).rank
 
 
 def solve_left(g: BitMatrix, e: BitMatrix) -> BitMatrix | None:
@@ -376,8 +598,6 @@ def solve_left(g: BitMatrix, e: BitMatrix) -> BitMatrix | None:
 
     Elimination tracks, for every pivot row, the combination of original
     g rows that produced it; reducing a target row to zero yields its
-    decoder row directly.
+    decoder row directly.  See solve_each for several systems at once.
     """
-    if g.cols != e.cols:
-        raise ValueError(f"dimension mismatch: g is {g.shape}, e is {e.shape}")
-    return _Echelon(g).decoder(e)
+    return solve_each([(g, e)])[0].decoder

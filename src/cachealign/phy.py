@@ -24,6 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from collections import OrderedDict
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -38,6 +39,7 @@ __all__ = [
     "DemodError",
     "MonteCarloResult",
     "PhyConfig",
+    "CONSTELLATION_CACHE_BYTES",
     "MAX_ALPHABET",
     "MAX_TRIALS",
     "MC_CSV_HEADER",
@@ -61,6 +63,12 @@ NOISE_SIGMA = 1.0  # unit-variance additive Gaussian noise
 # fresh processes on a shared 2-core VM, Python 3.11, numpy 2.4).
 MAX_ALPHABET = 64
 
+# Most bytes that the cached constellations hold, counting each at its
+# full size: sorted values, point indices and decision cells, 40 bytes a
+# point.  A q = 64 entry takes about 41.6 MB (39.7 MiB), so three fit;
+# the cache also holds at most 64 entries of any size.
+CONSTELLATION_CACHE_BYTES = 128 * 2**20
+
 # Most Monte Carlo trials in one run.  A run holds a trials x 4 int64
 # symbol array and one user's float64 noise at a time: at 10^6 trials and
 # q = 2 it takes about 0.08 s, and the process peaks near 82 MB RSS
@@ -78,6 +86,13 @@ MC_CSV_HEADER = "P,trials,ser_user1,ser_user2,seed"
 def _is_integer(x) -> bool:
     # bool is an Integral, but True is no count.
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_seed(seed) -> int:
+    """*seed* as a Python int, refusing anything but a non-negative integer."""
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 class DemodError(ValueError):
@@ -199,6 +214,12 @@ class _Constellation:
         self.values, self.points = zip(*users)
         self.gap = min(int(np.diff(values).min()) for values in self.values)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the values, the point indices and the cells, built or not."""
+        arrays = sum(v.nbytes + p.nbytes for v, p in zip(self.values, self.points))
+        return arrays + sum(3 * 8 * v.size for v in self.values)
+
     def for_user(self, user: int) -> tuple[np.ndarray, np.ndarray]:
         """The user's sorted values and the index of the point at each position."""
         _check_user(user)
@@ -226,9 +247,43 @@ class _Constellation:
         return tables[0], tables[1]
 
 
-@lru_cache(maxsize=64)
-def _constellation(gains: tuple[Fraction, ...], q: int) -> _Constellation:
-    return _Constellation(gains, q)
+class _ConstellationCache:
+    """Constellations by (gains, q), the least recently used evicted first.
+
+    It holds at most 64 entries and CONSTELLATION_CACHE_BYTES bytes.  An
+    entry is counted at its full size from the start, its decision cells
+    included before they are built, so the cells that Monte Carlo builds
+    later never take the cache over its budget.
+    """
+
+    entries = 64
+
+    def __init__(self) -> None:
+        self._tables: OrderedDict[tuple, _Constellation] = OrderedDict()
+
+    def __call__(self, gains: tuple[Fraction, ...], q: int) -> _Constellation:
+        key = (gains, q)
+        table = self._tables.get(key)
+        if table is not None:
+            self._tables.move_to_end(key)
+            return table
+        table = self._tables[key] = _Constellation(gains, q)
+        while len(self._tables) > 1 and (
+            len(self._tables) > self.entries or self.nbytes > CONSTELLATION_CACHE_BYTES
+        ):
+            self._tables.popitem(last=False)
+        return table
+
+    @property
+    def nbytes(self) -> int:
+        """Full size of the cached entries, built cells or not."""
+        return sum(table.nbytes for table in self._tables.values())
+
+    def cache_clear(self) -> None:
+        self._tables.clear()
+
+
+_constellation = _ConstellationCache()
 
 
 def _certified(cfg: PhyConfig) -> _Constellation:
@@ -389,6 +444,7 @@ def monte_carlo(cfg: PhyConfig, trials: int, seed: int) -> MonteCarloResult:
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
+    seed = _check_seed(seed)
     if cfg.power is None:
         raise ValueError("config has no power budget set")
     q = cfg.q

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf2 import BitMatrix, _as_bits, mat_mul, solve_left, vstack
+from .gf2 import BitMatrix, _as_bits, mat_mul, solve_each, solve_left, vstack
 from .netchannel import Demand, observe
 from .schemes import LinearScheme, file_selector
 
@@ -55,30 +55,39 @@ def observation_matrix(s: LinearScheme, d: Demand, user: int) -> BitMatrix:
     return _observations(s, user, _messages(s, d))
 
 
-def _witness(s: LinearScheme, d: Demand, user: int, messages) -> BitMatrix | None:
-    target = file_selector(s.n, d.requested(user))
-    return solve_left(_observations(s, user, messages), target)
+def _system(s: LinearScheme, d: Demand, user: int, messages) -> tuple[BitMatrix, BitMatrix]:
+    # The user's observations and the selector of the file it requests.
+    return _observations(s, user, messages), file_selector(s.n, d.requested(user))
 
 
 def decodable(s: LinearScheme, d: Demand, user: int) -> BitMatrix | None:
     """Decoder matrix witnessing recoverability of the demanded file, else None."""
-    return _witness(s, d, user, _messages(s, d))
+    return solve_left(*_system(s, d, user, _messages(s, d)))
 
 
 def decoders(s: LinearScheme, d: Demand) -> tuple[BitMatrix | None, BitMatrix | None]:
-    """The :func:`decodable` witnesses of users 1 and 2, sharing one set of messages."""
+    """The :func:`decodable` witnesses of users 1 and 2, solved as one system."""
     messages = _messages(s, d)
-    return _witness(s, d, 1, messages), _witness(s, d, 2, messages)
+    one, two = solve_each(_system(s, d, user, messages) for user in (1, 2))
+    return one.decoder, two.decoder
 
 
 @dataclass(frozen=True)
 class CaseResult:
+    """One (demand, user) verdict; *missing* names the requested parts not recovered."""
+
     demand: Demand
     user: int
-    ok: bool
+    missing: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.missing
 
     def line(self) -> str:
-        return f"CASE {self.demand} {self.user} {'PASS' if self.ok else 'FAIL'}"
+        if self.ok:
+            return f"CASE {self.demand} {self.user} PASS"
+        return f"CASE {self.demand} {self.user} FAIL missing {','.join(self.missing)}"
 
 
 @dataclass(frozen=True)
@@ -103,11 +112,21 @@ class VerificationReport:
 
 
 def verify_all(s: LinearScheme) -> VerificationReport:
-    """Check all 4 demands x 2 users; pure, order-independent per case."""
+    """Check all 4 demands x 2 users, solved as one system; each case's verdict is its own.
+
+    Row i of a requested file's selector picks part i + 1 of the file, so
+    the failing rows of a case name the parts its user cannot recover.
+    """
+    keys = [(d, user) for d in Demand for user in (1, 2)]
+    # A generator, so that the solver can let each system go once it is stacked.
+    systems = (
+        _system(s, d, user, messages)
+        for d, messages in ((d, _messages(s, d)) for d in Demand)
+        for user in (1, 2)
+    )
     cases = tuple(
-        CaseResult(d, user, decoder is not None)
-        for d in Demand
-        for user, decoder in zip((1, 2), decoders(s, d))
+        CaseResult(d, user, tuple(f"{d.requested(user)}{i + 1}" for i in solution.failed.tolist()))
+        for (d, user), solution in zip(keys, solve_each(systems))
     )
     return VerificationReport(memory=s.memory, load=s.load, cases=cases)
 

@@ -325,6 +325,16 @@ class M13Edit:
         ),
         (["phy", "mc", "--gains", "2,3,5,7", "--power", "1_0", "--trials", "10"], "got '1_0'"),
         (["phy", "mc", "--gains", "2,3,5,7", "--power", "\u0663", "--trials", "10"], "a number"),
+        # numpy's own refusal of a negative seed does not name the seed.
+        (
+            ["phy", "mc", "--gains", "2,3,5,7", "--power", "100", "--trials", "10", "--seed", "-1"],
+            "seed must be a non-negative integer, got -1",
+        ),
+        (
+            ["e2e", "--scheme", M13Edit("n 3", "n 3"), "--demand", "AB", "--gains", "2,3,5,7"]
+            + ["--seed", "-1"],
+            "seed must be a non-negative integer, got -1",
+        ),
     ],
 )
 def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, argv, expected):

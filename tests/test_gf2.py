@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 import gf2_oracle as oracle
 from cachealign import BitMatrix, mat_mul, rank, solve_left, vstack
+from cachealign import gf2
+from cachealign.gf2 import solve_each
 
 
 def oracle_mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -366,3 +368,95 @@ def test_from_entries_keeps_odd_counts():
     for rows, cols in (([3], [0]), ([0], [4]), ([-1], [0]), ([0, 1], [0])):
         with pytest.raises(ValueError):
             BitMatrix.from_entries(rows, cols, (3, 4))
+
+
+# --- Several systems solved as one block-diagonal system -------------------
+
+
+def in_row_space(g: np.ndarray, row: np.ndarray) -> bool:
+    return oracle.rank(np.vstack([g, row[None]])) == oracle.rank(g)
+
+
+def check_solve_each(systems: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """solve_each against the dense reference, system by system and row by row."""
+    results = solve_each((BitMatrix(g), BitMatrix(e)) for g, e in systems)
+    assert len(results) == len(systems)
+    for (g, e), result in zip(systems, results):
+        failing = [i for i in range(e.shape[0]) if not in_row_space(g, e[i])]
+        assert result.failed.tolist() == failing
+        assert (result.decoder is None) == bool(failing) == (oracle.solve_left(g, e) is None)
+        if result.decoder is not None:
+            assert result.decoder.shape == (e.shape[0], g.shape[0])
+            assert np.array_equal(oracle.mat_mul(result.decoder.data, g), e)
+
+
+@st.composite
+def unsolvable_systems(draw):
+    """A system with a row of e over a column that no row of g touches."""
+    g, e = draw(systems())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = np.hstack([g, np.zeros((g.shape[0], 1), dtype=np.uint8)])
+    e = np.hstack([e, np.zeros((e.shape[0], 1), dtype=np.uint8)])
+    bad = rng.integers(0, 2, size=(1, g.shape[1]), dtype=np.uint8)
+    bad[0, -1] = 1
+    at = int(rng.integers(e.shape[0] + 1))
+    return g, np.vstack([e[:at], bad, e[at:]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(systems(), max_size=3), unsolvable_systems(), st.lists(systems(), max_size=3)
+)
+def test_solve_each_matches_per_case_oracle_verdicts(before, bad, after):
+    check_solve_each([*before, bad, *after])
+
+
+def test_solve_each_on_multiword_rows_and_combinations(monkeypatch):
+    # Components over more than 64 and 128 columns, with more than 64 and
+    # 128 rows, so that both the bits and the combinations span several
+    # words; the 400 x 400 system has more entries than one fill pass takes.
+    rng = np.random.default_rng(17)
+    cases = []
+    for kind, rows, cols in (
+        ("dense", 150, 70), ("dense", 70, 150), ("dense", 200, 200),
+        ("blocks", 260, 400), ("sparse", 130, 129), ("dense", 400, 400),
+    ):
+        g = with_cancelling_rows(rng, shaped_bits(rng, kind, rows, cols))
+        e = oracle.mat_mul(rng.integers(0, 2, size=(5, rows), dtype=np.uint8), g)
+        e[2] ^= rng.integers(0, 2, size=cols, dtype=np.uint8)
+        cases.append((g, e))
+        assert rank(BitMatrix(g)) == oracle.rank(g)
+    check_solve_each(cases)
+    # Batches of one system each, and all systems in one batch.
+    for limit in (1, 2**30):
+        monkeypatch.setattr(gf2, "_BATCH_ENTRIES", limit)
+        check_solve_each(cases)
+
+
+def test_solve_each_edge_shapes():
+    rng = np.random.default_rng(5)
+    g = shaped_bits(rng, "sparse", 6, 9)
+    g[:, [2, 7]] = 0
+    untouched = np.zeros((3, 9), dtype=np.uint8)
+    untouched[0, 2] = untouched[1, [2, 7]] = 1
+    untouched[2] = g[1] ^ g[4]
+    unit = np.zeros((1, 5), dtype=np.uint8)
+    unit[0, 3] = 1
+    check_solve_each(
+        [
+            (np.zeros((0, 5), dtype=np.uint8), np.zeros((2, 5), dtype=np.uint8)),
+            (np.zeros((0, 5), dtype=np.uint8), unit),
+            (np.zeros((0, 0), dtype=np.uint8), np.zeros((3, 0), dtype=np.uint8)),
+            (np.zeros((4, 0), dtype=np.uint8), np.zeros((0, 0), dtype=np.uint8)),
+            (g, np.zeros((0, 9), dtype=np.uint8)),
+            (g, untouched),
+        ]
+    )
+    assert solve_each([]) == []
+    with pytest.raises(ValueError, match=r"dimension mismatch: g is \(2, 3\), e is \(1, 4\)"):
+        solve_each(
+            [
+                (BitMatrix.identity(3), BitMatrix.identity(3)),
+                (BitMatrix.zeros(2, 3), BitMatrix.zeros(1, 4)),
+            ]
+        )

@@ -319,6 +319,29 @@ def builds(monkeypatch):
     phy._constellation.cache_clear()
 
 
+def test_constellation_cache_keeps_to_its_byte_budget():
+    # Eight certified q = 64 gain sets, each with the decision cells that
+    # Monte Carlo builds: about 41.6 MB apiece.  Before the budget, the
+    # cache held all eight.
+    phy._constellation.cache_clear()
+    try:
+        for k in range(8):
+            cfg = PhyConfig(1000 + k, 1, 1, 1000, q=64)
+            assert uniqueness_certificate(cfg)
+            table = phy._constellation(cfg.gains, cfg.q)
+            assert table.cells[0].shape == (3, 64 * 64 * 127)
+            held = 0
+            for cached in phy._constellation._tables.values():
+                held += sum(v.nbytes + p.nbytes for v, p in zip(cached.values, cached.points))
+                if "cells" in vars(cached):
+                    held += sum(cells.nbytes for cells in cached.cells)
+            assert held == phy._constellation.nbytes <= phy.CONSTELLATION_CACHE_BYTES
+        assert len(phy._constellation._tables) == phy.CONSTELLATION_CACHE_BYTES // table.nbytes
+        assert phy._constellation(cfg.gains, cfg.q) is table
+    finally:
+        phy._constellation.cache_clear()
+
+
 def test_e2e_builds_the_constellation_once(builds):
     scheme = scheme_for_memory(F(7, 10))
     rng = np.random.default_rng(5)
@@ -416,6 +439,10 @@ def test_monte_carlo_requires_power_and_trials(monkeypatch):
             monte_carlo(PhyConfig(2, 3, 5, 7, power=1.0), trials=trials, seed=0)
     with pytest.raises(ValueError, match="uniqueness certificate"):
         monte_carlo(PhyConfig(1, 1, 1, 1, power=1.0), trials=10, seed=0)
+    # numpy would raise TypeError for 1.5 and "3", and run True as seed 1.
+    for seed in (1.5, "3", True, -1, None):
+        with pytest.raises(ValueError, match=rf"seed must be a non-negative integer, got {seed!r}"):
+            monte_carlo(PhyConfig(2, 3, 5, 7, power=1.0), trials=10, seed=seed)
 
 
 gain = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 12))

@@ -11,9 +11,13 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import gf2_oracle as oracle
+from cachealign import verifier
 from cachealign import (
     BitMatrix,
     Demand,
@@ -27,7 +31,10 @@ from cachealign import (
     scheme_for_memory,
     verify_all,
     vstack,
+    write_scheme,
 )
+from cachealign.gf2 import solve_each
+from cachealign.netchannel import observe
 
 F = Fraction
 ALL_CASES = [(d, user) for d in Demand for user in (1, 2)]
@@ -221,3 +228,71 @@ def test_certification_imports_no_scipy():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_fail_lines_name_the_parts_the_xor_block_carried(monkeypatch):
+    # Independent bit pipes: without the XOR block each user sees only its
+    # two direct messages.  The parts a case then misses are those outside
+    # the span of its cache and direct blocks, found here by the dense
+    # reference; every one of them came through the XOR block.
+    carried = {}
+    for name in ("M13", "M45"):
+        scheme = corner_scheme(name)
+        for demand, user in ALL_CASES:
+            direct = observation_matrix(scheme, demand, user).data[: -scheme.message_rows]
+            selector = file_selector(scheme.n, demand.requested(user)).data
+            carried[name, demand, user] = tuple(
+                f"{demand.requested(user)}{i + 1}"
+                for i, row in enumerate(selector)
+                if oracle.rank(np.vstack([direct, row[None]])) > oracle.rank(direct)
+            )
+    monkeypatch.setattr(verifier, "observe", lambda user, *messages: observe(user, *messages)[:2])
+    for name in ("M13", "M45"):
+        report = verify_all(corner_scheme(name))
+        assert not report.passed
+        for case in report.cases:
+            missing = carried[name, case.demand, case.user]
+            assert missing and case.missing == missing
+            assert case.line() == f"CASE {case.demand} {case.user} FAIL missing {','.join(missing)}"
+    assert "CASE AB 1 FAIL missing A1" in verify_all(corner_scheme("M13")).render()
+    assert verify_all(corner_scheme("M0")).passed
+
+
+# Built schemes at four granularities, one memory value per segment of the
+# curve, and the sha256 of write_scheme's text for the smaller two
+# granularities, recorded before elimination moved to word rows.
+BUILT = {
+    F(93, 557): "1dcf7ba8ad3064a0616bea5ca235fc97840b08599e07cf9ad4e6d7a3e2a7bf50",
+    F(314, 557): "56fd46c27c84a89fd7336534e306094910d5f27f9cd540b2e214f01dd5fc7507",
+    F(778, 557): "9fb4de8d36b9904229e958bbb0a04ad96a06a083d58cb5f84a41ef5f4b09ddce",
+    F(96, 571): "adb78abaaea645a948162ca0ed46dac530e8c98c4280d6065844281288b80e78",
+    F(649, 1142): "a34a8c8c50bf73deeec7543a46f603b431fda6d05a84107d36ebaf63ed0809b2",
+    F(797, 571): "2727f3963b1b9b87ed40eeab398853b8b62af2603455f3536d7173898602d8c5",
+    F(355, 2127): None,
+    F(1199, 2127): None,
+    F(994, 709): None,
+    F(683, 4093): None,
+    F(2321, 4093): None,
+    F(5732, 4093): None,
+}
+
+
+@pytest.mark.parametrize("memory", list(BUILT))
+def test_built_schemes_certify_with_witnesses(memory):
+    scheme = scheme_for_memory(memory)
+    assert scheme.n in (557, 1142, 2127, 4093)
+    report = verify_all(scheme)
+    assert report.passed and [case.line() for case in report.cases] == [
+        f"CASE {d} {user} PASS" for d, user in ALL_CASES
+    ]
+    systems = [
+        (observation_matrix(scheme, d, user), file_selector(scheme.n, d.requested(user)))
+        for d, user in ALL_CASES
+    ]
+    rng = np.random.default_rng(scheme.n)
+    bits = rng.integers(0, 2, size=2 * scheme.n, dtype=np.uint8)
+    for (d, user), (g, e), solution in zip(ALL_CASES, systems, solve_each(systems)):
+        assert mat_mul(solution.decoder, g) == e
+        assert np.array_equal(decode_bits(scheme, d, user, bits), e.apply(bits))
+    if BUILT[memory] is not None:
+        assert hashlib.sha256(write_scheme(scheme).encode()).hexdigest() == BUILT[memory]
