@@ -307,8 +307,9 @@ def _words(bits: int) -> int:
 _ONE = np.uint64(1)
 
 # Entries that one pass of _Reduced._fill turns into words.  Its index
-# arrays cost about 40 bytes an entry, so a dense system fills in passes.
-_FILL_ENTRIES = 2**16
+# arrays cost about 40 bytes an entry, so larger groups fill in passes;
+# a certification at n of about 700 holds 8 * 2500 entries.
+_FILL_ENTRIES = 2**12
 
 
 def _set_bits(words: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -536,24 +537,23 @@ def solve_each(systems: Iterable[tuple[BitMatrix, BitMatrix]]) -> list[Solution]
 
     No row operation crosses a component, so no operation crosses a
     system, and each system's verdict comes from its own failing rows.
-    Consecutive systems are stacked up to _BATCH_ENTRIES entries.
+    Consecutive systems are stacked up to _BATCH_ENTRIES entries, and
+    *systems* is read only as far as the batch being solved.
     """
-    systems = list(systems)
-    mismatched = [(g.shape, e.shape) for g, e in systems if g.cols != e.cols]
-    if mismatched:
-        raise ValueError("dimension mismatch: g is {}, e is {}".format(*mismatched[0]))
     out: list[Solution] = []
     batch: list[tuple[BitMatrix, BitMatrix]] = []
     size = 0
-    # Popped in order, so that each system is let go once its batch is solved.
-    systems.reverse()
-    while systems:
-        entries = sum(m.indices.size for m in systems[-1])
+    for g, e in systems:
+        if g.cols != e.cols:
+            raise ValueError(f"dimension mismatch: g is {g.shape}, e is {e.shape}")
+        entries = g.indices.size + e.indices.size
         if batch and size + entries > _BATCH_ENTRIES:
             out.extend(_solve_diagonal(batch))
             size = 0
-        batch.append(systems.pop())
+        batch.append((g, e))
         size += entries
+    # The last system lives on only in its batch, which the solve lets go.
+    g = e = None
     if batch:
         out.extend(_solve_diagonal(batch))
     return out

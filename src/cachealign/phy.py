@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from collections import OrderedDict
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -36,10 +36,10 @@ from .schemes import LinearScheme
 from .verifier import decoders, message_bits, observed_bits
 
 __all__ = [
+    "CONSTELLATION_CACHE_BYTES",
     "DemodError",
     "MonteCarloResult",
     "PhyConfig",
-    "CONSTELLATION_CACHE_BYTES",
     "MAX_ALPHABET",
     "MAX_TRIALS",
     "MC_CSV_HEADER",

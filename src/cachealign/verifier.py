@@ -111,6 +111,14 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _all_systems(s: LinearScheme):
+    # Lazily, so that the solver builds each system only when it takes it.
+    for d in Demand:
+        messages = _messages(s, d)
+        for user in (1, 2):
+            yield _system(s, d, user, messages)
+
+
 def verify_all(s: LinearScheme) -> VerificationReport:
     """Check all 4 demands x 2 users, solved as one system; each case's verdict is its own.
 
@@ -118,15 +126,9 @@ def verify_all(s: LinearScheme) -> VerificationReport:
     the failing rows of a case name the parts its user cannot recover.
     """
     keys = [(d, user) for d in Demand for user in (1, 2)]
-    # A generator, so that the solver can let each system go once it is stacked.
-    systems = (
-        _system(s, d, user, messages)
-        for d, messages in ((d, _messages(s, d)) for d in Demand)
-        for user in (1, 2)
-    )
     cases = tuple(
         CaseResult(d, user, tuple(f"{d.requested(user)}{i + 1}" for i in solution.failed.tolist()))
-        for (d, user), solution in zip(keys, solve_each(systems))
+        for (d, user), solution in zip(keys, solve_each(_all_systems(s)))
     )
     return VerificationReport(memory=s.memory, load=s.load, cases=cases)
 
