@@ -300,6 +300,14 @@ def _rank_within(labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first of each run of equal neighbouring keys."""
+    starts = np.empty(keys.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts.nonzero()[0]
+
+
 def _words(bits: int) -> int:
     return (bits + 63) >> 6
 
@@ -350,12 +358,16 @@ class _Group:
             candidates = held & free
             at = candidates.argmax(axis=1)
             found = candidates[every, at]
-            if not found.any():
+            if found.all():
+                pivot[:, j] = at
+                free[every, at] = False
+            elif found.any():
+                pivot[:, j] = np.where(found, at, -1)
+                free[every, at] &= ~found
+                held &= found[:, None]
+            else:
                 continue
-            pivot[:, j] = np.where(found, at, -1)
-            free[every, at] &= ~found
             held[every, at] = False
-            held &= found[:, None]
             # A pivot row holds no bits before its word: XOR from there on.
             pivots = a[every, at, word:]
             comp, row = np.nonzero(held)
@@ -374,7 +386,7 @@ class _Group:
         for j in range(self.pivot.shape[1]):
             word = j >> 6
             at = self.pivot[slots, j]
-            hit = np.flatnonzero(((e[:, word] & (_ONE << np.uint64(j & 63))) != 0) & (at >= 0))
+            hit = (((e[:, word] & (_ONE << np.uint64(j & 63))) != 0) & (at >= 0)).nonzero()[0]
             if hit.size:
                 e[hit, word:] ^= self.a[slots[hit], at[hit], word:]
         return e[:, : self.column_words].any(axis=1), e[:, self.column_words :]
@@ -384,7 +396,7 @@ class _Reduced:
     """Reduced row echelon form of a matrix, eliminated component by component.
 
     The components with rows are grouped by size class, the classes of
-    their width and of their row count: 1, 2 to 4, 5 to 16, and so on by
+    their width and of their row count: 1 to 4, 5 to 16, and so on by
     powers of four.  Each group is one _Group, so a group pads its rows
     at most fourfold and few groups cover many small components.
     Per-column and per-row tables use int32 indices while they fit.
@@ -399,7 +411,7 @@ class _Reduced:
         del label, root
         width = np.bincount(comp_of_col, minlength=comps).astype(idx)
         self.local_col = _rank_within(comp_of_col, width)
-        live = np.flatnonzero(np.diff(g.indptr)).astype(idx)
+        live = (g.indptr[1:] != g.indptr[:-1]).nonzero()[0].astype(idx)
         row_comp = comp_of_col[g.indices[g.indptr[live]]]
         row_count = np.bincount(row_comp, minlength=comps).astype(idx)
         local_row = _rank_within(row_comp, row_count)
@@ -407,23 +419,24 @@ class _Reduced:
         self.row_start = np.cumsum(row_count, dtype=idx) - row_count
         self.comp_rows = np.empty_like(live)
         self.comp_rows[self.row_start[row_comp] + local_row] = live
-        with_rows = np.flatnonzero(row_count).astype(idx)
-        # frexp(x - 1)[1] is the bit length of x - 1: a class spans 1, 2 to 4, 5 to 16, ...
-        size_class = (np.frexp(width[with_rows] - 1)[1] + 1) // 2 * 64 + (
-            np.frexp(row_count[with_rows] - 1)[1] + 1
-        ) // 2
-        classes, of_class = np.unique(size_class, return_inverse=True)
-        del size_class
-        of_class = of_class.astype(idx)
+        with_rows = row_count.nonzero()[0].astype(idx)
+        # frexp(x - 1)[1] is the bit length of x - 1: a class spans 1 to 4, 5 to 16, ...
+        bits = np.frexp(np.stack([width[with_rows], row_count[with_rows]]) - 1)[1]
+        width_class, rows_class = np.maximum(bits - 1, 0) // 2
+        size_class = width_class * 64 + rows_class
+        present = np.bincount(size_class) > 0
+        classes = int(present.sum())
+        of_class = (present.cumsum(dtype=idx) - 1)[size_class]
+        del size_class, present
         self.group = np.full(comps, -1, dtype=idx)
         self.group[with_rows] = of_class
         self.slot = np.zeros(comps, dtype=idx)
         self.slot[with_rows] = _rank_within(of_class, np.bincount(of_class))
         row_group = self.group[row_comp]
         self.groups = []
-        for i in range(classes.size):
+        for i in range(classes):
             members = with_rows[of_class == i]
-            mine = np.flatnonzero(row_group == i)
+            mine = (row_group == i).nonzero()[0]
             rows = int(row_count[members].max())
             span = int(width[members].max())
             cw = _words(span)
@@ -446,7 +459,7 @@ class _Reduced:
         """
         flat = out.reshape(-1)
         words = out.shape[1]
-        ends = np.cumsum(count)
+        ends = count.cumsum()
         total = int(ends[-1]) if ends.size else 0
         cuts = np.searchsorted(ends, np.arange(_FILL_ENTRIES, total, _FILL_ENTRIES))
         bounds = [0, *cuts.tolist(), count.size]
@@ -455,8 +468,8 @@ class _Reduced:
                 continue
             at = _ragged_arange(starts[lo:hi], count[lo:hi])
             pos = self.local_col[cols[at]]
-            key = np.repeat(owner[lo:hi].astype(np.int64) * words, count[lo:hi]) + (pos >> 6)
-            first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+            key = (owner[lo:hi].astype(np.int64) * words).repeat(count[lo:hi]) + (pos >> 6)
+            first = _run_starts(key)
             flat[key[first]] = np.bitwise_or.reduceat(_ONE << (pos & 63).astype(np.uint64), first)
 
     def decode(self, e: BitMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -474,7 +487,7 @@ class _Reduced:
             order = np.argsort(key, kind="stable")
             rows, cols, comp, key = rows[order], cols[order], comp[order], key[order]
         # Piece p holds the entries first[p] to first[p] + count[p] - 1.
-        first = np.flatnonzero(np.diff(key, prepend=-1))
+        first = _run_starts(key)
         count = np.diff(first, append=key.size)
         del key
         piece_row, piece_comp = rows[first], comp[first]
@@ -484,7 +497,7 @@ class _Reduced:
         failed = piece_group < 0
         out_rows, out_cols = [], []
         for i, group in enumerate(self.groups):
-            mine = np.flatnonzero(piece_group == i)
+            mine = (piece_group == i).nonzero()[0]
             pieces = np.zeros((mine.size, group.a.shape[2]), dtype=np.uint64)
             self._fill(pieces, cols, first[mine], count[mine], np.arange(mine.size))
             bad, combos = group.reduce(self.slot[piece_comp[mine]], pieces)
@@ -496,7 +509,7 @@ class _Reduced:
             out_cols.append(self.comp_rows[self.row_start[piece_comp[owner]] + bit])
         failed_rows = piece_row[failed]
         # Pieces come in row order, so a row's failing pieces are adjacent.
-        failed_rows = failed_rows[np.diff(failed_rows, prepend=-1) != 0]
+        failed_rows = failed_rows[_run_starts(failed_rows)]
         if out_rows:
             return np.concatenate(out_rows), np.concatenate(out_cols), failed_rows
         empty = np.zeros(0, dtype=np.intp)

@@ -213,12 +213,8 @@ class _Constellation:
             users.append((values, order))
         self.values, self.points = zip(*users)
         self.gap = min(int(np.diff(values).min()) for values in self.values)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the values, the point indices and the cells, built or not."""
-        arrays = sum(v.nbytes + p.nbytes for v, p in zip(self.values, self.points))
-        return arrays + sum(3 * 8 * v.size for v in self.values)
+        # Bytes of the values, the point indices and the cells, built or not.
+        self.nbytes = sum(v.nbytes + p.nbytes + 3 * 8 * v.size for v, p in users)
 
     def for_user(self, user: int) -> tuple[np.ndarray, np.ndarray]:
         """The user's sorted values and the index of the point at each position."""
@@ -260,6 +256,7 @@ class _ConstellationCache:
 
     def __init__(self) -> None:
         self._tables: OrderedDict[tuple, _Constellation] = OrderedDict()
+        self.nbytes = 0  # full size of the cached entries, built cells or not
 
     def __call__(self, gains: tuple[Fraction, ...], q: int) -> _Constellation:
         key = (gains, q)
@@ -268,19 +265,16 @@ class _ConstellationCache:
             self._tables.move_to_end(key)
             return table
         table = self._tables[key] = _Constellation(gains, q)
+        self.nbytes += table.nbytes
         while len(self._tables) > 1 and (
             len(self._tables) > self.entries or self.nbytes > CONSTELLATION_CACHE_BYTES
         ):
-            self._tables.popitem(last=False)
+            self.nbytes -= self._tables.popitem(last=False)[1].nbytes
         return table
-
-    @property
-    def nbytes(self) -> int:
-        """Full size of the cached entries, built cells or not."""
-        return sum(table.nbytes for table in self._tables.values())
 
     def cache_clear(self) -> None:
         self._tables.clear()
+        self.nbytes = 0
 
 
 _constellation = _ConstellationCache()
