@@ -315,8 +315,8 @@ def _words(bits: int) -> int:
 _ONE = np.uint64(1)
 
 # Entries that one pass of _Reduced._fill turns into words.  Its index
-# arrays cost about 40 bytes an entry, so larger groups fill in passes;
-# a certification at n of about 700 holds 8 * 2500 entries.
+# arrays cost about 40 bytes an entry, so a pass holds about 160 KB of
+# them however large the group.
 _FILL_ENTRIES = 2**12
 
 
@@ -542,7 +542,7 @@ class Solution(NamedTuple):
 # are solved together up to this size, so that small ones share the
 # lockstep passes; a larger system is solved on its own, so that its
 # per-entry index arrays are not those of several systems at once.
-_BATCH_ENTRIES = 2**18
+_BATCH_ENTRIES = 2**16
 
 
 def solve_each(systems: Iterable[tuple[BitMatrix, BitMatrix]]) -> list[Solution]:
