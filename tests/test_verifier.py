@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import os
 import subprocess
@@ -10,8 +11,6 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
-
-import hashlib
 
 import numpy as np
 import pytest
