@@ -7,12 +7,13 @@ sorted and unique.  Empty shapes (0 x k, k x 0) are valid and act as
 empty linear maps, so degenerate cases (no cache rows, no delivery rows)
 need no special handling.
 
-Sums and stacks are index arithmetic on the entries: an entry that
-occurs an odd number of times survives, an even count cancels.  A
+Bits come in two formats: these sparse rows, and (rows x words) uint64
+arrays of word rows, bit j % 64 of word j // 64 standing for bit j of a
+row.  Sums and stacks are index arithmetic on the entries: an entry
+that occurs an odd number of times survives, an even count cancels.  A
 product row that selects one row of the right operand copies it; the
-other product rows XOR the right operand's rows, packed into Python
-integers (bit j = column j), so a dense product costs what it did on
-dense storage.
+other product rows XOR the right operand's word rows, so a dense
+product costs what it would on dense storage.
 
 Elimination first splits the columns into the connected components of
 the rows that share them, since no row operation crosses a component.
@@ -30,8 +31,6 @@ passes; the failing rows of each system give its own verdict.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import xor
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -73,29 +72,6 @@ def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenated ranges [start, start + length) for each pair."""
     ends = np.cumsum(lengths)
     return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
-
-
-def _pack(m: BitMatrix) -> list[int]:
-    """Each row of *m* as one Python integer, bit j = column j."""
-    nbytes = (m.cols + 7) >> 3
-    rows, cols = m.nonzero()
-    flags = np.zeros(8 * nbytes * m.rows, dtype=bool)
-    flags[8 * nbytes * rows + cols] = True
-    raw = np.packbits(flags, bitorder="little").tobytes()
-    return [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") for i in range(m.rows)]
-
-
-def _unpack(ints: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the integer and position of every set bit, integer by integer."""
-    chunks = [r.to_bytes((r.bit_length() + 63) >> 6 << 3, "little") for r in ints]
-    starts = np.cumsum([0, *map(len, chunks)]) >> 3
-    words = np.frombuffer(b"".join(chunks), dtype=np.uint64)
-    at = np.flatnonzero(words)
-    owner = np.searchsorted(starts, at, side="right") - 1
-    # Each word holds 8 little-endian bytes, whatever the machine's order.
-    hit = np.flatnonzero(np.unpackbits(words[at].view(np.uint8), bitorder="little"))
-    word = hit >> 6
-    return owner[word], 64 * (at - starts[owner])[word] + (hit & 63)
 
 
 class BitMatrix:
@@ -218,8 +194,10 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     Row i of the product is the XOR of the rows of *b* that the set
     entries of row i of *a* select.  A row that selects one row of *b*
     is a copy of it.  For rows that select more, the rows of *b* are
-    packed into Python integers (bit j = column j), so each selection
-    costs one integer XOR, however dense the operands.
+    filled into word rows once, and each such product row XORs the word
+    rows that it selects, so a selection costs one XOR per word however
+    dense the operands.  A pass gathers at most 5 * _FILL_ENTRIES words,
+    the bytes that a fill pass holds, so a row may span several passes.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
@@ -230,13 +208,34 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     copied = b.indices[_ragged_arange(b.indptr[src], lengths)]
     keys = [np.repeat(one, lengths) * b.cols + copied]
     many = np.flatnonzero(picks > 1)
-    if many.size:
-        row = _pack(b).__getitem__
-        sel, bounds = a.indices.tolist(), a.indptr.tolist()
-        owner, cols = _unpack(
-            reduce(xor, map(row, sel[bounds[i] : bounds[i + 1]])) for i in many.tolist()
-        )
-        keys.append(many[owner] * b.cols + cols)
+    words = _words(b.cols)
+    if many.size and words:
+        rows = np.zeros((b.rows, words), dtype=np.uint64)
+        every = np.arange(b.rows)
+        _fill(rows, b.indices, b.indptr[:-1], np.diff(b.indptr), every, np.arange(b.cols))
+        picks = picks[many]
+        sel = a.indices[_ragged_arange(a.indptr[many], picks)]
+        step = max(1, 5 * _FILL_ENTRIES // words)
+        lows = np.arange(0, sel.size, step)
+        # A run of one row's selections within one pass starts at the row's
+        # first selection or at the pass's first; pass k holds runs seg[k] on.
+        first = picks.cumsum() - picks
+        cuts = np.union1d(first, lows)
+        seg = [*np.searchsorted(cuts, lows).tolist(), cuts.size]
+        row = (np.searchsorted(first, lows, "right") - 1).tolist()
+        out = np.zeros((many.size, words), dtype=np.uint64)
+        for k, lo in enumerate(lows.tolist()):
+            runs = cuts[seg[k] : seg[k + 1]]
+            xors = np.bitwise_xor.reduceat(rows[sel[lo : lo + step]], runs - lo)
+            out[row[k] : row[k] + runs.size] ^= xors
+        del rows, sel
+        # Only the nonzero words are unpacked, as little-endian bytes, so that
+        # byte k holds bits 8k to 8k + 7 on any machine.
+        at = np.flatnonzero(out)
+        raw = out.reshape(-1)[at].astype("<u8").view(np.uint8)
+        hit = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+        word = at[hit >> 6]
+        keys.append(many[word // words] * b.cols + 64 * (word % words) + (hit & 63))
     return BitMatrix._from_keys(_odd_keys(np.concatenate(keys)), (a.rows, b.cols))
 
 
@@ -249,13 +248,15 @@ def vstack(mats: Iterable[BitMatrix]) -> BitMatrix:
     for m in mats[1:]:
         if m.cols != cols:
             raise ValueError(f"column mismatch in vstack: {m.cols} vs {cols}")
+    return _stack(mats, [m.indices for m in mats], cols)
+
+
+def _stack(mats: list[BitMatrix], indices: list[np.ndarray], cols: int) -> BitMatrix:
+    """The rows of *mats* in order, with indices[k] as the column indices of mats[k]."""
     offsets = np.cumsum([0] + [m.indices.size for m in mats])
     out = BitMatrix.__new__(BitMatrix)
-    out._set(
-        np.concatenate([[0]] + [m.indptr[1:] + off for m, off in zip(mats, offsets)]),
-        np.concatenate([m.indices for m in mats]),
-        cols,
-    )
+    indptr = np.concatenate([[0]] + [m.indptr[1:] + off for m, off in zip(mats, offsets)])
+    out._set(indptr, np.concatenate(indices), cols)
     return out
 
 
@@ -314,10 +315,36 @@ def _words(bits: int) -> int:
 
 _ONE = np.uint64(1)
 
-# Entries that one pass of _Reduced._fill turns into words.  Its index
-# arrays cost about 40 bytes an entry, so a pass holds about 160 KB of
-# them however large the group.
+# Entries that one pass of _fill turns into words.  Its index arrays
+# cost about 40 bytes an entry, so a pass holds about 160 KB of them
+# however large the matrix.  A pass of mat_mul's XOR rows gathers as
+# many bytes of word rows, 5 * _FILL_ENTRIES words.
 _FILL_ENTRIES = 2**12
+
+
+def _fill(out, cols, starts, count, owner, bit) -> None:
+    """Set the bits of cols[starts[i]:starts[i] + count[i]] in row owner[i] of *out*.
+
+    *out* is a (rows x words) uint64 array and column c sets bit bit[c]:
+    its position within its component for elimination, the column
+    itself for a product.  Each run of columns is sorted and its bits
+    are increasing, so the bits of one word are consecutive and one
+    OR-reduction per word sets them.
+    """
+    flat = out.reshape(-1)
+    words = out.shape[1]
+    ends = count.cumsum()
+    total = int(ends[-1]) if ends.size else 0
+    cuts = np.searchsorted(ends, np.arange(_FILL_ENTRIES, total, _FILL_ENTRIES))
+    bounds = [0, *cuts.tolist(), count.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo == hi:
+            continue
+        at = _ragged_arange(starts[lo:hi], count[lo:hi])
+        pos = bit[cols[at]]
+        key = (owner[lo:hi].astype(np.int64) * words).repeat(count[lo:hi]) + (pos >> 6)
+        first = _run_starts(key)
+        flat[key[first]] = np.bitwise_or.reduceat(_ONE << (pos & 63).astype(np.uint64), first)
 
 
 def _set_bits(words: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -443,34 +470,11 @@ class _Reduced:
             a = np.zeros((members.size * rows, cw + _words(rows)), dtype=np.uint64)
             owner = self.slot[row_comp[mine]].astype(np.int64) * rows + local_row[mine]
             starts = g.indptr[live[mine]]
-            self._fill(a, g.indices, starts, g.indptr[live[mine] + 1] - starts, owner)
+            _fill(a, g.indices, starts, g.indptr[live[mine] + 1] - starts, owner, self.local_col)
             local = local_row[mine]
             a[owner, cw + (local >> 6)] = _ONE << (local & 63).astype(np.uint64)
             self.groups.append(_Group(a.reshape(members.size, rows, -1), span, cw))
         self.rank = sum(group.rank for group in self.groups)
-
-    def _fill(self, out, cols, starts, count, owner) -> None:
-        """Set the bits of cols[starts[i]:starts[i] + count[i]] in row owner[i] of *out*.
-
-        *out* is a (rows x words) uint64 array and a column's bit is its
-        position within its component.  Each run of columns is sorted and
-        lies in one component, so the bits of one word are consecutive
-        and one OR-reduction per word sets them.
-        """
-        flat = out.reshape(-1)
-        words = out.shape[1]
-        ends = count.cumsum()
-        total = int(ends[-1]) if ends.size else 0
-        cuts = np.searchsorted(ends, np.arange(_FILL_ENTRIES, total, _FILL_ENTRIES))
-        bounds = [0, *cuts.tolist(), count.size]
-        for lo, hi in zip(bounds, bounds[1:]):
-            if lo == hi:
-                continue
-            at = _ragged_arange(starts[lo:hi], count[lo:hi])
-            pos = self.local_col[cols[at]]
-            key = (owner[lo:hi].astype(np.int64) * words).repeat(count[lo:hi]) + (pos >> 6)
-            first = _run_starts(key)
-            flat[key[first]] = np.bitwise_or.reduceat(_ONE << (pos & 63).astype(np.uint64), first)
 
     def decode(self, e: BitMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entries (e row, g row) of a decoder R, and the rows of e outside g's row space.
@@ -499,7 +503,7 @@ class _Reduced:
         for i, group in enumerate(self.groups):
             mine = (piece_group == i).nonzero()[0]
             pieces = np.zeros((mine.size, group.a.shape[2]), dtype=np.uint64)
-            self._fill(pieces, cols, first[mine], count[mine], np.arange(mine.size))
+            _fill(pieces, cols, first[mine], count[mine], np.arange(mine.size), self.local_col)
             bad, combos = group.reduce(self.slot[piece_comp[mine]], pieces)
             failed[mine] = bad
             owner, bit = _set_bits(combos, group.a.shape[1])
@@ -520,15 +524,8 @@ def _diagonal(mats: list[BitMatrix]) -> BitMatrix:
     """The block-diagonal matrix with *mats* on its diagonal, in order."""
     if len(mats) == 1:
         return mats[0]
-    offsets = np.cumsum([0] + [m.indices.size for m in mats])
     shifts = np.cumsum([0] + [m.cols for m in mats])
-    out = BitMatrix.__new__(BitMatrix)
-    out._set(
-        np.concatenate([[0]] + [m.indptr[1:] + off for m, off in zip(mats, offsets)]),
-        np.concatenate([m.indices + s for m, s in zip(mats, shifts)]),
-        shifts[-1],
-    )
-    return out
+    return _stack(mats, [m.indices + s for m, s in zip(mats, shifts)], shifts[-1])
 
 
 class Solution(NamedTuple):

@@ -95,6 +95,18 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
+def _positive_float(value, what: str) -> float:
+    """*value* as a float, refusing anything but a positive finite real number."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int or Fraction beyond the float range
+            number = math.inf
+        if math.isfinite(number) and number > 0:
+            return number
+    raise ValueError(f"{what} must be positive and finite, got {value!r}")
+
+
 class DemodError(ValueError):
     """Noiseless observation is not an enumerated constellation value."""
 
@@ -112,7 +124,16 @@ class PhyConfig:
 
     def __post_init__(self) -> None:
         for name in ("h11", "h12", "h21", "h22"):
-            gain = Fraction(getattr(self, name))
+            value = getattr(self, name)
+            try:
+                # bool is a Rational, but True is no gain.
+                gain = None if isinstance(value, bool) else Fraction(value)
+            except (ArithmeticError, TypeError, ValueError):
+                # Fraction raises OverflowError for an infinity, ValueError for
+                # NaN, ZeroDivisionError for "1/0" and TypeError for None.
+                gain = None
+            if gain is None:
+                raise ValueError(f"gain {name} must be a finite number, got {value!r}")
             if gain == 0:
                 raise ValueError(f"gain {name} must be nonzero")
             object.__setattr__(self, name, gain)
@@ -122,8 +143,8 @@ class PhyConfig:
         object.__setattr__(self, "q", int(self.q))
         if not 2 <= self.q <= MAX_ALPHABET:
             raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {self.q}")
-        if self.power is not None and not (math.isfinite(self.power) and self.power > 0):
-            raise ValueError(f"power must be positive and finite, got {self.power}")
+        if self.power is not None:
+            object.__setattr__(self, "power", _positive_float(self.power, "power"))
         # A received value is a sum of four products of two cleared gains,
         # each times a symbol below q; below this bound every value and
         # every gap between two values fits in int64.
@@ -390,8 +411,7 @@ def _transmit_peak(cfg: PhyConfig) -> int:
 
 def power_for_min_gap(cfg: PhyConfig, sigmas: float) -> float:
     """Power that puts the smallest received constellation gap at sigmas * noise."""
-    if not (math.isfinite(sigmas) and sigmas > 0):
-        raise ValueError(f"sigmas must be positive and finite, got {sigmas}")
+    sigmas = _positive_float(sigmas, "sigmas")
     return (sigmas * NOISE_SIGMA * _transmit_peak(cfg) / _certified(cfg).gap) ** 2
 
 
@@ -438,6 +458,8 @@ def monte_carlo(cfg: PhyConfig, trials: int, seed: int) -> MonteCarloResult:
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
+    # A numpy integer would make the rates numpy floats, which json refuses.
+    trials = int(trials)
     seed = _check_seed(seed)
     if cfg.power is None:
         raise ValueError("config has no power budget set")
@@ -451,7 +473,7 @@ def monte_carlo(cfg: PhyConfig, trials: int, seed: int) -> MonteCarloResult:
     forms = np.array([(q * span, 1, span, 1), (1, q * span, 1, span)])
     # The largest transmit point sits on the power budget (the average
     # power constraint follows a fortiori): noise deviation in integer units.
-    noise = NOISE_SIGMA * _transmit_peak(cfg) / float(cfg.power) ** 0.5
+    noise = NOISE_SIGMA * _transmit_peak(cfg) / cfg.power**0.5
     rates = []
     for cells, form in zip(tables, forms):
         z = rng.standard_normal(trials)
@@ -463,7 +485,7 @@ def monte_carlo(cfg: PhyConfig, trials: int, seed: int) -> MonteCarloResult:
         # One division of two exact integers: the mean of the error flags.
         rates.append((trials - right) / trials)
     return MonteCarloResult(
-        power=float(cfg.power),
+        power=cfg.power,
         trials=trials,
         ser_user1=rates[0],
         ser_user2=rates[1],

@@ -19,11 +19,12 @@ from cachealign.gf2 import solve_each
 def oracle_mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Entry-by-entry XOR-sum over all index triples."""
     out = np.zeros((a.rows, b.cols), dtype=np.uint8)
+    a_bits, b_bits = a.data.tolist(), b.data.tolist()
     for i in range(a.rows):
         for j in range(b.cols):
             acc = 0
             for k in range(a.cols):
-                acc ^= int(a.data[i, k]) & int(b.data[k, j])
+                acc ^= a_bits[i][k] & b_bits[k][j]
             out[i, j] = acc
     return BitMatrix(out)
 
@@ -91,9 +92,10 @@ def test_mat_mul_xor_arithmetic():
 def test_mat_mul_matches_bruteforce_oracle():
     rng = np.random.default_rng(42)
     cases = [(random_matrix(rng, 4, 4), random_matrix(rng, 4, 4)) for _ in range(25)]
-    # Widths around the 8-bit and 64-bit packing boundaries, on both sides.
+    # Widths around the 8-bit and 64-bit packing boundaries, on both
+    # sides, and word rows of two to four words.
     for inner in (1, 7, 9, 63, 65):
-        for width in (1, 7, 9, 63, 65):
+        for width in (1, 7, 9, 63, 65, 127, 128, 129, 193):
             cases.append((random_matrix(rng, 3, inner), random_matrix(rng, inner, width)))
         cases.append((BitMatrix(np.ones((2, inner), dtype=np.uint8)), random_matrix(rng, inner, 9)))
     for inner, width in ((9, 65), (65, 7)):
@@ -108,6 +110,26 @@ def test_mat_mul_matches_bruteforce_oracle():
         assert mat_mul(BitMatrix(selection), b) == BitMatrix(b.data[picks])
     for a, b in cases:
         assert mat_mul(a, b) == oracle_mat_mul(a, b)
+        assert np.array_equal(mat_mul(a, b).data, oracle.mat_mul(a.data, b.data))
+
+
+def test_mat_mul_xor_rows_across_passes(monkeypatch):
+    # With fill passes of 1 to 3 entries, a pass gathers 5 to 15 words, so
+    # the XOR rows of these products span several passes, and a pass ends
+    # inside a row or on a row's last selection.
+    rng = np.random.default_rng(11)
+    cases = [
+        (shaped_bits(rng, kind, rows, inner), shaped_bits(rng, kind, inner, width))
+        for kind, rows, inner, width in (
+            ("dense", 9, 40, 129), ("dense", 7, 33, 193), ("sparse", 12, 60, 128),
+            ("blocks", 10, 30, 65), ("dense", 5, 12, 1),
+        )
+    ]
+    for entries in (1, 2, 3):
+        monkeypatch.setattr(gf2, "_FILL_ENTRIES", entries)
+        for a, b in cases:
+            a = with_cancelling_rows(rng, a)
+            assert np.array_equal(mat_mul(BitMatrix(a), BitMatrix(b)).data, oracle.mat_mul(a, b))
 
 
 def test_mat_mul_dimension_mismatch_names_both_shapes():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -130,9 +131,17 @@ def test_config_validation():
         PhyConfig(0, 1, 1, 1)
     with pytest.raises(ValueError, match="alphabet"):
         PhyConfig(2, 3, 5, 7, q=1)
-    for power in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="power"):
+    for power in (-1.0, float("nan"), float("inf"), True, "5", 1j, 10**400):
+        with pytest.raises(ValueError, match=f"power must be positive and finite, got {power!r}"):
             PhyConfig(2, 3, 5, 7, power=power)
+    # power=True used to be accepted, "5" and 1j raised TypeError.
+    for power in (100, F(1, 4), np.float32(2.5), 3.0):
+        assert type(PhyConfig(2, 3, 5, 7, power=power).power) is float
+    # An infinite gain raised OverflowError, "1/0" ZeroDivisionError and None
+    # TypeError from Fraction, and True was a gain of 1.
+    for gain in (math.inf, -math.inf, math.nan, "1/0", None, True, "x"):
+        with pytest.raises(ValueError, match=f"gain h12 must be a finite number, got {gain!r}"):
+            PhyConfig(2, gain, 5, 7)
     assert PhyConfig(2, 3, 5, 7, q=MAX_ALPHABET).q == MAX_ALPHABET
     with pytest.raises(ValueError, match="alphabet"):
         PhyConfig(2, 3, 5, 7, q=MAX_ALPHABET + 1)
@@ -156,6 +165,15 @@ def test_config_takes_numpy_integer_alphabet_sizes():
     # overflowing config was accepted.
     with pytest.raises(ValueError, match="overflow int64"):
         PhyConfig(10**9, 1, 1, 10**9, q=np.int64(3))
+
+
+def test_monte_carlo_takes_a_numpy_integer_trial_count():
+    # With trials an np.int64, trials and both rates came back as numpy
+    # scalars, and json.dumps refused the result.
+    result = monte_carlo(PhyConfig(2, 3, 5, 7, power=100.0), np.int64(10), 1)
+    assert result == monte_carlo(PhyConfig(2, 3, 5, 7, power=100.0), 10, 1)
+    assert [type(v) for v in vars(result).values()] == [float, int, float, float, int]
+    json.dumps(vars(result))
 
 
 # CFG's gains are integers, so its cleared gains are the gains themselves.
@@ -383,9 +401,12 @@ def test_power_calibration():
     assert power_for_min_gap(CFG, 20.0) == pytest.approx(40000.0)
 
 
-@pytest.mark.parametrize("sigmas", [-20.0, -1e-300, 0.0, float("nan"), float("inf"), -math.inf])
+@pytest.mark.parametrize(
+    "sigmas", [-20.0, -1e-300, 0.0, float("nan"), float("inf"), -math.inf, True, "5", 1j]
+)
 def test_power_for_min_gap_refuses_sigmas_not_positive_and_finite(sigmas):
-    # Squaring used to hide the sign: -20 gave the power of +20.
+    # Squaring used to hide the sign: -20 gave the power of +20.  True gave
+    # the power of 1 sigma, and "5" and 1j raised TypeError.
     with pytest.raises(ValueError, match="sigmas must be positive and finite"):
         power_for_min_gap(CFG, sigmas)
 
