@@ -98,10 +98,15 @@ class BitMatrix:
         self.indptr, self.indices, self.cols = indptr, indices, int(cols)
 
     @classmethod
-    def _from_keys(cls, keys: np.ndarray, shape: tuple[int, int]) -> "BitMatrix":
+    def _from_csr(cls, indptr: np.ndarray, indices: np.ndarray, cols: int) -> "BitMatrix":
+        """The matrix of canonical CSR arrays, taken as they are."""
         out = cls.__new__(cls)
-        out._set(*_csr(keys, shape))
+        out._set(indptr, indices, cols)
         return out
+
+    @classmethod
+    def _from_keys(cls, keys: np.ndarray, shape: tuple[int, int]) -> "BitMatrix":
+        return cls._from_csr(*_csr(keys, shape))
 
     @classmethod
     def from_entries(cls, rows, cols, shape: tuple[int, int]) -> "BitMatrix":
@@ -193,11 +198,12 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
     Row i of the product is the XOR of the rows of *b* that the set
     entries of row i of *a* select.  A row that selects one row of *b*
-    is a copy of it.  For rows that select more, the rows of *b* are
-    filled into word rows once, and each such product row XORs the word
-    rows that it selects, so a selection costs one XOR per word however
-    dense the operands.  A pass gathers at most 5 * _FILL_ENTRIES words,
-    the bytes that a fill pass holds, so a row may span several passes.
+    is a copy of it.  For rows that select more, the rows of *b* that
+    they select are filled into word rows once, and each such product
+    row XORs the word rows that it selects, so a selection costs one XOR
+    per word however dense the operands.  A pass gathers at most
+    5 * _FILL_ENTRIES words, the bytes that a fill pass holds, so a row
+    may span several passes.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
@@ -210,11 +216,17 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     many = np.flatnonzero(picks > 1)
     words = _words(b.cols)
     if many.size and words:
-        rows = np.zeros((b.rows, words), dtype=np.uint64)
-        every = np.arange(b.rows)
-        _fill(rows, b.indices, b.indptr[:-1], np.diff(b.indptr), every, np.arange(b.cols))
         picks = picks[many]
         sel = a.indices[_ragged_arange(a.indptr[many], picks)]
+        # Only the rows of b that these product rows select become word rows.
+        chosen = np.zeros(b.rows, dtype=bool)
+        chosen[sel] = True
+        used = chosen.nonzero()[0]
+        sel = (np.cumsum(chosen) - 1)[sel]
+        rows = np.zeros((used.size, words), dtype=np.uint64)
+        starts = b.indptr[used]
+        count = b.indptr[used + 1] - starts
+        _fill(rows, b.indices, starts, count, np.arange(used.size), np.arange(b.cols))
         step = max(1, 5 * _FILL_ENTRIES // words)
         lows = np.arange(0, sel.size, step)
         # A run of one row's selections within one pass starts at the row's
@@ -254,10 +266,8 @@ def vstack(mats: Iterable[BitMatrix]) -> BitMatrix:
 def _stack(mats: list[BitMatrix], indices: list[np.ndarray], cols: int) -> BitMatrix:
     """The rows of *mats* in order, with indices[k] as the column indices of mats[k]."""
     offsets = np.cumsum([0] + [m.indices.size for m in mats])
-    out = BitMatrix.__new__(BitMatrix)
     indptr = np.concatenate([[0]] + [m.indptr[1:] + off for m, off in zip(mats, offsets)])
-    out._set(indptr, np.concatenate(indices), cols)
-    return out
+    return BitMatrix._from_csr(indptr, np.concatenate(indices), cols)
 
 
 def _components(m: BitMatrix) -> np.ndarray:

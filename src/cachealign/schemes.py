@@ -11,17 +11,17 @@ Schemes are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import functools
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, _ragged_arange, _run_starts
 from .netchannel import FILES, Demand
 
 __all__ = [
@@ -39,9 +39,11 @@ __all__ = [
 ]
 
 # Largest granularity memory_share builds and read_scheme accepts.  Built
-# schemes are sparse, with at most 3 ones in a placement row, and certify
-# in about 0.1 s at n = 4093.  The scheme file still spells every row out
-# in full, 2n characters each, which is about 200 MB at this limit.
+# schemes are sparse, with at most 3 ones in a placement row.  At n = 4093
+# they certify in about 0.02 to 0.05 s, and their scheme file spells rows
+# as terms in 235 KB, which write_scheme writes in 3 to 4 ms and
+# read_scheme reads in 5 to 7 ms.  A file that spells every row out in
+# full, 2n characters each, takes about 200 MB at this limit.
 MAX_GRANULARITY = 4096
 
 class DeliveryQuad(NamedTuple):
@@ -184,16 +186,16 @@ _CORNERS = {
 CORNER_NAMES = tuple(_CORNERS)
 
 
-def _term_column(n: int, term: str) -> int:
-    """Column of a term like "B3", part 3 of file B (parts counted from 1)."""
-    return (0 if term[0] == "A" else n) + int(term[1:]) - 1
-
-
-def _placement(n: int, rows: tuple[str, ...]) -> BitMatrix:
-    """Placement rows given as XOR terms, as a len(rows) x 2n matrix."""
-    terms = [(i, term) for i, row in enumerate(rows) for term in row.split()]
-    return BitMatrix.from_entries(
-        [i for i, _ in terms], [_term_column(n, term) for _, term in terms], (len(rows), 2 * n)
+@functools.cache
+def _placements(name: str) -> list[BitMatrix]:
+    """Z1, Z2, U1 and U2 of a corner, read from its term rows by the scheme
+    file's term parser once; BitMatrix is immutable, so calls share them."""
+    corner = _CORNERS[name]
+    tables = (corner.z1, corner.z2, corner.u1, corner.u2)
+    firsts = np.cumsum([0, *map(len, tables)]).tolist()
+    return _read_terms(
+        _Lines("\n".join(row for table in tables for row in table)),
+        [_TermBlock(first, len(table), "AB", corner.n) for first, table in zip(firsts, tables)],
     )
 
 
@@ -205,8 +207,7 @@ def corner_scheme(name: str) -> LinearScheme:
         raise ValueError(
             f"unknown corner scheme {name!r}: expected one of {', '.join(CORNER_NAMES)}"
         ) from None
-    n = corner.n
-    z1, z2, u1, u2 = (_placement(n, rows) for rows in (corner.z1, corner.z2, corner.u1, corner.u2))
+    z1, z2, u1, u2 = _placements(name)
     # Each message is one U row.  U1 and U2 have as many rows, so one set
     # of unit rows serves both; BitMatrix is immutable, so they are shared.
     units = [BitMatrix.from_entries([0], [i], (1, u1.rows)) for i in range(u1.rows)]
@@ -214,7 +215,7 @@ def corner_scheme(name: str) -> LinearScheme:
         delivery = {d: DeliveryQuad(*(units[i] for i in p)) for d, p in zip(Demand, corner.picks)}
     else:
         delivery = dict.fromkeys(Demand, DeliveryQuad(*[BitMatrix.zeros(0, 0)] * 4))
-    return LinearScheme(n, corner.memory, corner.load, z1, z2, u1, u2, delivery)
+    return LinearScheme(corner.n, corner.memory, corner.load, z1, z2, u1, u2, delivery)
 
 
 def _scaled(x: BitMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -323,6 +324,27 @@ def _frac_text(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _is_space(x: np.ndarray) -> np.ndarray:
+    """Whether each byte of a uint8 array is whitespace that str.isspace accepts.
+
+    These surround a line's text and separate its terms: "\t" to "\r" and
+    "\x1c" to " ".  Below 9, x - 9 wraps around in uint8, so that
+    x - 9 <= 4 holds for 9 to 13 alone.
+    """
+    return (x - np.uint8(9) <= 4) | (x - np.uint8(28) <= 4)
+
+
+def _is_digit(x: np.ndarray) -> np.ndarray:
+    """Whether each byte of a uint8 array is an ASCII digit."""
+    return x - np.uint8(ord("0")) <= 9
+
+
+_TERMS = "terms"
+# Bytes that one pass of the line index scans, so that its temporaries
+# stay small however large the text.
+_PASS_BYTES = 2**20
+
+
 def _rows_text(mat: BitMatrix) -> np.ndarray:
     """The rows of *mat* as lines of 0/1 characters, in one uint8 buffer."""
     text = np.full((mat.rows, mat.cols + 1), ord("0"), dtype=np.uint8)
@@ -331,17 +353,78 @@ def _rows_text(mat: BitMatrix) -> np.ndarray:
     return text
 
 
+def _terms_texts(mats: list[BitMatrix], ns: list[int]) -> list[np.ndarray]:
+    """The rows of each matrix as lines of terms, all in one pass.
+
+    With n > 0, placement rows spell column c as A<c + 1> or B<c - n + 1>;
+    with n = 0, delivery rows spell it U<c + 1>.  An empty row is "-".
+    """
+    heights = np.array([mat.rows for mat in mats], dtype=np.intp)
+    # The rows of all matrices as the rows of one: the steps between one
+    # matrix's indptr and the next are no rows.
+    counts = np.delete(
+        np.diff(np.concatenate([np.zeros(0, np.intp)] + [mat.indptr for mat in mats])),
+        np.cumsum(heights + 1)[:-1] - 1,
+    )
+    # Columns stay below 2 * MAX_GRANULARITY, term numbers below 10**9.
+    number = np.concatenate([np.zeros(0, np.int32)] + [m.indices.astype(np.int32) for m in mats])
+    letter = np.full(number.size, ord("U"), dtype=np.uint8)
+    lo = 0
+    for mat, n in zip(mats, ns):
+        hi = lo + mat.indices.size
+        if n:
+            letter[lo:hi] = ord("A") + (number[lo:hi] >= n)
+            number[lo:hi] %= n
+        lo = hi
+    number += 1
+    digits = np.searchsorted(10 ** np.arange(1, 10), number, "right").astype(np.int32) + 1
+    # A term is its letter, its digits and a space, or a line end after
+    # its row's last term; an empty row is "-" and a line end.
+    ends = np.cumsum(digits + 2)
+    empty = counts == 0
+    empty_before = 2 * (np.cumsum(empty) - empty)
+    row_at = np.concatenate([[0], ends])[np.cumsum(counts) - counts] + empty_before
+    at = ends - (digits + 2)
+    at += np.repeat(empty_before, counts)
+    out = np.full(ends[-1:].sum() + 2 * np.count_nonzero(empty), ord(" "), np.uint8)
+    del ends
+    out[at] = letter
+    del letter
+    for j in range(int(digits.max(initial=0))):
+        has = (digits > j).nonzero()[0]
+        out[at[has] + 1 + j] = number[has] // 10 ** (digits[has] - 1 - j) % 10 + ord("0")
+    last = np.cumsum(counts)[~empty] - 1
+    out[at[last] + 1 + digits[last]] = ord("\n")
+    out[row_at[empty]] = ord("-")
+    out[row_at[empty] + 1] = ord("\n")
+    bounds = np.append(row_at, out.size)[np.cumsum(np.append(0, heights))].tolist()
+    return [out[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 # The blocks of a scheme file in file order: the placements, then the
 # delivery maps V1..V4 of each demand in turn.
 _BLOCKS = ("Z1", "Z2", "U1", "U2", *(f"D {d} V{i}" for d in Demand for i in range(1, 5)))
 
 
 def write_scheme(s: LinearScheme) -> str:
-    """Serialize to the scheme file format (round-trips with read_scheme)."""
+    """Serialize to the scheme file format (round-trips with read_scheme).
+
+    Each block takes whichever spelling is shorter, dense rows or terms,
+    its header's terms word counted; a tie stays dense.
+    """
     mats = (s.z1, s.z2, s.u1, s.u2, *(mat for d in Demand for mat in s.delivery[d]))
+    ns = [s.n if tag[0] in "ZU" else 0 for tag in _BLOCKS]
+    dense = [mat.rows * (mat.cols + 1) for mat in mats]
+    # A term takes at least 3 bytes, so only these blocks may come out shorter.
+    maybe = [k for k, mat in enumerate(mats) if len(_TERMS) + 1 + 3 * mat.indices.size < dense[k]]
+    terms = dict(zip(maybe, _terms_texts([mats[k] for k in maybe], [ns[k] for k in maybe])))
     parts = [f"n {s.n}\nM {_frac_text(s.memory)}\nc {_frac_text(s.load)}\n".encode("ascii")]
-    for tag, mat in zip(_BLOCKS, mats):
-        parts += [f"{tag} {mat.rows}\n".encode("ascii"), _rows_text(mat)]
+    for k, (tag, mat) in enumerate(zip(_BLOCKS, mats)):
+        if k in terms and len(_TERMS) + 1 + terms[k].size < dense[k]:
+            parts += [f"{tag} {mat.rows} {_TERMS}\n".encode("ascii"), terms[k]]
+        else:
+            parts += [f"{tag} {mat.rows}\n".encode("ascii"), _rows_text(mat)]
+    del terms
     text = b"".join(parts)
     del parts  # so that only the bytes and the text are alive at once
     return text.decode("ascii")
@@ -380,61 +463,327 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str | None]]:
-    """(number, stripped text) of each line that is not blank or a comment, then (end, None)."""
-    no = 0
-    # Lines end at "\n" only; strip() drops the "\r" of a "\r\n" line end.
-    for i, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            no = i
-            yield no, line
-    yield no + 1, None
+def _strip_ends(buf: np.ndarray, a: np.ndarray, b: np.ndarray, rounds: int = 8) -> np.ndarray:
+    """Move the extents [a[i], b[i]) in *buf* inward past ASCII whitespace, in place.
 
-
-def _read_block(lines: Iterator[tuple[int, str | None]], count: int, width: int) -> BitMatrix:
-    """The next *count* lines as a matrix, each a row of *width* characters over 0/1.
-
-    All rows are checked at once over their joined bytes; the first bad
-    row, or else the end of the file, is reported with its line number.
+    Returns the lines that may still start or end with whitespace after
+    *rounds* steps at each end.
     """
-    rows = list(islice(lines, count))
-    end = rows.pop()[0] if rows and rows[-1][1] is None else None
-    texts = [line for _, line in rows]
-    # One byte per character, so that byte offsets are character offsets;
-    # a non-ASCII character becomes "?", which is not a bit.
-    data = "".join(texts).encode("ascii", "replace")
-    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
-    wrong = np.flatnonzero(lengths != width)
-    if wrong.size or data.translate(None, b"01"):
-        raw = np.frombuffer(data, dtype=np.uint8)
-        chars = np.flatnonzero((raw != ord("0")) & (raw != ord("1")))[:1]
-        no, line = rows[min([*wrong[:1], *np.searchsorted(np.cumsum(lengths), chars, "right")])]
+    if not buf.size:
+        return np.zeros(0, dtype=np.intp)
+    last = buf.size - 1
+    todo = ((a < b) & _is_space(buf[np.minimum(a, last)])).nonzero()[0]
+    for _ in range(rounds):
+        if not todo.size:
+            break
+        a[todo] += 1
+        todo = todo[a[todo] < b[todo]]
+        todo = todo[_is_space(buf[a[todo]])]
+    leading = todo
+    todo = ((a < b) & _is_space(buf[b - 1])).nonzero()[0]
+    for _ in range(rounds):
+        if not todo.size:
+            break
+        b[todo] -= 1
+        todo = todo[a[todo] < b[todo]]
+        todo = todo[_is_space(buf[b[todo] - 1])]
+    return np.concatenate([leading, todo])
+
+
+class _Lines:
+    """The content lines of a text: lines whose stripped text is not empty
+    and does not start with "#".
+
+    Lines end at "\\n" only, and a line's text is stripped of the
+    whitespace around it as str.strip strips it.  ``a`` and ``b`` are the
+    byte extents of the content lines' texts in ``data``, the text's
+    UTF-8 bytes, ``no`` their line numbers, counted from 1, and ``end``
+    the number after the last.  The lines are indexed in numpy passes;
+    only a line that holds a non-ASCII character, or more whitespace at
+    an end than the passes step over, is stripped in Python.
+    """
+
+    def __init__(self, text: str) -> None:
+        self.ascii = text.isascii()
+        self.data = data = text.encode("utf-8", "surrogatepass")
+        self.buf = buf = np.frombuffer(data, dtype=np.uint8)
+        idx = np.int32 if buf.size < 2**31 - 1 else np.int64
+        passes = [(lo, buf[lo : lo + _PASS_BYTES]) for lo in range(0, buf.size, _PASS_BYTES)]
+        ends = [(part == ord("\n")).nonzero()[0].astype(idx) + lo for lo, part in passes]
+        breaks = np.concatenate([np.zeros(0, idx), *ends])
+        del ends
+        a = np.concatenate([np.zeros(1, idx), breaks + 1])
+        b = np.append(breaks, idx(buf.size))
+        slow = _strip_ends(buf, a, b)
+        if not self.ascii:
+            for lo, part in passes:
+                # The line of a byte is the number of line ends before it.
+                wide = np.searchsorted(breaks, (part >= 0x80).nonzero()[0] + lo)
+                slow = np.concatenate([slow, wide[_run_starts(wide)]])
+        # np.unique would import numpy.ma, about 7 ms at start-up.
+        slow = np.sort(slow)
+        for i in slow[_run_starts(slow)].tolist():
+            start = int(breaks[i - 1]) + 1 if i else 0
+            line = data[start : breaks[i] if i < breaks.size else buf.size].decode(
+                "utf-8", "surrogatepass"
+            )
+            lead = len(line) - len(line.lstrip())
+            a[i] = start + len(line[:lead].encode("utf-8", "surrogatepass"))
+            b[i] = a[i] + len(line.strip().encode("utf-8", "surrogatepass"))
+        del breaks
+        live = a < b
+        live[live] = buf[a[live]] != ord("#")
+        keep = live.nonzero()[0]
+        self.a, self.b, self.no = a[keep], b[keep], (keep + 1).astype(idx)
+        self.count = int(keep.size)
+        self.end = int(keep[-1]) + 2 if keep.size else 1
+
+    def text(self, i: int) -> str:
+        """The stripped text of content line i."""
+        return self.data[self.a[i] : self.b[i]].decode("utf-8", "surrogatepass")
+
+    def grid(self, first: int, count: int, width: int) -> np.ndarray:
+        """The texts of content lines first.. as a (count x width) uint8 array.
+
+        Each text must be *width* bytes long.  When the lines are evenly
+        spaced, as written, the array is a view of the bytes.
+        """
+        a = self.a[first : first + count]
+        step = int(a[1] - a[0]) if count > 1 else width
+        if count and np.all(np.diff(a) == step):
+            return np.lib.stride_tricks.as_strided(
+                self.buf[a[0] :], (count, width), (step, 1), writeable=False
+            )
+        rows = b"".join(self.data[x : x + width] for x in a.tolist())
+        return np.frombuffer(rows, dtype=np.uint8).reshape(count, width)
+
+
+def _read_dense(lines: _Lines, first: int, count: int, width: int) -> BitMatrix:
+    """Content lines first.. as a matrix, each a row of *width* characters over 0/1.
+
+    All rows are checked at once; the first bad row is reported with
+    its line number.
+    """
+    lengths = lines.b[first : first + count] - lines.a[first : first + count]
+    wrong = (lengths != width).nonzero()[0]
+    sized = int(wrong[0]) if wrong.size else count
+    bits = lines.grid(first, sized, width)
+    # "0" and "1" are 0x30 and 0x31.
+    bad = ((bits | 1) != ord("1")).any(axis=1).nonzero()[0]
+    if bad.size or wrong.size:
+        at = first + int(bad[0] if bad.size else sized)
         raise SchemeFormatError(
-            no, f"expected a row of exactly {width} characters over 0/1, got {line!r}"
+            int(lines.no[at]),
+            f"expected a row of exactly {width} characters over 0/1, got {lines.text(at)!r}",
         )
-    if end is not None:
-        raise SchemeFormatError(end, "unexpected end of file: expected a matrix row")
-    # Every row has *width* characters, so the offset of a "1" in the
-    # joined rows is its key r * width + c, and the offsets come sorted.
-    ones = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("1"))
-    return BitMatrix._from_keys(ones, (count, width))
+    # The offset of a "1" in the (count x width) rows is its key r * width + c.
+    return BitMatrix._from_keys(np.flatnonzero(bits == ord("1")), (count, width))
+
+
+class _TermBlock(NamedTuple):
+    """*count* rows of terms from content line *first* on.
+
+    Over "AB", a term is A<k> or B<k>, part k of a file, and k runs from
+    1 to *limit* = n; over "U1" or "U2", it is U<k>, row k of that block,
+    and k runs from 1 to *limit*, its row count.
+    """
+
+    first: int
+    count: int
+    over: str
+    limit: int
+
+    @property
+    def width(self) -> int:
+        return 2 * self.limit if self.over == "AB" else self.limit
+
+
+def _read_terms(lines: _Lines, blocks: list[_TermBlock]) -> list[BitMatrix]:
+    """The matrices of term blocks, all their rows tokenized together.
+
+    A row is its terms separated by whitespace, or "-" for an empty row.
+    The first row in file order that holds a malformed term, a term out
+    of range or a term twice is reported with its line number.
+    """
+    if not blocks:
+        return []
+    key, key_base = _term_keys(lines, blocks)
+    count = np.array([blk.count for blk in blocks], dtype=np.int64)
+    width = np.array([blk.width for blk in blocks], dtype=np.int64)
+    # The CSR arrays of all blocks at once: row r of block k starts at the
+    # first key from key_base[k] + r * width[k] on.
+    steps = count + 1
+    row_keys = np.repeat(key_base, steps)
+    row_keys += _ragged_arange(np.zeros_like(count), steps) * np.repeat(width, steps)
+    indptr = np.searchsorted(key, row_keys)
+    del row_keys
+    tops = np.cumsum(steps) - steps
+    firsts = indptr[tops]
+    indptr -= np.repeat(firsts, steps)
+    block = np.repeat(np.arange(len(blocks)), np.diff(np.append(firsts, key.size)))
+    indices = (key - key_base[block]) % width[block]
+    del key, block
+    cuts = np.append(firsts, indices.size).tolist()
+    return [
+        BitMatrix._from_csr(indptr[top : top + blk.count + 1], indices[lo:hi], blk.width)
+        for blk, top, lo, hi in zip(blocks, tops.tolist(), cuts, cuts[1:])
+    ]
+
+
+def _term_keys(lines: _Lines, blocks: list[_TermBlock]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted keys of the term blocks' entries, and each block's first key.
+
+    Entry (r, c) of block k has the key key_base[k] + r * width + c, so
+    that one sort orders every block.
+    """
+    count = np.array([blk.count for blk in blocks], dtype=np.int64)
+    width = np.array([blk.width for blk in blocks], dtype=np.int64)
+    # Part and row numbers stay below 10**9, in int32 with a digit to spare.
+    limit = np.array([blk.limit for blk in blocks], dtype=np.int32)
+    placement = np.array([blk.over == "AB" for blk in blocks])
+    row_first = np.cumsum(count) - count
+    key_base = np.cumsum(count * width) - count * width
+    # The bytes of each block from its first row's text to its last row's,
+    # each after a line end and the last before one, so that no row's text
+    # touches another's and a byte follows every token.
+    spans = [
+        (int(lines.a[blk.first]), int(lines.b[blk.first + blk.count - 1])) if blk.count else (0, 0)
+        for blk in blocks
+    ]
+    end = np.array([ord("\n")], dtype=np.uint8)
+    seg = np.concatenate([end] + [part for lo, hi in spans for part in (lines.buf[lo:hi], end)])
+    term = ~_is_space(seg)
+    # Rows of all blocks in file order: the content line of each, and its
+    # text's start in seg.
+    shift = np.cumsum([1] + [hi - lo + 1 for lo, hi in spans])[:-1] - [lo for lo, _ in spans]
+    rows = _ragged_arange(np.array([blk.first for blk in blocks], dtype=np.intp), count)
+    shift = np.repeat(shift.astype(lines.a.dtype), count)
+    ra = lines.a[rows] + shift
+    if not lines.ascii or any(
+        blk.count and lines.no[blk.first + blk.count - 1] - lines.no[blk.first] >= blk.count
+        for blk in blocks
+    ):
+        # Comments between a block's rows, or Unicode whitespace stripped
+        # off a row: only the rows' texts hold terms.
+        inside = np.zeros(seg.size + 1, dtype=np.int8)
+        inside[ra], inside[lines.b[rows] + shift] = 1, -1
+        term &= np.cumsum(inside[:-1], dtype=np.int8).view(bool)
+        del inside
+    del rows, shift
+    # seg starts and ends with a line end, so tokens start and end in turn.
+    edges = ((term[1:] != term[:-1]).nonzero()[0] + 1).astype(ra.dtype)
+    ts, te = edges[0::2], edges[1::2]
+    # A character after a term's first one must be a digit.
+    term &= ~_is_digit(seg)
+    term[ts] = False
+    stray = term.nonzero()[0]
+    del term
+    row = (np.searchsorted(ra, ts, "right") - 1).astype(ra.dtype)
+    del ra
+    block = np.repeat(np.arange(len(blocks), dtype=np.min_scalar_type(len(blocks))), count)[row]
+    first, size = seg[ts], te - ts
+    plc = placement[block]
+    letter = np.where(plc, (first == ord("A")) | (first == ord("B")), first == ord("U"))
+    malformed = ~letter | (size < 2) | ((size > 2) & (seg[ts + 1] == ord("0")))
+    del letter
+    if stray.size:
+        malformed[np.searchsorted(ts, stray, "right") - 1] = True
+    # "-" stands alone in its row: neither neighbouring token is in the row.
+    dash = (first == ord("-")) & (size == 1)
+    if dash.any():
+        shared = np.zeros(ts.size + 1, dtype=bool)
+        shared[1:-1] = row[1:] == row[:-1]
+        malformed[dash] = (shared[:-1] | shared[1:])[dash]
+    digits = len(str(int(limit.max())))
+    col = np.zeros(ts.size, dtype=np.int32)
+    last = seg.size - 1
+    for j in range(1, digits + 1):
+        digit = seg[np.minimum(ts + j, last)] - np.int32(ord("0"))
+        col = np.where(size > j, col * 10 + digit, col)
+    del digit
+    lim = limit[block]
+    outside = ~(malformed | dash) & ((size > digits + 1) | (col < 1) | (col > lim))
+    # The first malformed or out-of-range term, kept before its bytes go.
+    bad = (malformed | outside).nonzero()[0][:1]
+    token = seg[ts[bad[0]] : te[bad[0]]].tobytes() if bad.size else b""
+    col -= 1
+    b_terms = plc & (first == ord("B"))
+    col[b_terms] += lim[b_terms]
+    good = ~(malformed | dash | outside)
+    del seg, edges, ts, te, first, size, plc, lim, b_terms
+    key = row.astype(np.int64)
+    key -= row_first[block]
+    key *= width[block]
+    key += key_base[block]
+    key += col
+    del col
+    key = key[good]
+    repeated = np.zeros(0, dtype=np.intp)
+    if np.any(key[1:] <= key[:-1]):
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        # Of equal keys, the stable sort puts the later in the file later.
+        twice = (key[1:] == key[:-1]).nonzero()[0][:1] + 1
+        repeated = good.nonzero()[0][order[twice]]
+    wrong = np.concatenate([bad, repeated])
+    if not wrong.size:
+        return key, key_base
+    t = int(wrong.min())
+    blk = blocks[block[t]]
+    at = blk.first + int(row[t] - row_first[block[t]])  # the content line of the term's row
+    if t in bad:
+        text = token.decode("utf-8", "surrogatepass")
+        if dash[t]:
+            message = f"'-' marks an empty row and takes no terms, got {lines.text(at)!r}"
+        elif malformed[t]:
+            expected = "A<k> or B<k>" if blk.over == "AB" else "U<k>"
+            message = f"expected terms {expected} or '-', got {text!r}"
+        elif blk.over == "AB":
+            message = f"term {text!r} names no part: parts run from 1 to {blk.limit}"
+        else:
+            message = f"term {text!r} names no row of {blk.over}, which has {blk.limit} rows"
+    else:
+        # Terms have one spelling each, so the entry's column spells the term.
+        c = int(key[twice[0]] - key_base[block[t]]) % blk.width
+        if blk.over != "AB":
+            text = f"U{c + 1}"
+        else:
+            text = f"{'AB'[c // blk.limit]}{c % blk.limit + 1}"
+        message = f"term {text!r} appears twice in the row"
+    raise SchemeFormatError(int(lines.no[at]), message)
 
 
 def read_scheme(text: str) -> LinearScheme:
-    """Parse a scheme file; raises SchemeFormatError with a line number."""
-    lines = _content_lines(text)
+    """Parse a scheme file; raises SchemeFormatError with a line number.
 
-    def header(tag: str, value: str) -> tuple[int, str]:
-        """Number and value of the next line, which must read '<tag> <value>'."""
-        no, line = next(lines)
-        if line is None:
+    Python reads the header lines alone.  Dense blocks are checked as
+    they come, and the term blocks are tokenized together once every
+    header is read, or before a later error is raised, so that the
+    first bad line of the file is the one reported.
+    """
+    lines = _Lines(text)
+    at = 0  # the next content line
+    pending: list[_TermBlock] = []
+
+    def header(tag: str, value: str, spellings: bool = False) -> tuple[int, str, bool]:
+        """Number, value and spelling of the next line, which must read '<tag> <value>'.
+
+        With *spellings*, the line may end in the word terms.
+        """
+        nonlocal at
+        if at == lines.count:
             shown = value if tag[0] == "D" else "..."
-            raise SchemeFormatError(no, f"unexpected end of file: expected header '{tag} {shown}'")
-        *words, raw = line.split()
+            raise SchemeFormatError(
+                lines.end, f"unexpected end of file: expected header '{tag} {shown}'"
+            )
+        no, line = int(lines.no[at]), lines.text(at)
+        at += 1
+        words = line.split()
+        terms = spellings and len(words) > 2 and words[-1] == _TERMS
+        *words, raw = words[:-1] if terms else words
         if words != tag.split():
             raise SchemeFormatError(no, f"expected header '{tag} {value}', got {line!r}")
-        return no, raw
+        return no, raw, terms
 
     def integer(no: int, raw: str, what: str) -> int:
         try:
@@ -442,48 +791,65 @@ def read_scheme(text: str) -> LinearScheme:
         except ValueError:
             raise SchemeFormatError(no, f"{what} must be an integer, got {raw!r}") from None
 
-    no, raw = header("n", "<value>")
-    n = integer(no, raw, "granularity")
-    if n <= 0:
-        raise SchemeFormatError(no, f"granularity must be positive, got {n}")
-    if n > MAX_GRANULARITY:
-        raise SchemeFormatError(no, f"n = {n}, above the limit of {MAX_GRANULARITY} parts per file")
+    try:
+        no, raw, _ = header("n", "<value>")
+        n = integer(no, raw, "granularity")
+        if n <= 0:
+            raise SchemeFormatError(no, f"granularity must be positive, got {n}")
+        if n > MAX_GRANULARITY:
+            raise SchemeFormatError(
+                no, f"n = {n}, above the limit of {MAX_GRANULARITY} parts per file"
+            )
 
-    def rational(tag: str) -> tuple[int, Fraction]:
-        no, raw = header(tag, "<value>")
-        try:
-            value = parse_fraction(raw)
-        except ValueError as exc:
-            raise SchemeFormatError(no, str(exc)) from None
-        if (value * n).denominator != 1:
-            raise SchemeFormatError(no, f"{tag}*n = {value * n} is not an integer")
-        return no, value
+        def rational(tag: str) -> tuple[int, Fraction]:
+            no, raw, _ = header(tag, "<value>")
+            try:
+                value = parse_fraction(raw)
+            except ValueError as exc:
+                raise SchemeFormatError(no, str(exc)) from None
+            if (value * n).denominator != 1:
+                raise SchemeFormatError(no, f"{tag}*n = {value * n} is not an integer")
+            return no, value
 
-    no, memory = rational("M")
-    if not 0 <= memory <= 2:
-        raise SchemeFormatError(no, f"memory {memory} out of range [0, 2]")
-    no, load = rational("c")
-    if load < 0:
-        raise SchemeFormatError(no, f"load {load} must be nonnegative")
+        no, memory = rational("M")
+        if not 0 <= memory <= 2:
+            raise SchemeFormatError(no, f"memory {memory} out of range [0, 2]")
+        no, load = rational("c")
+        if load < 0:
+            raise SchemeFormatError(no, f"load {load} must be nonnegative")
 
-    mats = []
-    for tag in _BLOCKS:
-        no, raw = header(tag, "<rows>")
-        count = integer(no, raw, f"{tag} row count")
-        if tag[0] == "U":
-            if not 0 <= count <= n:
-                raise SchemeFormatError(no, f"{tag} must declare at most {n} rows, got {count}")
-        else:
-            expected = int((memory if tag[0] == "Z" else load) * n)
-            if count != expected:
-                raise SchemeFormatError(no, f"{tag} must declare {expected} rows, got {count}")
-        # Placement rows span the 2n file parts; V1 and V2 act on U1's
-        # rows, V3 and V4 on U2's.
-        width = mats[2 if tag[-1] in "12" else 3].rows if tag[0] == "D" else 2 * n
-        mats.append(_read_block(lines, count, width))
-    no, line = next(lines)
-    if line is not None:
-        raise SchemeFormatError(no, "unexpected content after the last block")
-    z1, z2, u1, u2, *maps = mats
+        declared: dict[str, int] = {}
+        expected = {"Z": int(memory * n), "D": int(load * n)}
+        mats: list[BitMatrix | None] = []
+        for tag in _BLOCKS:
+            no, raw, terms = header(tag, "<rows>", spellings=True)
+            count = declared[tag] = integer(no, raw, f"{tag} row count")
+            if tag[0] == "U":
+                if not 0 <= count <= n:
+                    raise SchemeFormatError(no, f"{tag} must declare at most {n} rows, got {count}")
+            elif count != expected[tag[0]]:
+                raise SchemeFormatError(
+                    no, f"{tag} must declare {expected[tag[0]]} rows, got {count}"
+                )
+            # Placement rows span the 2n file parts; V1 and V2 act on U1's
+            # rows, V3 and V4 on U2's.
+            over = ("U1" if tag[-1] in "12" else "U2") if tag[0] == "D" else "AB"
+            rows = min(count, lines.count - at)
+            block = _TermBlock(at, rows, over, n if over == "AB" else declared[over])
+            if terms:
+                pending.append(block)
+                mats.append(None)
+            else:
+                mats.append(_read_dense(lines, at, rows, block.width))
+            at += rows
+            if rows < count:
+                raise SchemeFormatError(lines.end, "unexpected end of file: expected a matrix row")
+        if at < lines.count:
+            raise SchemeFormatError(int(lines.no[at]), "unexpected content after the last block")
+    except SchemeFormatError:
+        _read_terms(lines, pending)  # a bad term row before this error is reported first
+        raise
+    read = iter(_read_terms(lines, pending))
+    z1, z2, u1, u2, *maps = [next(read) if mat is None else mat for mat in mats]
     delivery = {d: DeliveryQuad(*maps[4 * i : 4 * i + 4]) for i, d in enumerate(Demand)}
     return LinearScheme(n, memory, load, z1, z2, u1, u2, delivery)

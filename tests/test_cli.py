@@ -470,8 +470,14 @@ SCHEME_TEXTS = [write_scheme(corner_scheme(name)) for name in CORNER_NAMES] + [
     write_scheme(scheme_for_memory(Fraction(1, 6)))
 ]
 # Characters of the format, plus a few it never uses.  Row bits come up
-# in half the edits, so that many mutants still parse and reach verify.
-EDIT_CHARS = st.sampled_from("01") | st.sampled_from("01 \n\t#/+-DZUVMnc2345789x\u00e9\uff13")
+# in half the edits, so that many mutants still parse and reach verify;
+# term letters and digits, so that term rows are mutated too.
+EDIT_CHARS = st.sampled_from("01") | st.sampled_from("01 \n\t#/+-ABDZUVMnc2345789x\u00e9\uff13")
+
+
+def test_mutated_texts_hold_term_blocks():
+    # M45's placements and every block of the shared scheme are term rows.
+    assert [text.count(" terms\n") for text in SCHEME_TEXTS] == [0, 0, 4, 0, 20]
 
 
 @st.composite

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -379,6 +380,49 @@ def test_mat_mul_copies_single_selections_and_xors_the_rest():
     assert np.array_equal(product.data, oracle.mat_mul(a, b))
     assert not product.data[[0, 3, 5]].any()
     assert np.array_equal(product.data[[1, 6]], b[[3, 11]])
+
+
+def test_mat_mul_fills_only_the_rows_that_xor_rows_select():
+    # A 10^4 x 10^4 product at 3 bits a row whose rows copy one row of b,
+    # but for one that XORs two: b's other rows never become word rows.
+    rng = np.random.default_rng(7)
+    n = 10**4
+    b = BitMatrix.from_entries(np.repeat(np.arange(n), 3), rng.integers(0, n, size=3 * n), (n, n))
+    picks = rng.permutation(n)
+    a = BitMatrix.from_entries([*range(n), 0], [*picks, (picks[0] + 1) % n], (n, n))
+    tracemalloc.start()
+    try:
+        product = mat_mul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # The same rows through the copy path: row 0 XORs its second row in.
+    second = BitMatrix.from_entries([0], [(picks[0] + 1) % n], (n, n))
+    copies = BitMatrix.from_entries(np.arange(n), picks, (n, n))
+    assert product == mat_mul(copies, b) ^ mat_mul(second, b)
+
+
+@st.composite
+def few_xor_rows(draw):
+    """(a, b): b wide and sparse; a's rows select nothing, one row, or a few rows of b."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inner = draw(st.integers(1, 40))
+    width = draw(st.sampled_from([65, 200, 640, 1000]))
+    b = (rng.random((inner, width)) < draw(st.sampled_from([0.01, 0.1, 0.5]))).astype(np.uint8)
+    rows = draw(st.integers(1, 30))
+    a = np.zeros((rows, inner), dtype=np.uint8)
+    a[np.arange(rows), rng.integers(0, inner, size=rows)] = 1
+    for i in rng.choice(rows, size=min(rows, draw(st.integers(0, 3))), replace=False):
+        a[i, rng.integers(0, inner, size=draw(st.integers(2, 5)))] ^= 1
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(few_xor_rows())
+def test_mat_mul_with_few_xor_rows_matches_dense_reference(ab):
+    a, b = ab
+    assert np.array_equal(mat_mul(BitMatrix(a), BitMatrix(b)).data, oracle.mat_mul(a, b))
 
 
 def test_from_entries_keeps_odd_counts():

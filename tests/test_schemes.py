@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scheme_oracle
 from cachealign import (
     BitMatrix,
     DeliveryQuad,
@@ -25,6 +29,7 @@ from cachealign import (
     verify_all,
     write_scheme,
 )
+from cachealign.cli import main
 
 F = Fraction
 
@@ -221,31 +226,75 @@ def test_scheme_for_memory_verifies_on_coarse_grid():
         assert verify_all(scheme).passed, m
 
 
-def test_write_scheme_peak_memory_stays_near_the_text_size():
-    # At most the text and one byte buffer of it are alive at once.
-    scheme = scheme_for_memory(F(1, 1021))
+def random_dense_scheme(n: int, seed: int) -> LinearScheme:
+    """M = c = 1/2 and n rows in each U, every block uniform random bits."""
+    rng = np.random.default_rng(seed)
+
+    def bits(rows: int, cols: int) -> BitMatrix:
+        return BitMatrix(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8))
+
+    h = n // 2
+    placements = bits(h, 2 * n), bits(h, 2 * n), bits(n, 2 * n), bits(n, 2 * n)
+    delivery = {d: DeliveryQuad(*(bits(h, n) for _ in range(4))) for d in Demand}
+    return LinearScheme(n, F(1, 2), F(1, 2), *placements, delivery)
+
+
+def entries(scheme: LinearScheme) -> int:
+    mats = (scheme.z1, scheme.z2, scheme.u1, scheme.u2)
+    return sum(m.indices.size for m in (*mats, *(m for q in scheme.delivery.values() for m in q)))
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the Python allocations it made."""
     tracemalloc.start()
     try:
-        text = write_scheme(scheme)
+        out = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def test_write_scheme_peak_memory_stays_near_the_text_size():
+    # Dense blocks: at most the text and one byte buffer of it are alive at once.
+    scheme = random_dense_scheme(256, seed=5)
+    text, peak = traced_peak(write_scheme, scheme)
+    assert " terms\n" not in text
     assert read_scheme(text) == scheme
     assert peak <= 2.5 * len(text)
 
 
 def test_read_scheme_peak_memory_stays_near_the_text_size():
-    # The text's lines and one block's bytes, never a dense matrix per block.
+    # The text's bytes, its line index and one block's check, never a dense
+    # matrix per block.
     scheme = scheme_for_memory(F(1, 1021))
-    text = write_scheme(scheme)
-    tracemalloc.start()
-    try:
-        read = read_scheme(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    text = scheme_oracle.write_dense(scheme)
+    read, peak = traced_peak(read_scheme, text)
     assert read == scheme
     assert peak <= 2 * len(text)
+
+
+# Term text costs per term about a letter, its digits and a space, and its
+# index arrays about 8 bytes a term.  At M = 1/1021 (n = 1021, a 50 KB text
+# of 10 210 terms) the peaks measured 6.3 (write) and 5.1 (read) times the
+# text's bytes plus 8 bytes per entry.
+TERM_WRITE_PEAK = 8
+TERM_READ_PEAK = 6.5
+
+
+def test_write_scheme_peak_memory_on_term_text():
+    scheme = scheme_for_memory(F(1, 1021))
+    text, peak = traced_peak(write_scheme, scheme)
+    assert text.count(" terms\n") == 20
+    assert peak <= TERM_WRITE_PEAK * (len(text) + 8 * entries(scheme))
+
+
+def test_read_scheme_peak_memory_on_term_text():
+    scheme = scheme_for_memory(F(1, 1021))
+    text = write_scheme(scheme)
+    read, peak = traced_peak(read_scheme, text)
+    assert read == scheme
+    assert peak <= TERM_READ_PEAK * (len(text) + 8 * entries(scheme))
 
 
 def test_write_header_lines():
@@ -264,6 +313,112 @@ def test_round_trip_corners(name):
 def test_round_trip_shared_scheme():
     shared = memory_share(corner_scheme("M13"), corner_scheme("M45"), F(2, 7))
     assert read_scheme(write_scheme(shared)) == shared
+
+
+@pytest.mark.parametrize("name", ["M0", "M13", "M2"])
+def test_corners_whose_blocks_stay_dense_are_written_as_before(name):
+    # Terms would take as many bytes or more in every block of these corners.
+    assert write_scheme(corner_scheme(name)) == scheme_oracle.write_dense(corner_scheme(name))
+
+
+def test_blocks_take_the_shorter_spelling():
+    text = write_scheme(corner_scheme("M45"))
+    headers = [line for line in text.splitlines() if line[0] in "ZUD"]
+    assert headers[:4] == ["Z1 4 terms", "Z2 4 terms", "U1 5 terms", "U2 5 terms"]
+    assert all(not line.endswith("terms") for line in headers[4:])
+    assert "U1 5 terms\nA5\nA4 B2 B5\nA1 B3 B5\n" in text
+    shared = write_scheme(scheme_for_memory(F(1, 6)))
+    assert shared.count(" terms\n") == 20
+    assert "D AA V1 5 terms\nU1\nU2\nU3\nU7\nU8\n" in shared
+    for scheme in (corner_scheme("M45"), scheme_for_memory(F(1, 6)), scheme_for_memory(F(5, 7))):
+        assert len(write_scheme(scheme)) <= len(scheme_oracle.write_dense(scheme))
+
+
+@pytest.mark.parametrize(
+    "u_rows,picks,spelled",
+    [
+        (8, [[0]], None),  # 9 bytes either way
+        (9, [[0]], "U1\n"),  # 9 bytes against 10
+        (6, [[0, 1], []], None),  # 14 bytes either way
+        (7, [[0, 1], []], "U1 U2\n-\n"),  # 14 bytes against 16
+    ],
+)
+def test_a_tie_stays_dense(u_rows, picks, spelled):
+    # Delivery rows over U rows: dense takes u_rows + 1 bytes a row, terms
+    # " terms" and the rows' terms.
+    u = BitMatrix.from_entries(np.arange(u_rows), np.arange(u_rows), (u_rows, 18))
+    rows = [r for r, row in enumerate(picks) for _ in row]
+    pick = BitMatrix.from_entries(rows, [c for row in picks for c in row], (len(picks), u_rows))
+    empty = BitMatrix.zeros(0, 18)
+    delivery = {d: DeliveryQuad(*[pick] * 4) for d in Demand}
+    scheme = LinearScheme(9, F(0), F(len(picks), 9), empty, empty, u, u, delivery)
+    text = write_scheme(scheme)
+    header = f"D AA V1 {len(picks)}"
+    if spelled is None:
+        assert f"{header}\n" in text and f"{header} terms" not in text
+    else:
+        assert f"{header} terms\n{spelled}" in text
+    assert read_scheme(text) == scheme
+
+
+def test_both_spellings_read_the_same_scheme():
+    # Dense and term spellings, line ends \r\n, comments between rows, and
+    # terms in any order with any whitespace between them.
+    for scheme in [corner_scheme(name) for name in CORNER_METRICS] + [
+        scheme_for_memory(m) for m in (F(1, 6), F(17, 30), F(5, 7), F(13, 10))
+    ]:
+        for text in (write_scheme(scheme), scheme_oracle.write_dense(scheme)):
+            assert read_scheme(text) == scheme
+            assert read_scheme(text.replace("\n", "\r\n")) == scheme
+    text = write_scheme(corner_scheme("M45")).replace("A4 B2 B5", " B5\tA4   B2 ")
+    assert read_scheme(text) == corner_scheme("M45")
+    assert read_scheme(text.replace("A1\nA2\n", "A1\n# between rows\n\n  \nA2\n")) == (
+        corner_scheme("M45")
+    )
+    # Lines are stripped as str.strip strips them, Unicode spaces and long
+    # runs of whitespace included.
+    for row in ("A4 B2 B5", "10000"):
+        for pad, end in (("\u3000", "\u2003"), (" \t" * 12, "\x1c " * 12)):
+            spaced = write_scheme(corner_scheme("M45")).replace(row, f"{pad}{row}{end}", 1)
+            assert read_scheme(spaced) == corner_scheme("M45")
+
+
+def test_an_empty_row_is_a_dash():
+    m45 = corner_scheme("M45")
+    blank = m45.u1 ^ BitMatrix.from_entries([1, 1, 1], [3, 6, 9], m45.u1.shape)
+    scheme = dataclasses.replace(m45, u1=blank)
+    text = write_scheme(scheme)
+    assert "U1 5 terms\nA5\n-\nA1 B3 B5\n" in text
+    assert read_scheme(text) == scheme
+
+
+@st.composite
+def small_schemes(draw) -> LinearScheme:
+    """Schemes with few rows over 1 to 4096 parts, at densities from empty to full."""
+    n = draw(st.one_of(st.integers(1, 12), st.sampled_from([99, 100, 1000, 4096])))
+    z, u1, u2 = (draw(st.integers(0, min(n, 4))) for _ in range(3))
+    c = draw(st.integers(0, 3)) if u1 and u2 else 0
+    density = draw(st.sampled_from([0.0, 0.002, 0.05, 0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def bits(rows: int, cols: int) -> BitMatrix:
+        return BitMatrix((rng.random((rows, cols)) < density).astype(np.uint8))
+
+    delivery = {
+        d: DeliveryQuad(bits(c, u1), bits(c, u1), bits(c, u2), bits(c, u2)) for d in Demand
+    }
+    placements = bits(z, 2 * n), bits(z, 2 * n), bits(u1, 2 * n), bits(u2, 2 * n)
+    return LinearScheme(n, F(z, n), F(c, n), *placements, delivery)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_schemes())
+def test_random_schemes_round_trip_in_both_spellings(scheme):
+    text = write_scheme(scheme)
+    dense = scheme_oracle.write_dense(scheme)
+    assert read_scheme(text) == scheme
+    assert read_scheme(dense) == scheme
+    assert len(text) <= len(dense)
 
 
 def test_read_accepts_comments_and_blank_lines():
@@ -408,6 +563,57 @@ def test_scheme_refuses_message_rows_over_an_empty_u_block():
     # No built scheme hits the refusal.
     for m in [F(p, 60) for p in range(121)]:
         scheme_for_memory(m)
+
+
+# Lines of the M = 1/6 file (n = 12): line 4 is "Z1 2 terms", line 5 its
+# first row "A7 B7", and lines 36 and 37 are "D AA V1 5 terms" and "U1".
+@pytest.mark.parametrize(
+    "no,new,expected",
+    [
+        (5, "A0 B7", "line 5: term 'A0' names no part: parts run from 1 to 12"),
+        (5, "A7 B13", "line 5: term 'B13' names no part: parts run from 1 to 12"),
+        (5, "A7 B1000000000000", "line 5: term 'B1000000000000' names no part"),
+        (37, "U13", "line 37: term 'U13' names no row of U1, which has 12 rows"),
+        (5, "A1 A1", "line 5: term 'A1' appears twice in the row"),
+        (5, "B7 A7 B7", "line 5: term 'B7' appears twice in the row"),
+        (5, "A1x", "line 5: expected terms A<k> or B<k> or '-', got 'A1x'"),
+        (5, "A07", "line 5: expected terms A<k> or B<k> or '-', got 'A07'"),
+        (5, "A7 U1", "line 5: expected terms A<k> or B<k> or '-', got 'U1'"),
+        (5, "A \uff17", "line 5: expected terms A<k> or B<k> or '-', got 'A'"),
+        (37, "A1", "line 37: expected terms U<k> or '-', got 'A1'"),
+        (5, "- A1", "line 5: '-' marks an empty row and takes no terms, got '- A1'"),
+        (5, "- -", "line 5: '-' marks an empty row and takes no terms, got '- -'"),
+        (4, "Z1 2 term", "line 4: expected header 'Z1 <rows>', got 'Z1 2 term'"),
+        (4, "Z1 2 terms terms", "line 4: expected header 'Z1 <rows>', got 'Z1 2 terms terms'"),
+        (1, "n 12 terms", "line 1: expected header 'n <value>', got 'n 12 terms'"),
+    ],
+)
+def test_bad_term_rows_are_refused_at_their_line(tmp_path, capsys, no, new, expected):
+    lines = write_scheme(scheme_for_memory(F(1, 6))).splitlines()
+    lines[no - 1] = new
+    # A later error does not hide the earlier one.
+    lines[-1] = "U99"
+    text = "\n".join(lines) + "\n"
+    for variant in (text, text.replace("\n", "\r\n")):
+        with pytest.raises(SchemeFormatError, match=f"^{re.escape(expected)}"):
+            read_scheme(variant)
+    path = tmp_path / "bad.scheme"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith(f"error: {expected}")
+
+
+def test_truncated_term_block_reports_the_end_of_file():
+    lines = write_scheme(scheme_for_memory(F(1, 6))).splitlines()
+    end = "^line 40: unexpected end of file: expected a matrix row$"
+    with pytest.raises(SchemeFormatError, match=end):
+        read_scheme("\n".join(lines[:39]) + "\n# trailing comment\n")
+    lines[36] = "U0"
+    with pytest.raises(SchemeFormatError, match="^line 37: term 'U0'"):
+        read_scheme("\n".join(lines[:39]) + "\n")
 
 
 def test_truncated_file_rejected():

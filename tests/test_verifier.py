@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import gf2_oracle as oracle
+import scheme_oracle
 from cachealign import verifier
 from cachealign import (
     BitMatrix,
@@ -27,6 +28,7 @@ from cachealign import (
     mat_mul,
     observation_matrix,
     rank,
+    read_scheme,
     scheme_for_memory,
     verify_all,
     vstack,
@@ -258,7 +260,8 @@ def test_fail_lines_name_the_parts_the_xor_block_carried(monkeypatch):
 
 
 # Built schemes at four granularities, one memory value per segment of the
-# curve, and the sha256 of write_scheme's text for the smaller two
+# curve, and the sha256 of their dense text (every block spelled dense,
+# as write_scheme spelled it before term rows) for the smaller two
 # granularities, recorded before elimination moved to word rows.
 BUILT = {
     F(93, 557): "1dcf7ba8ad3064a0616bea5ca235fc97840b08599e07cf9ad4e6d7a3e2a7bf50",
@@ -293,5 +296,9 @@ def test_built_schemes_certify_with_witnesses(memory):
     for (d, user), (g, e), solution in zip(ALL_CASES, systems, solve_each(systems)):
         assert mat_mul(solution.decoder, g) == e
         assert np.array_equal(decode_bits(scheme, d, user, bits), e.apply(bits))
+    dense = scheme_oracle.write_dense(scheme)
     if BUILT[memory] is not None:
-        assert hashlib.sha256(write_scheme(scheme).encode()).hexdigest() == BUILT[memory]
+        assert hashlib.sha256(dense.encode()).hexdigest() == BUILT[memory]
+    assert read_scheme(dense) == scheme
+    del dense
+    assert read_scheme(write_scheme(scheme)) == scheme
