@@ -11,7 +11,6 @@ Schemes are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
-import functools
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -186,16 +185,13 @@ _CORNERS = {
 CORNER_NAMES = tuple(_CORNERS)
 
 
-@functools.cache
-def _placements(name: str) -> list[BitMatrix]:
-    """Z1, Z2, U1 and U2 of a corner, read from its term rows by the scheme
-    file's term parser once; BitMatrix is immutable, so calls share them."""
-    corner = _CORNERS[name]
-    tables = (corner.z1, corner.z2, corner.u1, corner.u2)
-    firsts = np.cumsum([0, *map(len, tables)]).tolist()
-    return _read_terms(
-        _Lines("\n".join(row for table in tables for row in table)),
-        [_TermBlock(first, len(table), "AB", corner.n) for first, table in zip(firsts, tables)],
+def _placement(rows: tuple[str, ...], n: int) -> BitMatrix:
+    """A corner's placement, from its rows of terms."""
+    cols = [_row_columns(row, "AB", n) for row in rows]
+    return BitMatrix.from_entries(
+        np.repeat(np.arange(len(cols)), [len(c) for c in cols]),
+        [c for row in cols for c in row],
+        (len(rows), 2 * n),
     )
 
 
@@ -207,7 +203,7 @@ def corner_scheme(name: str) -> LinearScheme:
         raise ValueError(
             f"unknown corner scheme {name!r}: expected one of {', '.join(CORNER_NAMES)}"
         ) from None
-    z1, z2, u1, u2 = _placements(name)
+    z1, z2, u1, u2 = (_placement(t, corner.n) for t in (corner.z1, corner.z2, corner.u1, corner.u2))
     # Each message is one U row.  U1 and U2 have as many rows, so one set
     # of unit rows serves both; BitMatrix is immutable, so they are shared.
     units = [BitMatrix.from_entries([0], [i], (1, u1.rows)) for i in range(u1.rows)]
@@ -325,11 +321,11 @@ def _frac_text(f: Fraction) -> str:
 
 
 def _is_space(x: np.ndarray) -> np.ndarray:
-    """Whether each byte of a uint8 array is whitespace that str.isspace accepts.
+    """Whether each byte of a uint8 array is ASCII whitespace, as str.isspace sees it.
 
-    These surround a line's text and separate its terms: "\t" to "\r" and
-    "\x1c" to " ".  Below 9, x - 9 wraps around in uint8, so that
-    x - 9 <= 4 holds for 9 to 13 alone.
+    These separate a row's terms: "\t" to "\r" and "\x1c" to " ".  Below
+    9, x - 9 wraps around in uint8, so that x - 9 <= 4 holds for 9 to 13
+    alone.
     """
     return (x - np.uint8(9) <= 4) | (x - np.uint8(28) <= 4)
 
@@ -463,33 +459,6 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _strip_ends(buf: np.ndarray, a: np.ndarray, b: np.ndarray, rounds: int = 8) -> np.ndarray:
-    """Move the extents [a[i], b[i]) in *buf* inward past ASCII whitespace, in place.
-
-    Returns the lines that may still start or end with whitespace after
-    *rounds* steps at each end.
-    """
-    if not buf.size:
-        return np.zeros(0, dtype=np.intp)
-    last = buf.size - 1
-    todo = ((a < b) & _is_space(buf[np.minimum(a, last)])).nonzero()[0]
-    for _ in range(rounds):
-        if not todo.size:
-            break
-        a[todo] += 1
-        todo = todo[a[todo] < b[todo]]
-        todo = todo[_is_space(buf[a[todo]])]
-    leading = todo
-    todo = ((a < b) & _is_space(buf[b - 1])).nonzero()[0]
-    for _ in range(rounds):
-        if not todo.size:
-            break
-        b[todo] -= 1
-        todo = todo[a[todo] < b[todo]]
-        todo = todo[_is_space(buf[b[todo] - 1])]
-    return np.concatenate([leading, todo])
-
-
 class _Lines:
     """The content lines of a text: lines whose stripped text is not empty
     and does not start with "#".
@@ -499,8 +468,8 @@ class _Lines:
     byte extents of the content lines' texts in ``data``, the text's
     UTF-8 bytes, ``no`` their line numbers, counted from 1, and ``end``
     the number after the last.  The lines are indexed in numpy passes;
-    only a line that holds a non-ASCII character, or more whitespace at
-    an end than the passes step over, is stripped in Python.
+    only a line that starts or ends with whitespace, or holds a non-ASCII
+    character, is stripped in Python.
     """
 
     def __init__(self, text: str) -> None:
@@ -514,7 +483,9 @@ class _Lines:
         del ends
         a = np.concatenate([np.zeros(1, idx), breaks + 1])
         b = np.append(breaks, idx(buf.size))
-        slow = _strip_ends(buf, a, b)
+        edged = (a < b).nonzero()[0]
+        slow = edged[_is_space(buf[a[edged]]) | _is_space(buf[b[edged] - 1])]
+        del edged
         if not self.ascii:
             for lo, part in passes:
                 # The line of a byte is the number of line ends before it.
@@ -523,12 +494,9 @@ class _Lines:
         # np.unique would import numpy.ma, about 7 ms at start-up.
         slow = np.sort(slow)
         for i in slow[_run_starts(slow)].tolist():
-            start = int(breaks[i - 1]) + 1 if i else 0
-            line = data[start : breaks[i] if i < breaks.size else buf.size].decode(
-                "utf-8", "surrogatepass"
-            )
+            line = data[a[i] : b[i]].decode("utf-8", "surrogatepass")
             lead = len(line) - len(line.lstrip())
-            a[i] = start + len(line[:lead].encode("utf-8", "surrogatepass"))
+            a[i] += len(line[:lead].encode("utf-8", "surrogatepass"))
             b[i] = a[i] + len(line.strip().encode("utf-8", "surrogatepass"))
         del breaks
         live = a < b
@@ -598,12 +566,49 @@ class _TermBlock(NamedTuple):
         return 2 * self.limit if self.over == "AB" else self.limit
 
 
+# A term is its letter and its number, in ASCII digits without a leading zero.
+_PART_TERM_RE = re.compile(r"([AB])([0-9]|[1-9][0-9]+)")
+_ROW_TERM_RE = re.compile(r"(U)([0-9]|[1-9][0-9]+)")
+# Terms are separated by ASCII whitespace alone, the bytes _is_space accepts.
+_TERM_GAP_RE = re.compile(r"[\t-\r\x1c- ]+")
+
+
+def _row_columns(row: str, over: str, limit: int) -> list[int]:
+    """The columns of one stripped row of terms over *over* (see _TermBlock).
+
+    A ValueError names the row's first bad term: malformed, out of range
+    or given twice.  _term_keys checks rows the same way in numpy passes,
+    and calls this to describe the first row it refuses.
+    """
+    words = _TERM_GAP_RE.split(row)
+    if words == ["-"]:
+        return []
+    pattern, spelling = (_PART_TERM_RE, "A<k> or B<k>") if over == "AB" else (_ROW_TERM_RE, "U<k>")
+    cols: dict[int, None] = {}
+    for word in words:
+        if word == "-":
+            raise ValueError(f"'-' marks an empty row and takes no terms, got {row!r}")
+        match = pattern.fullmatch(word)
+        if match is None:
+            raise ValueError(f"expected terms {spelling} or '-', got {word!r}")
+        k = int(match[2])
+        if not 1 <= k <= limit:
+            if over == "AB":
+                raise ValueError(f"term {word!r} names no part: parts run from 1 to {limit}")
+            raise ValueError(f"term {word!r} names no row of {over}, which has {limit} rows")
+        col = k - 1 + limit * (match[1] == "B")
+        if col in cols:
+            raise ValueError(f"term {word!r} appears twice in the row")
+        cols[col] = None
+    return list(cols)
+
+
 def _read_terms(lines: _Lines, blocks: list[_TermBlock]) -> list[BitMatrix]:
     """The matrices of term blocks, all their rows tokenized together.
 
-    A row is its terms separated by whitespace, or "-" for an empty row.
-    The first row in file order that holds a malformed term, a term out
-    of range or a term twice is reported with its line number.
+    A row is its terms separated by ASCII whitespace, or "-" for an empty
+    row.  The first row in file order that holds a malformed term, a term
+    out of range or a term twice is reported with its line number.
     """
     if not blocks:
         return []
@@ -634,7 +639,8 @@ def _term_keys(lines: _Lines, blocks: list[_TermBlock]) -> tuple[np.ndarray, np.
     """The sorted keys of the term blocks' entries, and each block's first key.
 
     Entry (r, c) of block k has the key key_base[k] + r * width + c, so
-    that one sort orders every block.
+    that one sort orders every block.  Rows are checked as _row_columns
+    checks them, which describes the first bad one.
     """
     count = np.array([blk.count for blk in blocks], dtype=np.int64)
     width = np.array([blk.width for blk in blocks], dtype=np.int64)
@@ -652,27 +658,22 @@ def _term_keys(lines: _Lines, blocks: list[_TermBlock]) -> tuple[np.ndarray, np.
     ]
     end = np.array([ord("\n")], dtype=np.uint8)
     seg = np.concatenate([end] + [part for lo, hi in spans for part in (lines.buf[lo:hi], end)])
-    term = ~_is_space(seg)
     # Rows of all blocks in file order: the content line of each, and its
     # text's start in seg.
     shift = np.cumsum([1] + [hi - lo + 1 for lo, hi in spans])[:-1] - [lo for lo, _ in spans]
     rows = _ragged_arange(np.array([blk.first for blk in blocks], dtype=np.intp), count)
     shift = np.repeat(shift.astype(lines.a.dtype), count)
     ra = lines.a[rows] + shift
-    if not lines.ascii or any(
-        blk.count and lines.no[blk.first + blk.count - 1] - lines.no[blk.first] >= blk.count
-        for blk in blocks
-    ):
-        # Comments between a block's rows, or Unicode whitespace stripped
-        # off a row: only the rows' texts hold terms.
-        inside = np.zeros(seg.size + 1, dtype=np.int8)
-        inside[ra], inside[lines.b[rows] + shift] = 1, -1
-        term &= np.cumsum(inside[:-1], dtype=np.int8).view(bool)
-        del inside
-    del rows, shift
+    # Only the rows' texts hold terms: not comments between the rows, nor
+    # Unicode whitespace stripped off a row.
+    inside = np.zeros(seg.size + 1, dtype=np.int8)
+    inside[ra], inside[lines.b[rows] + shift] = 1, -1
+    term = ~_is_space(seg) & np.cumsum(inside[:-1], dtype=np.int8).view(bool)
+    del inside, rows, shift
     # seg starts and ends with a line end, so tokens start and end in turn.
     edges = ((term[1:] != term[:-1]).nonzero()[0] + 1).astype(ra.dtype)
     ts, te = edges[0::2], edges[1::2]
+    del edges
     # A character after a term's first one must be a digit.
     term &= ~_is_digit(seg)
     term[ts] = False
@@ -680,77 +681,58 @@ def _term_keys(lines: _Lines, blocks: list[_TermBlock]) -> tuple[np.ndarray, np.
     del term
     row = (np.searchsorted(ra, ts, "right") - 1).astype(ra.dtype)
     del ra
-    block = np.repeat(np.arange(len(blocks), dtype=np.min_scalar_type(len(blocks))), count)[row]
+    row_block = np.repeat(np.arange(len(blocks), dtype=np.min_scalar_type(len(blocks))), count)
+    block = row_block[row]
     first, size = seg[ts], te - ts
     plc = placement[block]
     letter = np.where(plc, (first == ord("A")) | (first == ord("B")), first == ord("U"))
-    malformed = ~letter | (size < 2) | ((size > 2) & (seg[ts + 1] == ord("0")))
+    bad = ~letter | (size < 2) | ((size > 2) & (seg[ts + 1] == ord("0")))
     del letter
-    if stray.size:
-        malformed[np.searchsorted(ts, stray, "right") - 1] = True
+    bad[np.searchsorted(ts, stray, "right") - 1] = True
     # "-" stands alone in its row: neither neighbouring token is in the row.
     dash = (first == ord("-")) & (size == 1)
-    if dash.any():
-        shared = np.zeros(ts.size + 1, dtype=bool)
-        shared[1:-1] = row[1:] == row[:-1]
-        malformed[dash] = (shared[:-1] | shared[1:])[dash]
+    shared = np.zeros(ts.size + 1, dtype=bool)
+    shared[1:-1] = row[1:] == row[:-1]
+    bad[dash] = (shared[:-1] | shared[1:])[dash]
+    del shared
     digits = len(str(int(limit.max())))
     col = np.zeros(ts.size, dtype=np.int32)
     last = seg.size - 1
     for j in range(1, digits + 1):
         digit = seg[np.minimum(ts + j, last)] - np.int32(ord("0"))
         col = np.where(size > j, col * 10 + digit, col)
-    del digit
+    del seg, ts, te, digit
     lim = limit[block]
-    outside = ~(malformed | dash) & ((size > digits + 1) | (col < 1) | (col > lim))
-    # The first malformed or out-of-range term, kept before its bytes go.
-    bad = (malformed | outside).nonzero()[0][:1]
-    token = seg[ts[bad[0]] : te[bad[0]]].tobytes() if bad.size else b""
+    bad |= ~dash & ((size > digits + 1) | (col < 1) | (col > lim))
     col -= 1
     b_terms = plc & (first == ord("B"))
     col[b_terms] += lim[b_terms]
-    good = ~(malformed | dash | outside)
-    del seg, edges, ts, te, first, size, plc, lim, b_terms
+    good = ~(bad | dash)
+    del first, size, plc, lim, b_terms, dash
     key = row.astype(np.int64)
     key -= row_first[block]
     key *= width[block]
     key += key_base[block]
     key += col
-    del col
+    del col, block
     key = key[good]
-    repeated = np.zeros(0, dtype=np.intp)
+    wrong = row[bad]
     if np.any(key[1:] <= key[:-1]):
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(key)
         key = key[order]
-        # Of equal keys, the stable sort puts the later in the file later.
-        twice = (key[1:] == key[:-1]).nonzero()[0][:1] + 1
-        repeated = good.nonzero()[0][order[twice]]
-    wrong = np.concatenate([bad, repeated])
+        # Equal keys are one entry twice in a row.
+        twice = order[1:][key[1:] == key[:-1]]
+        wrong = np.append(wrong, row[good][twice])
     if not wrong.size:
         return key, key_base
-    t = int(wrong.min())
-    blk = blocks[block[t]]
-    at = blk.first + int(row[t] - row_first[block[t]])  # the content line of the term's row
-    if t in bad:
-        text = token.decode("utf-8", "surrogatepass")
-        if dash[t]:
-            message = f"'-' marks an empty row and takes no terms, got {lines.text(at)!r}"
-        elif malformed[t]:
-            expected = "A<k> or B<k>" if blk.over == "AB" else "U<k>"
-            message = f"expected terms {expected} or '-', got {text!r}"
-        elif blk.over == "AB":
-            message = f"term {text!r} names no part: parts run from 1 to {blk.limit}"
-        else:
-            message = f"term {text!r} names no row of {blk.over}, which has {blk.limit} rows"
-    else:
-        # Terms have one spelling each, so the entry's column spells the term.
-        c = int(key[twice[0]] - key_base[block[t]]) % blk.width
-        if blk.over != "AB":
-            text = f"U{c + 1}"
-        else:
-            text = f"{'AB'[c // blk.limit]}{c % blk.limit + 1}"
-        message = f"term {text!r} appears twice in the row"
-    raise SchemeFormatError(int(lines.no[at]), message)
+    r = int(wrong.min())
+    blk = blocks[row_block[r]]
+    at = blk.first + r - int(row_first[row_block[r]])  # the content line of the row
+    try:
+        _row_columns(lines.text(at), blk.over, blk.limit)
+    except ValueError as exc:
+        raise SchemeFormatError(int(lines.no[at]), str(exc)) from None
+    raise AssertionError(f"line {lines.no[at]}: a row refused in numpy passes reads in Python")
 
 
 def read_scheme(text: str) -> LinearScheme:
@@ -836,6 +818,12 @@ def read_scheme(text: str) -> LinearScheme:
             over = ("U1" if tag[-1] in "12" else "U2") if tag[0] == "D" else "AB"
             rows = min(count, lines.count - at)
             block = _TermBlock(at, rows, over, n if over == "AB" else declared[over])
+            if terms and rows and not block.limit:
+                # The dense spelling cannot write such rows either.
+                raise SchemeFormatError(
+                    int(lines.no[at]),
+                    f"{tag} rows over an empty {over} carry no bits, got {lines.text(at)!r}",
+                )
             if terms:
                 pending.append(block)
                 mats.append(None)

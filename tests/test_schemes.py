@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scheme_oracle
@@ -30,6 +30,7 @@ from cachealign import (
     write_scheme,
 )
 from cachealign.cli import main
+from cachealign.schemes import _row_columns
 
 F = Fraction
 
@@ -580,6 +581,8 @@ def test_scheme_refuses_message_rows_over_an_empty_u_block():
         (5, "A07", "line 5: expected terms A<k> or B<k> or '-', got 'A07'"),
         (5, "A7 U1", "line 5: expected terms A<k> or B<k> or '-', got 'U1'"),
         (5, "A \uff17", "line 5: expected terms A<k> or B<k> or '-', got 'A'"),
+        # Only ASCII whitespace separates terms; str.strip's other spaces do not.
+        (5, "A7\u3000B7", "line 5: expected terms A<k> or B<k> or '-', got 'A7\\u3000B7'"),
         (37, "A1", "line 37: expected terms U<k> or '-', got 'A1'"),
         (5, "- A1", "line 5: '-' marks an empty row and takes no terms, got '- A1'"),
         (5, "- -", "line 5: '-' marks an empty row and takes no terms, got '- -'"),
@@ -604,6 +607,48 @@ def test_bad_term_rows_are_refused_at_their_line(tmp_path, capsys, no, new, expe
     assert captured.out == ""
     errors = captured.err.splitlines()
     assert len(errors) == 1 and errors[0].startswith(f"error: {expected}")
+
+
+def test_term_rows_over_an_empty_u_block_are_refused(tmp_path, capsys):
+    # A term row can spell an empty delivery row over M2's empty U blocks,
+    # which the dense spelling cannot; such rows carry no bits.
+    text = write_scheme(corner_scheme("M2")).replace("c 0/1", "c 1/1")
+    text = text.replace("D AA V1 0\n", "D AA V1 1 terms\n-\n")
+    expected = "line 13: D AA V1 rows over an empty U1 carry no bits, got '-'"
+    with pytest.raises(SchemeFormatError, match=f"^{re.escape(expected)}$"):
+        read_scheme(text)
+    path = tmp_path / "bad.scheme"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+# Z1's first row (line 5, parts 1 to 12) and D AA V1's first (line 37,
+# over U1's 12 rows) of the M = 1/6 file.
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([(5, "AB", 12), (37, "U1", 12)]),
+    st.text(alphabet="ABU-0123789/:x \t\u3000", min_size=1, max_size=10),
+)
+@example((5, "AB", 12), "A1 -")
+@example((5, "AB", 12), "A1/")  # "/" is "0" - 1, so 1 * 10 - 1 would read as part 9
+@example((37, "U1", 12), "U1:")
+def test_term_rows_read_as_row_columns_reads_them(line, row):
+    no, over, limit = line
+    lines = write_scheme(scheme_for_memory(F(1, 6))).splitlines()
+    lines[no - 1] = row
+    text = "\n".join(lines) + "\n"
+    if not row.strip():
+        return  # a blank line is no row
+    try:
+        cols = _row_columns(row.strip(), over, limit)
+    except ValueError as exc:
+        with pytest.raises(SchemeFormatError, match=f"^line {no}: {re.escape(str(exc))}$"):
+            read_scheme(text)
+        return
+    scheme = read_scheme(text)
+    mat = scheme.z1 if over == "AB" else scheme.delivery[Demand.AA].d1
+    assert mat.indices[mat.indptr[0] : mat.indptr[1]].tolist() == sorted(cols)
 
 
 def test_truncated_term_block_reports_the_end_of_file():
