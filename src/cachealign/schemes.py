@@ -473,7 +473,6 @@ class _Lines:
     """
 
     def __init__(self, text: str) -> None:
-        self.ascii = text.isascii()
         self.data = data = text.encode("utf-8", "surrogatepass")
         self.buf = buf = np.frombuffer(data, dtype=np.uint8)
         idx = np.int32 if buf.size < 2**31 - 1 else np.int64
@@ -486,7 +485,7 @@ class _Lines:
         edged = (a < b).nonzero()[0]
         slow = edged[_is_space(buf[a[edged]]) | _is_space(buf[b[edged] - 1])]
         del edged
-        if not self.ascii:
+        if not text.isascii():
             for lo, part in passes:
                 # The line of a byte is the number of line ends before it.
                 wide = np.searchsorted(breaks, (part >= 0x80).nonzero()[0] + lo)
