@@ -168,9 +168,13 @@ class BitMatrix:
         return running[self.indptr[1:]] ^ running[self.indptr[:-1]]
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
+        if not isinstance(other, BitMatrix):
+            return NotImplemented
         return mat_mul(self, other)
 
     def __xor__(self, other: "BitMatrix") -> "BitMatrix":
+        if not isinstance(other, BitMatrix):
+            return NotImplemented
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch for XOR: {self.shape} vs {other.shape}")
         (r1, c1), (r2, c2) = self.nonzero(), other.nonzero()

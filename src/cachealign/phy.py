@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -32,11 +31,10 @@ import numpy as np
 
 from .gf2 import _as_bits
 from .netchannel import Demand, _check_user
-from .schemes import LinearScheme
+from .schemes import LinearScheme, _is_integer
 from .verifier import decoders, message_bits, observed_bits
 
 __all__ = [
-    "CONSTELLATION_CACHE_BYTES",
     "DemodError",
     "MonteCarloResult",
     "PhyConfig",
@@ -63,12 +61,6 @@ NOISE_SIGMA = 1.0  # unit-variance additive Gaussian noise
 # fresh processes on a shared 2-core VM, Python 3.11, numpy 2.4).
 MAX_ALPHABET = 64
 
-# Most bytes that the cached constellations hold, counting each at its
-# full size: sorted values, point indices and decision cells, 40 bytes a
-# point.  A q = 64 entry takes about 41.6 MB (39.7 MiB), so three fit;
-# the cache also holds at most 64 entries of any size.
-CONSTELLATION_CACHE_BYTES = 128 * 2**20
-
 # Most Monte Carlo trials in one run.  A run holds a trials x 4 int64
 # symbol array and one user's float64 noise at a time: at 10^6 trials and
 # q = 2 it takes about 0.08 s, and the process peaks near 82 MB RSS
@@ -81,11 +73,6 @@ MAX_TRIALS = 10**6
 _MC_BLOCK = 2**14
 
 MC_CSV_HEADER = "P,trials,ser_user1,ser_user2,seed"
-
-
-def _is_integer(x) -> bool:
-    # bool is an Integral, but True is no count.
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _check_seed(seed) -> int:
@@ -234,8 +221,6 @@ class _Constellation:
             users.append((values, order))
         self.values, self.points = zip(*users)
         self.gap = min(int(np.diff(values).min()) for values in self.values)
-        # Bytes of the values, the point indices and the cells, built or not.
-        self.nbytes = sum(v.nbytes + p.nbytes + 3 * 8 * v.size for v, p in users)
 
     def for_user(self, user: int) -> tuple[np.ndarray, np.ndarray]:
         """The user's sorted values and the index of the point at each position."""
@@ -264,41 +249,12 @@ class _Constellation:
         return tables[0], tables[1]
 
 
-class _ConstellationCache:
-    """Constellations by (gains, q), the least recently used evicted first.
-
-    It holds at most 64 entries and CONSTELLATION_CACHE_BYTES bytes.  An
-    entry is counted at its full size from the start, its decision cells
-    included before they are built, so the cells that Monte Carlo builds
-    later never take the cache over its budget.
-    """
-
-    entries = 64
-
-    def __init__(self) -> None:
-        self._tables: OrderedDict[tuple, _Constellation] = OrderedDict()
-        self.nbytes = 0  # full size of the cached entries, built cells or not
-
-    def __call__(self, gains: tuple[Fraction, ...], q: int) -> _Constellation:
-        key = (gains, q)
-        table = self._tables.get(key)
-        if table is not None:
-            self._tables.move_to_end(key)
-            return table
-        table = self._tables[key] = _Constellation(gains, q)
-        self.nbytes += table.nbytes
-        while len(self._tables) > 1 and (
-            len(self._tables) > self.entries or self.nbytes > CONSTELLATION_CACHE_BYTES
-        ):
-            self.nbytes -= self._tables.popitem(last=False)[1].nbytes
-        return table
-
-    def cache_clear(self) -> None:
-        self._tables.clear()
-        self.nbytes = 0
-
-
-_constellation = _ConstellationCache()
+# A certified q = 64 entry holds about 41.6 MB once Monte Carlo has built
+# its decision cells, 40 bytes a point, so three entries stay under 125 MB.
+@lru_cache(maxsize=3)
+def _constellation(gains: tuple[Fraction, ...], q: int) -> _Constellation:
+    """The gain set's constellation, the least recently used of three evicted first."""
+    return _Constellation(gains, q)
 
 
 def _certified(cfg: PhyConfig) -> _Constellation:
@@ -424,8 +380,13 @@ class MonteCarloResult:
     seed: int
 
     def csv_row(self) -> str:
+        # Six significant digits when they read back as the power, else the
+        # shortest decimal that does.
+        power = f"{self.power:g}"
+        if float(power) != self.power:
+            power = repr(self.power).removesuffix(".0")
         return (
-            f"{self.power:g},{self.trials},"
+            f"{power},{self.trials},"
             f"{self.ser_user1:.6f},{self.ser_user2:.6f},{self.seed}"
         )
 

@@ -11,6 +11,7 @@ Schemes are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import numbers
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -45,6 +46,12 @@ __all__ = [
 # full, 2n characters each, takes about 200 MB at this limit.
 MAX_GRANULARITY = 4096
 
+
+def _is_integer(x) -> bool:
+    # bool is an Integral, but True is no count.
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 class DeliveryQuad(NamedTuple):
     """Per-demand delivery maps; d1,d2 act on cache 1's bits, d3,d4 on cache 2's."""
 
@@ -77,6 +84,9 @@ class LinearScheme:
         object.__setattr__(self, "memory", Fraction(self.memory))
         object.__setattr__(self, "load", Fraction(self.load))
         object.__setattr__(self, "delivery", dict(self.delivery))
+        if not _is_integer(self.n):
+            raise ValueError(f"granularity must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n <= 0:
             raise ValueError(f"granularity must be positive, got {self.n}")
         if not 0 <= self.memory <= 2:

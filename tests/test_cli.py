@@ -229,11 +229,24 @@ def test_phy_mc_outputs_csv(capsys):
     assert lines[1] == "40000,100,0.000000,0.000000,7"
 
 
-@pytest.mark.parametrize("power,shown", [("2.5", "2.5"), ("1e3", "1000")])
+@pytest.mark.parametrize(
+    "power,shown",
+    [
+        ("2.5", "2.5"),
+        ("1e3", "1000"),
+        # :g printed these two as 1.23457e+08 and 40000.1.
+        ("123456789", "123456789"),
+        ("40000.123456", "40000.123456"),
+        ("1e12", "1e+12"),
+        ("1.2345678e300", "1.2345678e+300"),
+    ],
+)
 def test_phy_mc_power_forms(capsys, power, shown):
     argv = ["phy", "mc", "--gains", "2,3,5,7", "--power", power, "--trials", "10", "--seed", "1"]
     assert main(argv) == 0
-    assert capsys.readouterr().out.splitlines()[1].startswith(f"{shown},10,")
+    printed = capsys.readouterr().out.splitlines()[1].split(",")[0]
+    assert printed == shown
+    assert float(printed) == float(power)
 
 
 def test_e2e_command(tmp_path, capsys):

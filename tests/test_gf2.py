@@ -204,6 +204,16 @@ def test_xor_self_inverse(m):
     assert (m ^ m) == BitMatrix.zeros(m.rows, m.cols)
 
 
+@pytest.mark.parametrize("other", [1, np.uint8(1), "1", None])
+def test_xor_and_product_refuse_what_is_not_a_bit_matrix(other):
+    # Both used to raise AttributeError on other.shape or other.rows.
+    m = BitMatrix.identity(2)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        m ^ other
+    with pytest.raises(TypeError, match="unsupported operand"):
+        m @ other
+
+
 @st.composite
 def systems_with_solution(draw, max_dim: int = 5):
     rows = draw(st.integers(1, max_dim))

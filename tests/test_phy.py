@@ -337,27 +337,42 @@ def builds(monkeypatch):
     phy._constellation.cache_clear()
 
 
-def test_constellation_cache_keeps_to_its_byte_budget():
-    # Eight certified q = 64 gain sets, each with the decision cells that
-    # Monte Carlo builds: about 41.6 MB apiece.  Before the budget, the
-    # cache held all eight.
-    phy._constellation.cache_clear()
-    try:
-        for k in range(8):
-            cfg = PhyConfig(1000 + k, 1, 1, 1000, q=64)
-            assert uniqueness_certificate(cfg)
-            table = phy._constellation(cfg.gains, cfg.q)
-            assert table.cells[0].shape == (3, 64 * 64 * 127)
-            held = 0
-            for cached in phy._constellation._tables.values():
-                held += sum(v.nbytes + p.nbytes for v, p in zip(cached.values, cached.points))
-                if "cells" in vars(cached):
-                    held += sum(cells.nbytes for cells in cached.cells)
-            assert held == phy._constellation.nbytes <= phy.CONSTELLATION_CACHE_BYTES
-        assert len(phy._constellation._tables) == phy.CONSTELLATION_CACHE_BYTES // table.nbytes
-        assert phy._constellation(cfg.gains, cfg.q) is table
-    finally:
-        phy._constellation.cache_clear()
+def test_constellation_cache_keeps_to_its_byte_budget(builds):
+    # Four certified q = 64 gain sets, each with the decision cells that
+    # Monte Carlo builds: about 41.6 MB apiece, so the three kept stay
+    # under 125 MB.
+    configs = [PhyConfig(1000 + k, 1, 1, 1000, q=64) for k in range(4)]
+    tables = []
+    for cfg in configs:
+        assert uniqueness_certificate(cfg)
+        tables.append(phy._constellation(cfg.gains, cfg.q))
+        assert tables[-1].cells[0].shape == (3, 64 * 64 * 127)
+    assert phy._constellation.cache_info().currsize == 3
+    held = sum(
+        array.nbytes
+        for table in tables[-3:]
+        for array in (*table.values, *table.points, *table.cells)
+    )
+    assert held <= 125 * 10**6
+    assert phy._constellation(cfg.gains, cfg.q) is tables[-1]
+    assert uniqueness_certificate(configs[0])
+    assert builds == [(cfg.gains, 64) for cfg in configs + configs[:1]]
+
+
+def test_fresh_gain_sets_leave_at_most_three_constellations(builds):
+    # The noise workload's shape: each operation draws new gains, certifies
+    # them at q = 16 and runs Monte Carlo at q = 2, 4 and 8, and no entry is
+    # looked up again once the next gain set comes.
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        gains = [F(int(p), int(d)) for p, d in rng.integers(1, 50, size=(4, 2))]
+        uniqueness_certificate(PhyConfig(*gains, q=16))
+        for q in (2, 4, 8):
+            cfg = PhyConfig(*gains, q=q)
+            if uniqueness_certificate(cfg):
+                monte_carlo(PhyConfig(*gains, q=q, power=power_for_min_gap(cfg, 2.0)), 100, 1)
+    assert len(builds) == 40
+    assert phy._constellation.cache_info().currsize <= 3
 
 
 def test_e2e_builds_the_constellation_once(builds):

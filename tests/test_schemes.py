@@ -206,6 +206,21 @@ def test_memory_share_granularity_limit():
     assert memory_share(s2, s2, F(1, 7)).n == 7
 
 
+@pytest.mark.parametrize("name,n", [("M13", 3.0), ("M13", "3"), ("M13", F(3)), ("M2", True)])
+def test_granularity_must_be_an_integer(name, n):
+    # 3.0 raised AttributeError, "3" raised TypeError, and True was kept and
+    # written as "n True", which read_scheme refuses.
+    message = f"granularity must be an integer, got {re.escape(repr(n))}"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(corner_scheme(name), n=n)
+
+
+def test_numpy_granularity_is_stored_as_an_int():
+    scheme = dataclasses.replace(corner_scheme("M13"), n=np.int64(3))
+    assert type(scheme.n) is int
+    assert read_scheme(write_scheme(scheme)) == corner_scheme("M13")
+
+
 def test_scheme_for_memory_at_corner_is_the_corner():
     assert scheme_for_memory(F(1, 3)) == corner_scheme("M13")
     assert scheme_for_memory(F(2)) == corner_scheme("M2")
