@@ -11,12 +11,14 @@ Schemes are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -38,12 +40,15 @@ __all__ = [
     "write_scheme",
 ]
 
-# Largest granularity memory_share builds and read_scheme accepts.  Built
-# schemes are sparse, with at most 3 ones in a placement row.  At n = 4093
-# they certify in about 0.02 to 0.05 s, and their scheme file spells rows
-# as terms in 235 KB, which write_scheme writes in 3 to 4 ms and
-# read_scheme reads in 5 to 7 ms.  A file that spells every row out in
-# full, 2n characters each, takes about 200 MB at this limit.
+# Largest granularity memory_share builds and read_scheme accepts: it
+# bounds the flat rows that a built scheme holds and a file spells out.
+# Built schemes are sparse, with at most 3 ones in a placement row.  At
+# n = 4093 memory_share builds one in about 2 ms, and verify_all
+# certifies it by its parts in about 7 ms, or its flat copy read from a
+# file in 0.04 to 0.06 s.  Their scheme file spells rows as terms in
+# 235 KB, which write_scheme writes in 3 to 4 ms and read_scheme reads
+# in 5 to 7 ms.  A file that spells every row out in full, 2n characters
+# each, takes about 200 MB at this limit.
 MAX_GRANULARITY = 4096
 
 
@@ -76,14 +81,18 @@ class LinearScheme:
     z2: BitMatrix
     u1: BitMatrix
     u2: BitMatrix
-    # Compared but not hashed, since a dict has no hash; equal schemes
-    # still hash equal.
+    # Compared but not hashed, since a mapping has no hash; equal schemes
+    # still hash equal.  Stored as a read-only view of a copy.
     delivery: Mapping[Demand, DeliveryQuad] = field(repr=False, hash=False)
+    # The operands of a memory share, set by memory_share alone.  It is not
+    # an argument, so dataclasses.replace, read_scheme and hand-built
+    # schemes give flat schemes, with no parts.
+    parts: _Parts | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "memory", Fraction(self.memory))
         object.__setattr__(self, "load", Fraction(self.load))
-        object.__setattr__(self, "delivery", dict(self.delivery))
+        object.__setattr__(self, "delivery", MappingProxyType(dict(self.delivery)))
         if not _is_integer(self.n):
             raise ValueError(f"granularity must be an integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
@@ -124,6 +133,12 @@ class LinearScheme:
                         f"{message_rows}x{src.rows}, got {mat.shape}"
                     )
 
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled, so pickle and copy rebuild the
+        # scheme from its arguments, as a flat scheme.
+        fields = (self.n, self.memory, self.load, self.z1, self.z2, self.u1, self.u2)
+        return LinearScheme, (*fields, dict(self.delivery))
+
     @property
     def cache_rows(self) -> int:
         """Rows of each receiver cache placement: memory * n."""
@@ -138,6 +153,19 @@ class LinearScheme:
     def rho(self) -> Fraction:
         """Sum network load over the four messages."""
         return 4 * self.load
+
+
+class _Parts(NamedTuple):
+    """A memory share's operands: k1 scaled copies of s1 beside k2 of s2.
+
+    Part i of s1, copy j, is part i*k1 + j of the share; s2's copies
+    follow from part s1.n*k1 on, in the same way.
+    """
+
+    s1: LinearScheme
+    k1: int
+    s2: LinearScheme
+    k2: int
 
 
 def file_selector(n: int, file_id: str) -> BitMatrix:
@@ -205,8 +233,13 @@ def _placement(rows: tuple[str, ...], n: int) -> BitMatrix:
     )
 
 
+@functools.cache
 def corner_scheme(name: str) -> LinearScheme:
-    """One of the four built-in schemes at memory 0, 1/3, 4/5, or 2."""
+    """One of the four built-in schemes at memory 0, 1/3, 4/5, or 2.
+
+    Schemes are immutable, so every call for a name returns one object,
+    and the memory shares built on it hold that object as a part.
+    """
     try:
         corner = _CORNERS[name]
     except KeyError:
@@ -224,36 +257,64 @@ def corner_scheme(name: str) -> LinearScheme:
     return LinearScheme(corner.n, corner.memory, corner.load, z1, z2, u1, u2, delivery)
 
 
-def _scaled(x: BitMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Entries of the Kronecker product of *x* with I_k: (r, c) becomes (r*k + i, c*k + i)."""
-    rows, cols = x.nonzero()
-    i = np.arange(k)
-    return (rows[:, None] * k + i).ravel(), (cols[:, None] * k + i).ravel()
+def _rational(x, what: str) -> Fraction:
+    """*x* as an exact Fraction; a ValueError naming it unless it is a finite number."""
+    # bool is a number, but True is no weight or memory.
+    if not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what} must be a finite number, got {x!r}")
 
 
-def _stacked(blocks, cols: int) -> BitMatrix:
-    """Stack the scaled copies kron(m, I_k) of (m, k, place) blocks vertically.
+def _scaled(blocks) -> list[BitMatrix]:
+    """Matrices that each stack scaled copies kron(m, I_k) of their pieces, in one pass.
 
-    *place* maps each copy's column indices to columns of the result.
+    *blocks* holds (cols, pieces) per matrix, with pieces (m, k, split,
+    low, high): column c of m lands, in copy i, on column c*k + i + low
+    when c < split and on c*k + i + high otherwise, with high >= low.
+    Row r*k + i of kron(m, I_k) holds column c*k + i for each column c of
+    row r of m, so its columns stay sorted, and the shifts keep them
+    sorted: the rows come out as canonical CSR arrays, with no sort.
     """
-    rows, out_cols, top = [], [], 0
-    for m, k, place in blocks:
-        r, c = _scaled(m, k)
-        rows.append(r + top)
-        out_cols.append(place(c))
-        top += m.rows * k
-    return BitMatrix.from_entries(np.concatenate(rows), np.concatenate(out_cols), (top, cols))
+    pieces = [piece for _, block in blocks for piece in block]
+    mats = [m for m, *_ in pieces]
+    sizes = [m.indices.size for m in mats]
+    k, split, low, high = (np.array(x, dtype=np.intp) for x in zip(*(p[1:] for p in pieces)))
+    # Each entry of every piece, scaled and shifted, as in copy 0.
+    cols = np.concatenate([m.indices for m in mats])
+    cols = cols * np.repeat(k, sizes) + np.where(
+        cols < np.repeat(split, sizes), np.repeat(low, sizes), np.repeat(high, sizes)
+    )
+    lengths = np.concatenate([np.diff(m.indptr) for m in mats])
+    copies = np.repeat(k, [m.rows for m in mats])
+    # Each row of every piece, k times over, is a row of the output in order.
+    out_lengths = np.repeat(lengths, copies)
+    cols = cols[_ragged_arange(np.repeat(np.cumsum(lengths) - lengths, copies), out_lengths)]
+    cols += np.repeat(_ragged_arange(np.zeros_like(copies), copies), out_lengths)
+    indptr = np.concatenate([np.zeros(1, np.intp), np.cumsum(out_lengths)])
+    heights = [sum(m.rows * k for m, k, *_ in block) for _, block in blocks]
+    bounds = np.cumsum([0] + heights).tolist()
+    return [
+        BitMatrix._from_csr(indptr[lo : hi + 1] - indptr[lo], cols[indptr[lo] : indptr[hi]], width)
+        for (width, _), lo, hi in zip(blocks, bounds, bounds[1:])
+    ]
 
 
 def memory_share(s1: LinearScheme, s2: LinearScheme, lam: Fraction) -> LinearScheme:
     """Convex combination of two schemes by splitting the files.
 
-    A lam-fraction of every file is served by a scaled copy of s1 on the
-    low-index parts and the rest by a scaled copy of s2, on disjoint bit
-    ranges.  Metrics combine exactly: memory = lam*M1 + (1-lam)*M2 and
-    load = lam*c1 + (1-lam)*c2.
+    A lam-fraction of every file is served by k1 scaled copies of s1 on
+    the low-index parts and the rest by k2 scaled copies of s2, on
+    disjoint bit ranges, with block-diagonal delivery maps.  Metrics
+    combine exactly: memory = lam*M1 + (1-lam)*M2 and load = lam*c1 +
+    (1-lam)*c2.  The result keeps (s1, k1, s2, k2) as its ``parts``.
     """
-    lam = Fraction(lam)
+    for s in (s1, s2):
+        if not isinstance(s, LinearScheme):
+            raise TypeError(f"memory_share shares LinearScheme operands, got {type(s).__name__}")
+    lam = _rational(lam, "sharing coefficient")
     if not 0 <= lam <= 1:
         raise ValueError(f"sharing coefficient {lam} out of range [0, 1]")
     if lam == 1:
@@ -271,34 +332,35 @@ def memory_share(s1: LinearScheme, s2: LinearScheme, lam: Fraction) -> LinearSch
         )
     k1 = p * t // s1.n
     k2 = (q - p) * t // s2.n
+    w1, w2 = s1.n * k1, s2.n * k2
+    # The copies' A parts, columns [0, w) of kron(m, I_k), land on the parts
+    # [offset, offset + w) of file A, and their B parts, [w, 2w), on those
+    # of file B.
+    placed1, placed2 = (s1.n, 0, n - w1), (s2.n, w1, n + w1 - w2)
 
-    def parts(offset: int, width: int):
-        # A sub-scheme's columns [0, width) and [width, 2*width) are its
-        # A and B parts; they land on parts [offset, offset + width).
-        return lambda c: np.where(c < width, offset + c, n + offset + c - width)
+    def stack(m1: BitMatrix, m2: BitMatrix):
+        return 2 * n, [(m1, k1, *placed1), (m2, k2, *placed2)]
 
-    place1, place2 = parts(0, s1.n * k1), parts(s1.n * k1, s2.n * k2)
-
-    def stack(m1: BitMatrix, m2: BitMatrix) -> BitMatrix:
-        return _stacked([(m1, k1, place1), (m2, k2, place2)], 2 * n)
-
-    def block_diagonal(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    def block_diagonal(a: BitMatrix, b: BitMatrix):
         shift = a.cols * k1
-        return _stacked([(a, k1, lambda c: c), (b, k2, lambda c: c + shift)], shift + b.cols * k2)
+        return shift + b.cols * k2, [(a, k1, 0, 0, 0), (b, k2, 0, shift, shift)]
 
-    delivery = {
-        d: DeliveryQuad(*map(block_diagonal, s1.delivery[d], s2.delivery[d])) for d in Demand
-    }
-    return LinearScheme(
+    z1, z2, u1, u2, *maps = _scaled(
+        [stack(s1.z1, s2.z1), stack(s1.z2, s2.z2), stack(s1.u1, s2.u1), stack(s1.u2, s2.u2)]
+        + [block_diagonal(a, b) for d in Demand for a, b in zip(s1.delivery[d], s2.delivery[d])]
+    )
+    shared = LinearScheme(
         n=n,
         memory=lam * s1.memory + (1 - lam) * s2.memory,
         load=lam * s1.load + (1 - lam) * s2.load,
-        z1=stack(s1.z1, s2.z1),
-        z2=stack(s1.z2, s2.z2),
-        u1=stack(s1.u1, s2.u1),
-        u2=stack(s1.u2, s2.u2),
-        delivery=delivery,
+        z1=z1,
+        z2=z2,
+        u1=u1,
+        u2=u2,
+        delivery={d: DeliveryQuad(*maps[4 * i : 4 * i + 4]) for i, d in enumerate(Demand)},
     )
+    object.__setattr__(shared, "parts", _Parts(s1, k1, s2, k2))
+    return shared
 
 
 def scheme_for_memory(m: Fraction) -> LinearScheme:
@@ -307,7 +369,7 @@ def scheme_for_memory(m: Fraction) -> LinearScheme:
     Locates the segment of the optimal trade-off containing m and
     memory-shares the two bracketing built-in schemes.
     """
-    m = Fraction(m)
+    m = _rational(m, "M")
     if not 0 <= m <= 2:
         raise ValueError(f"M out of range [0, 2]: {m}")
     memories = [_CORNERS[name].memory for name in CORNER_NAMES]

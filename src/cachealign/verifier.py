@@ -5,10 +5,18 @@ lies in the row space of the matrix stacking the user's cache placement
 on top of its three channel observation blocks.  Certification is exact
 (zero-error linear recoverability); the witness is the decoder matrix
 produced by elimination.
+
+A memory share is certified by its parts.  memory_share puts k1 scaled
+copies of s1 and k2 of s2 on disjoint file parts, with block-diagonal
+delivery maps, so each user's system is, up to a row and column order,
+k1 copies of s1's system beside k2 copies of s2's.  A case then passes
+exactly when it passes on s1 and on s2, and the parts it misses are the
+copies of the parts they miss.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,18 +127,46 @@ def _all_systems(s: LinearScheme):
             yield _system(s, d, user, messages)
 
 
+def _leaves(s: LinearScheme) -> list[tuple[LinearScheme, np.ndarray]]:
+    """The flat schemes that *s* shares, each with the parts of *s* that copy its parts.
+
+    Row i of a leaf's array lists the parts of *s* that are copies of the
+    leaf's part i; a flat scheme is its own leaf.  Part p of a share's
+    operand, copy j, is part p*k + j of the share, from its offset on.
+    """
+    if s.parts is None:
+        return [(s, np.arange(s.n)[:, None])]
+    s1, k1, s2, k2 = s.parts
+    return [
+        (leaf, offset + (where[:, :, None] * k + np.arange(k)).reshape(leaf.n, -1))
+        for sub, k, offset in ((s1, k1, 0), (s2, k2, s1.n * k1))
+        for leaf, where in _leaves(sub)
+    ]
+
+
 def verify_all(s: LinearScheme) -> VerificationReport:
     """Check all 4 demands x 2 users, solved as one system; each case's verdict is its own.
 
     Row i of a requested file's selector picks part i + 1 of the file, so
     the failing rows of a case name the parts its user cannot recover.
+    A memory share solves the systems of the flat schemes it shares, and
+    its failing rows are the copies of theirs.
     """
     keys = [(d, user) for d in Demand for user in (1, 2)]
-    cases = tuple(
-        CaseResult(d, user, tuple(f"{d.requested(user)}{i + 1}" for i in solution.failed.tolist()))
-        for (d, user), solution in zip(keys, solve_each(_all_systems(s)))
-    )
-    return VerificationReport(memory=s.memory, load=s.load, cases=cases)
+    leaves = _leaves(s)
+    solutions = solve_each(itertools.chain.from_iterable(_all_systems(leaf) for leaf, _ in leaves))
+    # Leaf by leaf, each leaf's systems in the order of keys.
+    per_leaf = [solutions[j : j + len(keys)] for j in range(0, len(solutions), len(keys))]
+    cases = []
+    for k, (d, user) in enumerate(keys):
+        # Leaves come in the order of their parts, and a leaf's rows in the
+        # order of its copies' parts, so the failing parts come sorted.
+        failed = np.concatenate(
+            [where[ours[k].failed].ravel() for (_, where), ours in zip(leaves, per_leaf)]
+        )
+        names = (f"{d.requested(user)}{i + 1}" for i in failed.tolist())
+        cases.append(CaseResult(d, user, tuple(names)))
+    return VerificationReport(memory=s.memory, load=s.load, cases=tuple(cases))
 
 
 def message_bits(

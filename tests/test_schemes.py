@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import re
 import tracemalloc
+from copy import deepcopy
 from fractions import Fraction
 
 import numpy as np
@@ -219,6 +221,74 @@ def test_numpy_granularity_is_stored_as_an_int():
     scheme = dataclasses.replace(corner_scheme("M13"), n=np.int64(3))
     assert type(scheme.n) is int
     assert read_scheme(write_scheme(scheme)) == corner_scheme("M13")
+
+
+BAD_WEIGHTS = [True, False, float("nan"), float("inf"), float("-inf"), None, "x", 1j]
+
+
+@pytest.mark.parametrize("value", BAD_WEIGHTS, ids=repr)
+@pytest.mark.parametrize("share", [True, False], ids=["memory_share", "scheme_for_memory"])
+def test_bad_weights_and_memories_are_refused(share, value):
+    # True returned s1 from memory_share and built M = 1 in scheme_for_memory;
+    # NaN, inf and None failed inside Fraction.
+    what = "sharing coefficient" if share else "M"
+    message = f"{what} must be a finite number, got {re.escape(repr(value))}"
+    with pytest.raises(ValueError, match=message):
+        if share:
+            memory_share(corner_scheme("M13"), corner_scheme("M45"), value)
+        else:
+            scheme_for_memory(value)
+
+
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.parametrize("other", [None, 3, "M45"])
+def test_memory_share_refuses_what_is_not_a_scheme(first, other):
+    # These raised AttributeError.
+    pair = (other, corner_scheme("M45")) if first else (corner_scheme("M13"), other)
+    with pytest.raises(TypeError, match="memory_share shares LinearScheme operands, got"):
+        memory_share(*pair, F(1, 2))
+
+
+def test_shares_keep_their_parts_and_flat_schemes_have_none():
+    s13, s45 = corner_scheme("M13"), corner_scheme("M45")
+    # Schemes are immutable, so every call returns one object per corner.
+    assert s13 is corner_scheme("M13") and s13.parts is None
+    shared = memory_share(s13, s45, F(2, 7))
+    assert shared.parts == (s13, 2, s45, 3) and shared.n == 21
+    assert shared.parts.s1 is s13 and shared.parts.s2 is s45
+    nested = memory_share(shared, corner_scheme("M0"), F(1, 3))
+    assert nested.parts.s1 is shared
+    # replace, read_scheme and hand-built schemes are flat.
+    assert dataclasses.replace(shared).parts is None
+    assert read_scheme(write_scheme(shared)).parts is None
+    fields = {f.name: getattr(shared, f.name) for f in dataclasses.fields(shared) if f.init}
+    assert LinearScheme(**fields).parts is None
+    # Parts are not compared, hashed or shown.
+    assert dataclasses.replace(shared) == shared
+    assert hash(dataclasses.replace(shared)) == hash(shared)
+    assert "parts" not in repr(shared)
+
+
+def test_delivery_is_read_only():
+    scheme = corner_scheme("M13")
+    before = hash(scheme)
+    with pytest.raises(TypeError):
+        scheme.delivery[Demand.AA] = scheme.delivery[Demand.AB]
+    with pytest.raises(TypeError):
+        del scheme.delivery[Demand.AA]
+    assert scheme.delivery[Demand.AA] != scheme.delivery[Demand.AB]
+    # The scheme keeps a copy: changing the mapping it was built from
+    # changes nothing.
+    given = dict(scheme.delivery)
+    copy = dataclasses.replace(scheme, delivery=given)
+    given[Demand.AA] = scheme.delivery[Demand.AB]
+    assert copy == scheme and hash(copy) == hash(scheme) == before
+    assert read_scheme(write_scheme(copy)) == scheme
+    assert hash(read_scheme(write_scheme(copy))) == before
+    # Pickle and deepcopy worked on the dict and still do.
+    assert pickle.loads(pickle.dumps(scheme)) == scheme
+    shared = memory_share(scheme, corner_scheme("M45"), F(1, 2))
+    assert deepcopy(shared) == shared and deepcopy(shared).parts is None
 
 
 def test_scheme_for_memory_at_corner_is_the_corner():

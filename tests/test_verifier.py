@@ -14,9 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gf2_oracle as oracle
 import scheme_oracle
+from test_netchannel import dense_schemes
 from cachealign import verifier
 from cachealign import (
     BitMatrix,
@@ -26,6 +29,7 @@ from cachealign import (
     decode_bits,
     file_selector,
     mat_mul,
+    memory_share,
     observation_matrix,
     rank,
     read_scheme,
@@ -209,6 +213,21 @@ def test_scaling_wall_certifies_within_memory_budget():
     assert peak < SCALING_WALL_BUDGET, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_scaling_wall_certifies_its_flat_copy_within_memory_budget():
+    # The flat path at the cap: a scheme read from a file has no parts, so
+    # verify_all eliminates its n-part systems.
+    tracemalloc.start()
+    try:
+        flat = read_scheme(write_scheme(scheme_for_memory(F(1, 4093))))
+        report = verify_all(flat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flat.n == 4093 and flat.parts is None
+    assert report.passed and len(report.cases) == 8
+    assert peak < SCALING_WALL_BUDGET, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_certification_imports_no_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -282,7 +301,7 @@ BUILT = {
 @pytest.mark.parametrize("memory", list(BUILT))
 def test_built_schemes_certify_with_witnesses(memory):
     scheme = scheme_for_memory(memory)
-    assert scheme.n in (557, 1142, 2127, 4093)
+    assert scheme.n in (557, 1142, 2127, 4093) and scheme.parts is not None
     report = verify_all(scheme)
     assert report.passed and [case.line() for case in report.cases] == [
         f"CASE {d} {user} PASS" for d, user in ALL_CASES
@@ -301,4 +320,67 @@ def test_built_schemes_certify_with_witnesses(memory):
         assert hashlib.sha256(dense.encode()).hexdigest() == BUILT[memory]
     assert read_scheme(dense) == scheme
     del dense
-    assert read_scheme(write_scheme(scheme)) == scheme
+    flat = read_scheme(write_scheme(scheme))
+    assert flat == scheme and flat.parts is None
+    # By parts and flat, the reports agree field for field.
+    assert verify_all(flat) == report
+
+
+# One memory value from each band of the benchmark's certify workload.
+CERTIFY_BANDS = [F(141, 569), F(87, 577), F(53, 563), F(480, 719), F(404, 701), F(326, 719)]
+
+
+@pytest.mark.parametrize("memory", CERTIFY_BANDS)
+def test_certify_bands_agree_by_parts_and_flat(memory):
+    scheme = scheme_for_memory(memory)
+    assert 560 <= scheme.n <= 725 and scheme.parts is not None
+    flat = read_scheme(write_scheme(scheme))
+    assert flat.parts is None
+    report = verify_all(scheme)
+    assert report.passed and verify_all(flat) == report
+
+
+def test_zeroed_deliveries_of_a_share_are_flat_and_fail():
+    # The benchmark's negative control: replace gives a flat scheme, so its
+    # parts cannot vouch for it.
+    shared = scheme_for_memory(F(141, 569))
+    zeroed = dataclasses.replace(
+        shared,
+        delivery={
+            d: type(quad)(*(BitMatrix.zeros(*mat.shape) for mat in quad))
+            for d, quad in shared.delivery.items()
+        },
+    )
+    assert shared.parts is not None and zeroed.parts is None
+    report = verify_all(zeroed)
+    assert not report.passed and not any(case.ok for case in report.cases)
+    assert all(decodable(zeroed, d, user) is None for d, user in ALL_CASES)
+
+
+@st.composite
+def shares(draw):
+    """A memory share of two random dense schemes at a random weight, sometimes shared again."""
+
+    def weight(most: int) -> Fraction:
+        q = draw(st.integers(2, most))
+        return F(draw(st.integers(1, q - 1)), q)
+
+    shared = memory_share(draw(dense_schemes(max_n=4)), draw(dense_schemes(max_n=4)), weight(5))
+    if draw(st.booleans()):
+        other = draw(dense_schemes(max_n=3))
+        pair = (shared, other) if draw(st.booleans()) else (other, shared)
+        shared = memory_share(*pair, weight(3))
+    return shared
+
+
+@settings(max_examples=60, deadline=None)
+@given(shares())
+def test_shares_certify_by_parts_as_their_flat_copies(shared):
+    s1, k1, s2, k2 = shared.parts
+    mats = [shared.z1, shared.z2, shared.u1, shared.u2]
+    mats += [mat for d in Demand for mat in shared.delivery[d]]
+    assert mats == scheme_oracle.shared_dense(s1, k1, s2, k2)
+    flat = read_scheme(write_scheme(shared))
+    assert flat == shared and flat.parts is None
+    # Failing cases included: their missing parts must agree name for name.
+    assert verify_all(shared) == verify_all(flat)
