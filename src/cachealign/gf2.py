@@ -31,6 +31,7 @@ passes; the failing rows of each system give its own verdict.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -50,6 +51,18 @@ def _as_bits(data, what: str) -> np.ndarray:
     if given.dtype.kind not in "biuf" or not ((given == 0) | (given == 1)).all():
         raise ValueError(f"{what} must be 0 or 1")
     return given.astype(np.uint8)
+
+
+def _rational(x, what: str, refusal: str = "{what} must be a finite number, got {x!r}") -> Fraction:
+    """*x* as an exact Fraction; unless it is a finite number, a ValueError worded by *refusal*."""
+    # bool is a number, but True is no memory, weight or gain.  Fraction
+    # raises OverflowError for an infinity and ZeroDivisionError for "1/0".
+    if not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ArithmeticError, TypeError, ValueError):
+            pass
+    raise ValueError(refusal.format(what=what, x=x))
 
 
 def _csr(keys: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, int]:

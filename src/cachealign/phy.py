@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf2 import _as_bits
+from .gf2 import _as_bits, _rational
 from .netchannel import Demand, _check_user
 from .schemes import LinearScheme, _is_integer
 from .verifier import decoders, message_bits, observed_bits
@@ -111,16 +111,7 @@ class PhyConfig:
 
     def __post_init__(self) -> None:
         for name in ("h11", "h12", "h21", "h22"):
-            value = getattr(self, name)
-            try:
-                # bool is a Rational, but True is no gain.
-                gain = None if isinstance(value, bool) else Fraction(value)
-            except (ArithmeticError, TypeError, ValueError):
-                # Fraction raises OverflowError for an infinity, ValueError for
-                # NaN, ZeroDivisionError for "1/0" and TypeError for None.
-                gain = None
-            if gain is None:
-                raise ValueError(f"gain {name} must be a finite number, got {value!r}")
+            gain = _rational(getattr(self, name), f"gain {name}")
             if gain == 0:
                 raise ValueError(f"gain {name} must be nonzero")
             object.__setattr__(self, name, gain)
@@ -325,11 +316,7 @@ def demodulate(cfg: PhyConfig, y, user: int, noisy: bool = False) -> tuple[int, 
     Noiseless mode demands an exact constellation value; noisy mode takes
     the nearest value, ties going to the smaller one.  Both are exact.
     """
-    try:
-        y = Fraction(y)
-    except (OverflowError, ValueError):
-        # Fraction raises OverflowError for an infinity, ValueError for NaN.
-        raise ValueError(f"observation {y!r} is not a finite number") from None
+    y = _rational(y, "observation", "{what} {x!r} is not a finite number")
     scaled = np.array([y * _cleared(cfg.gains)[0] ** 2])
     return tuple(_demod(cfg, user, scaled, noisy)[:, 0].tolist())
 

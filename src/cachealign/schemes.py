@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .gf2 import BitMatrix, _ragged_arange, _run_starts
+from .gf2 import BitMatrix, _ragged_arange, _rational, _run_starts
 from .netchannel import FILES, Demand
 
 __all__ = [
@@ -57,6 +57,15 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _granularity(n) -> int:
+    """*n* as an int; a ValueError unless it is a positive integer."""
+    if not _is_integer(n):
+        raise ValueError(f"granularity must be an integer, got {n!r}")
+    if n <= 0:
+        raise ValueError(f"granularity must be positive, got {n}")
+    return int(n)
+
+
 class DeliveryQuad(NamedTuple):
     """Per-demand delivery maps; d1,d2 act on cache 1's bits, d3,d4 on cache 2's."""
 
@@ -64,6 +73,15 @@ class DeliveryQuad(NamedTuple):
     d2: BitMatrix
     d3: BitMatrix
     d4: BitMatrix
+
+
+# A scheme's blocks in the order of its file, each with what its columns
+# span: a placement spans "AB", the 2n file parts, and each demand's
+# delivery maps V1 and V2 act on U1's rows, V3 and V4 on U2's.
+_BLOCKS = (
+    ("Z1", "AB"), ("Z2", "AB"), ("U1", "AB"), ("U2", "AB"),
+    *((f"D {d} V{i}", "U1" if i < 3 else "U2") for d in Demand for i in range(1, 5)),
+)
 
 
 @dataclass(frozen=True)
@@ -92,12 +110,10 @@ class LinearScheme:
     def __post_init__(self) -> None:
         object.__setattr__(self, "memory", Fraction(self.memory))
         object.__setattr__(self, "load", Fraction(self.load))
-        object.__setattr__(self, "delivery", MappingProxyType(dict(self.delivery)))
-        if not _is_integer(self.n):
-            raise ValueError(f"granularity must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        if self.n <= 0:
-            raise ValueError(f"granularity must be positive, got {self.n}")
+        # As DeliveryQuads, so that each demand gives exactly four maps.
+        delivery = MappingProxyType({d: DeliveryQuad(*q) for d, q in self.delivery.items()})
+        object.__setattr__(self, "delivery", delivery)
+        object.__setattr__(self, "n", _granularity(self.n))
         if not 0 <= self.memory <= 2:
             raise ValueError(f"memory {self.memory} out of range [0, 2]")
         if self.load < 0:
@@ -106,38 +122,34 @@ class LinearScheme:
             raise ValueError(f"memory*n = {self.memory * self.n} is not an integer")
         if (self.load * self.n).denominator != 1:
             raise ValueError(f"load*n = {self.load * self.n} is not an integer")
-        width = 2 * self.n
-        for name, mat in (("z1", self.z1), ("z2", self.z2)):
-            if mat.shape != (self.cache_rows, width):
-                raise ValueError(f"{name} must be {self.cache_rows}x{width}, got {mat.shape}")
-        for name, mat in (("u1", self.u1), ("u2", self.u2)):
-            if mat.cols != width or mat.rows > self.n:
+        if set(self.delivery) != set(Demand):
+            raise ValueError("delivery must cover exactly the four demands")
+        n, message_rows = self.n, self.message_rows
+        rows = {"Z": self.cache_rows, "D": message_rows}
+        cols = {"AB": 2 * n, "U1": self.u1.rows, "U2": self.u2.rows}
+        for (tag, over), mat in zip(_BLOCKS, self.blocks):
+            name = f"delivery d{tag[-1]} for {tag[2:4]}" if tag[0] == "D" else tag.lower()
+            if tag[0] != "U" and mat.shape != (rows[tag[0]], cols[over]):
+                raise ValueError(f"{name} must be {rows[tag[0]]}x{cols[over]}, got {mat.shape}")
+            if tag[0] == "U" and (mat.cols != cols[over] or mat.rows > n):
                 raise ValueError(
-                    f"{name} must have at most {self.n} rows and {width} columns, "
-                    f"got {mat.shape}"
+                    f"{name} must have at most {n} rows and {2 * n} columns, got {mat.shape}"
                 )
-        message_rows = self.message_rows
-        for name, mat in (("u1", self.u1), ("u2", self.u2)):
             # Such rows carry no bits, and a scheme file cannot spell them.
-            if message_rows and not mat.rows:
+            if tag[0] == "U" and message_rows and not mat.rows:
                 raise ValueError(
                     f"load*n = {message_rows} message rows over an empty {name} carry no bits"
                 )
-        if set(self.delivery) != set(Demand):
-            raise ValueError("delivery must cover exactly the four demands")
-        for d, quad in self.delivery.items():
-            for tag, mat, src in zip(quad._fields, quad, (self.u1, self.u1, self.u2, self.u2)):
-                if mat.shape != (message_rows, src.rows):
-                    raise ValueError(
-                        f"delivery {tag} for {d} must be "
-                        f"{message_rows}x{src.rows}, got {mat.shape}"
-                    )
 
     def __reduce__(self):
         # A mapping proxy cannot be pickled, so pickle and copy rebuild the
-        # scheme from its arguments, as a flat scheme.
-        fields = (self.n, self.memory, self.load, self.z1, self.z2, self.u1, self.u2)
-        return LinearScheme, (*fields, dict(self.delivery))
+        # scheme from its blocks, as a flat scheme.
+        return _from_blocks, (self.n, self.memory, self.load, self.blocks)
+
+    @property
+    def blocks(self) -> tuple[BitMatrix, ...]:
+        """The scheme's 20 matrices, in the order of _BLOCKS."""
+        return (self.z1, self.z2, self.u1, self.u2, *(m for d in Demand for m in self.delivery[d]))
 
     @property
     def cache_rows(self) -> int:
@@ -155,21 +167,35 @@ class LinearScheme:
         return 4 * self.load
 
 
-class _Parts(NamedTuple):
-    """A memory share's operands: k1 scaled copies of s1 beside k2 of s2.
+def _from_blocks(n: int, memory: Fraction, load: Fraction, blocks) -> LinearScheme:
+    """The scheme of the 20 matrices *blocks*, in the order of _BLOCKS."""
+    z1, z2, u1, u2, *maps = blocks
+    delivery = {d: DeliveryQuad(*maps[4 * i : 4 * i + 4]) for i, d in enumerate(Demand)}
+    return LinearScheme(n, memory, load, z1, z2, u1, u2, delivery)
 
-    Part i of s1, copy j, is part i*k1 + j of the share; s2's copies
-    follow from part s1.n*k1 on, in the same way.
-    """
+
+def _copies(n1: int, k1: int, n2: int, k2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Copy j of item i of the first operand is item i*k1 + j of the share, in row i of
+    the first array; the second operand's copies follow from item n1*k1 on, in the same way."""
+    return np.arange(n1 * k1).reshape(n1, k1), n1 * k1 + np.arange(n2 * k2).reshape(n2, k2)
+
+
+class _Parts(NamedTuple):
+    """A memory share's operands: k1 scaled copies of s1 beside k2 of s2."""
 
     s1: LinearScheme
     k1: int
     s2: LinearScheme
     k2: int
 
+    def copies(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each operand, the parts of the share that copy each of its parts (see _copies)."""
+        return _copies(self.s1.n, self.k1, self.s2.n, self.k2)
+
 
 def file_selector(n: int, file_id: str) -> BitMatrix:
     """n x 2n matrix picking out one file's parts from the stacked file bits."""
+    n = _granularity(n)
     if file_id not in FILES:
         raise ValueError(f"unknown file id {file_id!r}")
     offset = 0 if file_id == "A" else n
@@ -246,47 +272,32 @@ def corner_scheme(name: str) -> LinearScheme:
         raise ValueError(
             f"unknown corner scheme {name!r}: expected one of {', '.join(CORNER_NAMES)}"
         ) from None
-    z1, z2, u1, u2 = (_placement(t, corner.n) for t in (corner.z1, corner.z2, corner.u1, corner.u2))
+    placements = [_placement(t, corner.n) for t in (corner.z1, corner.z2, corner.u1, corner.u2)]
     # Each message is one U row.  U1 and U2 have as many rows, so one set
     # of unit rows serves both; BitMatrix is immutable, so they are shared.
-    units = [BitMatrix.from_entries([0], [i], (1, u1.rows)) for i in range(u1.rows)]
-    if corner.picks:
-        delivery = {d: DeliveryQuad(*(units[i] for i in p)) for d, p in zip(Demand, corner.picks)}
-    else:
-        delivery = dict.fromkeys(Demand, DeliveryQuad(*[BitMatrix.zeros(0, 0)] * 4))
-    return LinearScheme(corner.n, corner.memory, corner.load, z1, z2, u1, u2, delivery)
-
-
-def _rational(x, what: str) -> Fraction:
-    """*x* as an exact Fraction; a ValueError naming it unless it is a finite number."""
-    # bool is a number, but True is no weight or memory.
-    if not isinstance(x, bool):
-        try:
-            return Fraction(x)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValueError(f"{what} must be a finite number, got {x!r}")
+    units = [BitMatrix.from_entries([0], [i], (1, len(corner.u1))) for i in range(len(corner.u1))]
+    maps = [units[i] for p in corner.picks for i in p] or [BitMatrix.zeros(0, 0)] * 16
+    return _from_blocks(corner.n, corner.memory, corner.load, placements + maps)
 
 
 def _scaled(blocks) -> list[BitMatrix]:
-    """Matrices that each stack scaled copies kron(m, I_k) of their pieces, in one pass.
+    """Matrices that each stack k scaled copies of their pieces, in one pass.
 
-    *blocks* holds (cols, pieces) per matrix, with pieces (m, k, split,
-    low, high): column c of m lands, in copy i, on column c*k + i + low
-    when c < split and on c*k + i + high otherwise, with high >= low.
-    Row r*k + i of kron(m, I_k) holds column c*k + i for each column c of
-    row r of m, so its columns stay sorted, and the shifts keep them
-    sorted: the rows come out as canonical CSR arrays, with no sort.
+    *blocks* holds (cols, pieces) per matrix, with pieces (m, k, base):
+    row r of m gives rows r*k + i, and column c of m lands, in copy i, on
+    column base[c] + i.  base rises by at least k from one column to the
+    next, so each row's columns stay sorted: the rows come out as
+    canonical CSR arrays, with no sort.
     """
     pieces = [piece for _, block in blocks for piece in block]
-    mats = [m for m, *_ in pieces]
+    mats = [m for m, _, _ in pieces]
     sizes = [m.indices.size for m in mats]
-    k, split, low, high = (np.array(x, dtype=np.intp) for x in zip(*(p[1:] for p in pieces)))
-    # Each entry of every piece, scaled and shifted, as in copy 0.
-    cols = np.concatenate([m.indices for m in mats])
-    cols = cols * np.repeat(k, sizes) + np.where(
-        cols < np.repeat(split, sizes), np.repeat(low, sizes), np.repeat(high, sizes)
-    )
+    k = np.array([k for _, k, _ in pieces], dtype=np.intp)
+    # Each entry of every piece, as in copy 0.
+    bases = [base for _, _, base in pieces]
+    starts = np.cumsum([0] + [base.size for base in bases[:-1]])
+    cols = np.concatenate([m.indices for m in mats]) + np.repeat(starts, sizes)
+    cols = np.concatenate(bases)[cols]
     lengths = np.concatenate([np.diff(m.indptr) for m in mats])
     copies = np.repeat(k, [m.rows for m in mats])
     # Each row of every piece, k times over, is a row of the output in order.
@@ -294,7 +305,7 @@ def _scaled(blocks) -> list[BitMatrix]:
     cols = cols[_ragged_arange(np.repeat(np.cumsum(lengths) - lengths, copies), out_lengths)]
     cols += np.repeat(_ragged_arange(np.zeros_like(copies), copies), out_lengths)
     indptr = np.concatenate([np.zeros(1, np.intp), np.cumsum(out_lengths)])
-    heights = [sum(m.rows * k for m, k, *_ in block) for _, block in blocks]
+    heights = [sum(m.rows * k for m, k, _ in block) for _, block in blocks]
     bounds = np.cumsum([0] + heights).tolist()
     return [
         BitMatrix._from_csr(indptr[lo : hi + 1] - indptr[lo], cols[indptr[lo] : indptr[hi]], width)
@@ -332,34 +343,21 @@ def memory_share(s1: LinearScheme, s2: LinearScheme, lam: Fraction) -> LinearSch
         )
     k1 = p * t // s1.n
     k2 = (q - p) * t // s2.n
-    w1, w2 = s1.n * k1, s2.n * k2
-    # The copies' A parts, columns [0, w) of kron(m, I_k), land on the parts
-    # [offset, offset + w) of file A, and their B parts, [w, 2w), on those
-    # of file B.
-    placed1, placed2 = (s1.n, 0, n - w1), (s2.n, w1, n + w1 - w2)
-
-    def stack(m1: BitMatrix, m2: BitMatrix):
-        return 2 * n, [(m1, k1, *placed1), (m2, k2, *placed2)]
-
-    def block_diagonal(a: BitMatrix, b: BitMatrix):
-        shift = a.cols * k1
-        return shift + b.cols * k2, [(a, k1, 0, 0, 0), (b, k2, 0, shift, shift)]
-
-    z1, z2, u1, u2, *maps = _scaled(
-        [stack(s1.z1, s2.z1), stack(s1.z2, s2.z2), stack(s1.u1, s2.u1), stack(s1.u2, s2.u2)]
-        + [block_diagonal(a, b) for d in Demand for a, b in zip(s1.delivery[d], s2.delivery[d])]
-    )
-    shared = LinearScheme(
-        n=n,
-        memory=lam * s1.memory + (1 - lam) * s2.memory,
-        load=lam * s1.load + (1 - lam) * s2.load,
-        z1=z1,
-        z2=z2,
-        u1=u1,
-        u2=u2,
-        delivery={d: DeliveryQuad(*maps[4 * i : 4 * i + 4]) for i, d in enumerate(Demand)},
-    )
-    object.__setattr__(shared, "parts", _Parts(s1, k1, s2, k2))
+    parts = _Parts(s1, k1, s2, k2)
+    # The columns of each span and, per operand, where copy 0 of each of
+    # its columns lands: a part's A column, and its B column n on; the
+    # share's U rows copy the operands' U rows as its parts copy theirs.
+    spans = {"AB": (2 * n, *(np.concatenate([c[:, 0], n + c[:, 0]]) for c in parts.copies()))}
+    for over, u1, u2 in (("U1", s1.u1, s2.u1), ("U2", s1.u2, s2.u2)):
+        c1, c2 = _copies(u1.rows, k1, u2.rows, k2)
+        spans[over] = (c1.size + c2.size, c1[:, 0], c2[:, 0])
+    pieces = []
+    for (_, over), a, b in zip(_BLOCKS, s1.blocks, s2.blocks):
+        cols, base1, base2 = spans[over]
+        pieces.append((cols, [(a, k1, base1), (b, k2, base2)]))
+    memory, load = lam * s1.memory + (1 - lam) * s2.memory, lam * s1.load + (1 - lam) * s2.load
+    shared = _from_blocks(n, memory, load, _scaled(pieces))
+    object.__setattr__(shared, "parts", parts)
     return shared
 
 
@@ -469,25 +467,20 @@ def _terms_texts(mats: list[BitMatrix], ns: list[int]) -> list[np.ndarray]:
     return [out[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-# The blocks of a scheme file in file order: the placements, then the
-# delivery maps V1..V4 of each demand in turn.
-_BLOCKS = ("Z1", "Z2", "U1", "U2", *(f"D {d} V{i}" for d in Demand for i in range(1, 5)))
-
-
 def write_scheme(s: LinearScheme) -> str:
     """Serialize to the scheme file format (round-trips with read_scheme).
 
     Each block takes whichever spelling is shorter, dense rows or terms,
     its header's terms word counted; a tie stays dense.
     """
-    mats = (s.z1, s.z2, s.u1, s.u2, *(mat for d in Demand for mat in s.delivery[d]))
-    ns = [s.n if tag[0] in "ZU" else 0 for tag in _BLOCKS]
+    mats = s.blocks
+    ns = [s.n if over == "AB" else 0 for _, over in _BLOCKS]
     dense = [mat.rows * (mat.cols + 1) for mat in mats]
     # A term takes at least 3 bytes, so only these blocks may come out shorter.
     maybe = [k for k, mat in enumerate(mats) if len(_TERMS) + 1 + 3 * mat.indices.size < dense[k]]
     terms = dict(zip(maybe, _terms_texts([mats[k] for k in maybe], [ns[k] for k in maybe])))
     parts = [f"n {s.n}\nM {_frac_text(s.memory)}\nc {_frac_text(s.load)}\n".encode("ascii")]
-    for k, (tag, mat) in enumerate(zip(_BLOCKS, mats)):
+    for k, ((tag, _), mat) in enumerate(zip(_BLOCKS, mats)):
         if k in terms and len(_TERMS) + 1 + terms[k].size < dense[k]:
             parts += [f"{tag} {mat.rows} {_TERMS}\n".encode("ascii"), terms[k]]
         else:
@@ -648,7 +641,7 @@ def _row_columns(row: str, over: str, limit: int) -> list[int]:
     """The columns of one stripped row of terms over *over* (see _TermBlock).
 
     A ValueError names the row's first bad term: malformed, out of range
-    or given twice.  _term_keys checks rows the same way in numpy passes,
+    or given twice.  _term_entries checks rows the same way in numpy passes,
     and calls this to describe the first row it refuses.
     """
     words = _TERM_GAP_RE.split(row)
@@ -683,43 +676,29 @@ def _read_terms(lines: _Lines, blocks: list[_TermBlock]) -> list[BitMatrix]:
     """
     if not blocks:
         return []
-    key, key_base = _term_keys(lines, blocks)
-    count = np.array([blk.count for blk in blocks], dtype=np.int64)
-    width = np.array([blk.width for blk in blocks], dtype=np.int64)
-    # The CSR arrays of all blocks at once: row r of block k starts at the
-    # first key from key_base[k] + r * width[k] on.
-    steps = count + 1
-    row_keys = np.repeat(key_base, steps)
-    row_keys += _ragged_arange(np.zeros_like(count), steps) * np.repeat(width, steps)
-    indptr = np.searchsorted(key, row_keys)
-    del row_keys
-    tops = np.cumsum(steps) - steps
-    firsts = indptr[tops]
-    indptr -= np.repeat(firsts, steps)
-    block = np.repeat(np.arange(len(blocks)), np.diff(np.append(firsts, key.size)))
-    indices = (key - key_base[block]) % width[block]
-    del key, block
-    cuts = np.append(firsts, indices.size).tolist()
+    row, col = _term_entries(lines, blocks)
+    # Rows are numbered across the blocks in file order, and the entries
+    # of row r are col[indptr[r]:indptr[r + 1]].
+    tops = np.cumsum([0] + [blk.count for blk in blocks]).tolist()
+    indptr = np.zeros(tops[-1] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row, minlength=tops[-1]), out=indptr[1:])
+    del row
     return [
-        BitMatrix._from_csr(indptr[top : top + blk.count + 1], indices[lo:hi], blk.width)
-        for blk, top, lo, hi in zip(blocks, tops.tolist(), cuts, cuts[1:])
+        BitMatrix._from_csr(indptr[a : b + 1] - indptr[a], col[indptr[a] : indptr[b]], blk.width)
+        for blk, a, b in zip(blocks, tops, tops[1:])
     ]
 
 
-def _term_keys(lines: _Lines, blocks: list[_TermBlock]) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted keys of the term blocks' entries, and each block's first key.
+def _term_entries(lines: _Lines, blocks: list[_TermBlock]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns of the term blocks' entries, sorted by row, then column.
 
-    Entry (r, c) of block k has the key key_base[k] + r * width + c, so
-    that one sort orders every block.  Rows are checked as _row_columns
-    checks them, which describes the first bad one.
+    Rows are numbered across all blocks in file order.  Rows are checked
+    as _row_columns checks them, which describes the first bad one.
     """
-    count = np.array([blk.count for blk in blocks], dtype=np.int64)
-    width = np.array([blk.width for blk in blocks], dtype=np.int64)
+    count = np.array([blk.count for blk in blocks], dtype=np.intp)
     # Part and row numbers stay below 10**9, in int32 with a digit to spare.
     limit = np.array([blk.limit for blk in blocks], dtype=np.int32)
     placement = np.array([blk.over == "AB" for blk in blocks])
-    row_first = np.cumsum(count) - count
-    key_base = np.cumsum(count * width) - count * width
     # The bytes of each block from its first row's text to its last row's,
     # each after a line end and the last before one, so that no row's text
     # touches another's and a byte follows every token.
@@ -730,7 +709,7 @@ def _term_keys(lines: _Lines, blocks: list[_TermBlock]) -> tuple[np.ndarray, np.
     end = np.array([ord("\n")], dtype=np.uint8)
     seg = np.concatenate([end] + [part for lo, hi in spans for part in (lines.buf[lo:hi], end)])
     # Rows of all blocks in file order: the content line of each, and its
-    # text's start in seg.
+    # text's start in seg.  Their numbers here are the entries' rows.
     shift = np.cumsum([1] + [hi - lo + 1 for lo, hi in spans])[:-1] - [lo for lo, _ in spans]
     rows = _ragged_arange(np.array([blk.first for blk in blocks], dtype=np.intp), count)
     shift = np.repeat(shift.astype(lines.a.dtype), count)
@@ -752,10 +731,9 @@ def _term_keys(lines: _Lines, blocks: list[_TermBlock]) -> tuple[np.ndarray, np.
     del term
     row = (np.searchsorted(ra, ts, "right") - 1).astype(ra.dtype)
     del ra
-    row_block = np.repeat(np.arange(len(blocks), dtype=np.min_scalar_type(len(blocks))), count)
-    block = row_block[row]
     first, size = seg[ts], te - ts
-    plc = placement[block]
+    # Each term's block's limit and spelling, through its row.
+    plc = np.repeat(placement, count)[row]
     letter = np.where(plc, (first == ord("A")) | (first == ord("B")), first == ord("U"))
     bad = ~letter | (size < 2) | ((size > 2) & (seg[ts + 1] == ord("0")))
     del letter
@@ -773,32 +751,33 @@ def _term_keys(lines: _Lines, blocks: list[_TermBlock]) -> tuple[np.ndarray, np.
         digit = seg[np.minimum(ts + j, last)] - np.int32(ord("0"))
         col = np.where(size > j, col * 10 + digit, col)
     del seg, ts, te, digit
-    lim = limit[block]
+    lim = np.repeat(limit, count)[row]
     bad |= ~dash & ((size > digits + 1) | (col < 1) | (col > lim))
     col -= 1
     b_terms = plc & (first == ord("B"))
     col[b_terms] += lim[b_terms]
     good = ~(bad | dash)
     del first, size, plc, lim, b_terms, dash
+    row, col, wrong = row[good], col[good], row[bad]
+    del good, bad
+    # Twice the largest limit is above every column, so these keys order
+    # the entries by row, then column.
     key = row.astype(np.int64)
-    key -= row_first[block]
-    key *= width[block]
-    key += key_base[block]
+    key *= 2 * int(limit.max())
     key += col
-    del col, block
-    key = key[good]
-    wrong = row[bad]
     if np.any(key[1:] <= key[:-1]):
         order = np.argsort(key)
         key = key[order]
         # Equal keys are one entry twice in a row.
-        twice = order[1:][key[1:] == key[:-1]]
-        wrong = np.append(wrong, row[good][twice])
+        wrong = np.append(wrong, row[order[1:][key[1:] == key[:-1]]])
+        row, col = row[order], col[order]
+    del key
     if not wrong.size:
-        return key, key_base
+        return row, col.astype(np.int64)
     r = int(wrong.min())
-    blk = blocks[row_block[r]]
-    at = blk.first + r - int(row_first[row_block[r]])  # the content line of the row
+    k = int(np.searchsorted(np.cumsum(count), r, "right"))
+    blk = blocks[k]
+    at = blk.first + r - int(count[:k].sum())  # the content line of the row
     try:
         _row_columns(lines.text(at), blk.over, blk.limit)
     except ValueError as exc:
@@ -874,7 +853,7 @@ def read_scheme(text: str) -> LinearScheme:
         declared: dict[str, int] = {}
         expected = {"Z": int(memory * n), "D": int(load * n)}
         mats: list[BitMatrix | None] = []
-        for tag in _BLOCKS:
+        for tag, over in _BLOCKS:
             no, raw, terms = header(tag, "<rows>", spellings=True)
             count = declared[tag] = integer(no, raw, f"{tag} row count")
             if tag[0] == "U":
@@ -884,9 +863,6 @@ def read_scheme(text: str) -> LinearScheme:
                 raise SchemeFormatError(
                     no, f"{tag} must declare {expected[tag[0]]} rows, got {count}"
                 )
-            # Placement rows span the 2n file parts; V1 and V2 act on U1's
-            # rows, V3 and V4 on U2's.
-            over = ("U1" if tag[-1] in "12" else "U2") if tag[0] == "D" else "AB"
             rows = min(count, lines.count - at)
             block = _TermBlock(at, rows, over, n if over == "AB" else declared[over])
             if terms and rows and not block.limit:
@@ -909,6 +885,4 @@ def read_scheme(text: str) -> LinearScheme:
         _read_terms(lines, pending)  # a bad term row before this error is reported first
         raise
     read = iter(_read_terms(lines, pending))
-    z1, z2, u1, u2, *maps = [next(read) if mat is None else mat for mat in mats]
-    delivery = {d: DeliveryQuad(*maps[4 * i : 4 * i + 4]) for i, d in enumerate(Demand)}
-    return LinearScheme(n, memory, load, z1, z2, u1, u2, delivery)
+    return _from_blocks(n, memory, load, [next(read) if mat is None else mat for mat in mats])

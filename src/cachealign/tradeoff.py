@@ -20,6 +20,8 @@ from math import lcm
 
 import numpy as np
 
+from .gf2 import _rational
+
 __all__ = [
     "BaselinePoint",
     "ConverseReport",
@@ -64,7 +66,7 @@ MAX_SWEEP_ROWS = 100_000
 
 
 def _check_memory(m: Fraction) -> Fraction:
-    m = Fraction(m)
+    m = _rational(m, "M")
     if not 0 <= m <= 2:
         raise ValueError(f"M out of range [0, 2]: {m}")
     return m
@@ -97,8 +99,8 @@ class TradeoffPoint:
     value: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "memory", Fraction(self.memory))
-        object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "memory", _rational(self.memory, "memory"))
+        object.__setattr__(self, "value", _rational(self.value, "value"))
         if not 0 <= self.memory <= 2:
             raise ValueError(f"memory {self.memory} out of range [0, 2]")
         if self.value < 0:
@@ -152,8 +154,8 @@ class ConverseReport:
 
 def check_converse(m: Fraction, rho: Fraction) -> ConverseReport:
     """Slacks of the converse inequalities at a candidate (M, rho) pair, with c = rho/4."""
-    m = Fraction(m)
-    rho = Fraction(rho)
+    m = _rational(m, "memory")
+    rho = _rational(rho, "rho")
     if m < 0 or rho < 0:
         raise ValueError(f"memory and rho must be nonnegative, got ({m}, {rho})")
     c = rho / 4
@@ -166,7 +168,7 @@ def check_converse(m: Fraction, rho: Fraction) -> ConverseReport:
 
 def dof_lower_bound(m: Fraction) -> Fraction:
     """Lower bound on the optimal inverse-DoF over all strategies: max(1 - M/2, 0)."""
-    m = Fraction(m)
+    m = _rational(m, "memory")
     if m < 0:
         raise ValueError(f"memory must be nonnegative, got {m}")
     return max(1 - m / 2, Fraction(0))
@@ -271,7 +273,7 @@ class Sweep(Sequence[SweepRow]):
 
 def sweep(start: Fraction, stop: Fraction, step: Fraction) -> Sweep:
     """Curve rows on the rational grid start, start+step, ... up to stop."""
-    start, stop, step = Fraction(start), Fraction(stop), Fraction(step)
+    start, stop, step = _rational(start, "from"), _rational(stop, "to"), _rational(step, "step")
     if not 0 <= start <= stop <= 2:
         raise ValueError(f"bad range [{start}, {stop}]: need 0 <= from <= to <= 2")
     if step <= 0:

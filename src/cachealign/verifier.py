@@ -131,15 +131,14 @@ def _leaves(s: LinearScheme) -> list[tuple[LinearScheme, np.ndarray]]:
     """The flat schemes that *s* shares, each with the parts of *s* that copy its parts.
 
     Row i of a leaf's array lists the parts of *s* that are copies of the
-    leaf's part i; a flat scheme is its own leaf.  Part p of a share's
-    operand, copy j, is part p*k + j of the share, from its offset on.
+    leaf's part i; a flat scheme is its own leaf.  A share's copy map,
+    from its operands' parts to its own, composes with theirs.
     """
     if s.parts is None:
         return [(s, np.arange(s.n)[:, None])]
-    s1, k1, s2, k2 = s.parts
     return [
-        (leaf, offset + (where[:, :, None] * k + np.arange(k)).reshape(leaf.n, -1))
-        for sub, k, offset in ((s1, k1, 0), (s2, k2, s1.n * k1))
+        (leaf, copies[where].reshape(leaf.n, -1))
+        for sub, copies in zip((s.parts.s1, s.parts.s2), s.parts.copies())
         for leaf, where in _leaves(sub)
     ]
 

@@ -23,6 +23,7 @@ from cachealign import (
     LinearScheme,
     SchemeFormatError,
     corner_scheme,
+    file_selector,
     mat_mul,
     memory_share,
     read_scheme,
@@ -32,7 +33,7 @@ from cachealign import (
     write_scheme,
 )
 from cachealign.cli import main
-from cachealign.schemes import _row_columns
+from cachealign.schemes import _from_blocks, _row_columns
 
 F = Fraction
 
@@ -217,20 +218,37 @@ def test_granularity_must_be_an_integer(name, n):
         dataclasses.replace(corner_scheme(name), n=n)
 
 
+@pytest.mark.parametrize(
+    "n,message",
+    [
+        (True, "granularity must be an integer, got True"),
+        (2.5, "granularity must be an integer, got 2.5"),
+        ("3", "granularity must be an integer, got '3'"),
+        (0, "granularity must be positive, got 0"),
+        (-2, "granularity must be positive, got -2"),
+    ],
+)
+def test_file_selector_takes_a_positive_integer_granularity(n, message):
+    # True gave a 1 x 2 selector, and 2.5 failed inside BitMatrix.from_entries.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        file_selector(n, "A")
+    assert file_selector(np.int64(3), "B") == file_selector(3, "B")
+
+
 def test_numpy_granularity_is_stored_as_an_int():
     scheme = dataclasses.replace(corner_scheme("M13"), n=np.int64(3))
     assert type(scheme.n) is int
     assert read_scheme(write_scheme(scheme)) == corner_scheme("M13")
 
 
-BAD_WEIGHTS = [True, False, float("nan"), float("inf"), float("-inf"), None, "x", 1j]
+BAD_WEIGHTS = [True, False, float("nan"), float("inf"), float("-inf"), None, "x", 1j, "1/0"]
 
 
 @pytest.mark.parametrize("value", BAD_WEIGHTS, ids=repr)
 @pytest.mark.parametrize("share", [True, False], ids=["memory_share", "scheme_for_memory"])
 def test_bad_weights_and_memories_are_refused(share, value):
     # True returned s1 from memory_share and built M = 1 in scheme_for_memory;
-    # NaN, inf and None failed inside Fraction.
+    # NaN, inf and None failed inside Fraction, and "1/0" raised ZeroDivisionError.
     what = "sharing coefficient" if share else "M"
     message = f"{what} must be a finite number, got {re.escape(repr(value))}"
     with pytest.raises(ValueError, match=message):
@@ -497,14 +515,50 @@ def small_schemes(draw) -> LinearScheme:
     return LinearScheme(n, F(z, n), F(c, n), *placements, delivery)
 
 
+# Runs of ASCII whitespace that may stand between, before or after terms.
+GAPS = [" ", "  ", "\t", " \x0b ", "\x0c", "\r", "\x1c\x1d", "\x1e \x1f"]
+
+
+def scrambled_terms(scheme: LinearScheme, rng: np.random.Generator) -> str:
+    """*scheme* with every block spelled as terms, written here and not by write_scheme.
+
+    Each row's terms come in random order, with random ASCII whitespace
+    between and around them, and a comment or a blank line follows some
+    rows.
+    """
+    mats = [scheme.z1, scheme.z2, scheme.u1, scheme.u2]
+    mats += [mat for d in Demand for mat in scheme.delivery[d]]
+    n, (m, c) = scheme.n, (f"{x.numerator}/{x.denominator}" for x in (scheme.memory, scheme.load))
+    lines = [f"n {n}", f"M {m}", f"c {c}"]
+    for tag, mat in zip(scheme_oracle.BLOCKS, mats):
+        lines.append(f"{tag} {mat.rows} terms")
+        for r in range(mat.rows):
+            cols = mat.indices[mat.indptr[r] : mat.indptr[r + 1]].tolist()
+            if tag[0] == "D":
+                words = [f"U{k + 1}" for k in cols]
+            else:
+                words = [f"A{k + 1}" if k < n else f"B{k - n + 1}" for k in cols]
+            words = [words[i] for i in rng.permutation(len(words))] or ["-"]
+            gaps = [GAPS[i] for i in rng.integers(0, len(GAPS), len(words) + 1)]
+            if rng.random() < 0.5:
+                gaps[0] = gaps[-1] = ""
+            lines.append(gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:])))
+            if rng.random() < 0.2:
+                lines.append(["# between rows", "", " \t"][rng.integers(0, 3)])
+    return "\n".join(lines) + "\n"
+
+
 @settings(max_examples=150, deadline=None)
-@given(small_schemes())
-def test_random_schemes_round_trip_in_both_spellings(scheme):
+@given(small_schemes(), st.integers(0, 2**32 - 1))
+def test_random_schemes_round_trip_in_both_spellings(scheme, seed):
     text = write_scheme(scheme)
     dense = scheme_oracle.write_dense(scheme)
     assert read_scheme(text) == scheme
     assert read_scheme(dense) == scheme
     assert len(text) <= len(dense)
+    # The reader sorts rows whose terms come out of order, and numbers the
+    # rows of all term blocks in file order past comments and blank lines.
+    assert read_scheme(scrambled_terms(scheme, np.random.default_rng(seed))) == scheme
 
 
 def test_read_accepts_comments_and_blank_lines():
@@ -763,6 +817,41 @@ def test_wrong_delivery_order_rejected():
     swapped = text.replace("D AA V1 1", "D AB V1 1", 1)
     with pytest.raises(SchemeFormatError, match="expected header 'D AA V1"):
         read_scheme(swapped)
+
+
+# M45's 20 blocks in file order, each by the name its shape errors give.
+M45_BLOCK_NAMES = ["z1", "z2", "u1", "u2"] + [
+    f"delivery d{i} for {d}" for d in Demand for i in range(1, 5)
+]
+
+
+@pytest.mark.parametrize("k,name", list(enumerate(M45_BLOCK_NAMES)), ids=M45_BLOCK_NAMES)
+def test_every_block_shape_is_checked(k, name):
+    # One loop over the block table checks all 20 blocks; a wrongly shaped
+    # block is named, with the shape it must have.
+    blocks = list(corner_scheme("M45").blocks)
+    if name[0] == "z":
+        blocks[k], message = BitMatrix.zeros(3, 10), f"{name} must be 4x10, got (3, 10)"
+    elif name[0] == "u":
+        blocks[k] = BitMatrix.zeros(6, 10)
+        message = f"{name} must have at most 5 rows and 10 columns, got (6, 10)"
+    else:
+        blocks[k], message = BitMatrix.zeros(1, 4), f"{name} must be 1x5, got (1, 4)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _from_blocks(5, F(4, 5), F(1, 5), blocks)
+    assert _from_blocks(5, F(4, 5), F(1, 5), corner_scheme("M45").blocks) == corner_scheme("M45")
+
+
+def test_delivery_maps_come_four_to_a_demand():
+    # The blocks are read in table order, so a demand with three maps and
+    # one with five would shift every block after them.
+    m45 = corner_scheme("M45")
+    quads = [tuple(m45.delivery[d]) for d in Demand]
+    uneven = dict(zip(Demand, [quads[0][:3], quads[1], quads[2], quads[3] + quads[0][3:]]))
+    with pytest.raises(TypeError):
+        dataclasses.replace(m45, delivery=uneven)
+    plain = dataclasses.replace(m45, delivery=dict(zip(Demand, quads)))
+    assert plain == m45 and all(type(q) is DeliveryQuad for q in plain.delivery.values())
 
 
 def test_scheme_invariants_enforced():

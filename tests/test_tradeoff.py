@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +14,13 @@ from hypothesis import strategies as st
 
 from cachealign import (
     MAX_SWEEP_ROWS,
+    PhyConfig,
     TradeoffPoint,
     baseline_comparison,
     breakpoints,
     check_converse,
     curve_corners,
+    demodulate,
     dof_lower_bound,
     inverse_dof,
     optimality_gap,
@@ -30,6 +35,42 @@ from tradeoff_oracle import sweep_csv as oracle_sweep_csv
 F = Fraction
 
 GRID = [F(k, 60) for k in range(121)]
+
+NOT_FINITE = [True, False, None, 1j, "1/0", "x", math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NOT_FINITE, ids=repr)
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(rho_star, "M must be a finite number, got {}", id="rho_star"),
+        pytest.param(inverse_dof, "M must be a finite number, got {}", id="inverse_dof"),
+        pytest.param(optimality_gap, "M must be a finite number, got {}", id="gap"),
+        pytest.param(dof_lower_bound, "memory must be a finite number, got {}", id="dof_bound"),
+        pytest.param(
+            lambda x: check_converse(x, 1), "memory must be a finite number, got {}", id="conv_m"
+        ),
+        pytest.param(
+            lambda x: check_converse(0, x), "rho must be a finite number, got {}", id="conv_rho"
+        ),
+        pytest.param(
+            lambda x: TradeoffPoint(x, 1), "memory must be a finite number, got {}", id="point"
+        ),
+        pytest.param(lambda x: sweep(x, 2, 1), "from must be a finite number, got {}", id="from"),
+        pytest.param(lambda x: sweep(0, x, 1), "to must be a finite number, got {}", id="to"),
+        pytest.param(lambda x: sweep(0, 2, x), "step must be a finite number, got {}", id="step"),
+        pytest.param(
+            lambda x: demodulate(PhyConfig(2, 3, 5, 7), x, 1),
+            "observation {} is not a finite number",
+            id="demodulate",
+        ),
+    ],
+)
+def test_exact_entry_points_refuse_what_is_no_finite_number(call, message, value):
+    # rho_star(True) gave 2/3 and sweep(0, 2, True) 3 rows; "1/0" raised
+    # ZeroDivisionError, None and 1j TypeError and an infinity OverflowError.
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(repr(value)))}$"):
+        call(value)
 
 
 @pytest.mark.parametrize(
