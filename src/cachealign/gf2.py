@@ -31,6 +31,7 @@ passes; the failing rows of each system give its own verdict.
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -51,6 +52,11 @@ def _as_bits(data, what: str) -> np.ndarray:
     if given.dtype.kind not in "biuf" or not ((given == 0) | (given == 1)).all():
         raise ValueError(f"{what} must be 0 or 1")
     return given.astype(np.uint8)
+
+
+def _is_integer(x) -> bool:
+    # bool is an Integral, but True is no count.
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _rational(x, what: str, refusal: str = "{what} must be a finite number, got {x!r}") -> Fraction:
@@ -76,7 +82,7 @@ def _odd_keys(keys: np.ndarray) -> np.ndarray:
     if np.all(keys[1:] > keys[:-1]):
         return keys
     keys = np.sort(keys)
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    first = _run_starts(keys)
     counts = np.diff(first, append=keys.size)
     return keys[first[counts % 2 == 1]]
 
@@ -127,17 +133,21 @@ class BitMatrix:
 
         Pairs may come in any order; a pair given twice cancels.
         """
+        if not all(_is_integer(x) for x in shape):
+            raise ValueError(f"shape entries must be integers, got {shape!r}")
         n_rows, n_cols = (int(x) for x in shape)
-        rows = np.asarray(rows, dtype=np.intp).ravel()
-        cols = np.asarray(cols, dtype=np.intp).ravel()
+        rows, cols = np.asarray(rows).ravel(), np.asarray(cols).ravel()
         if rows.shape != cols.shape:
             raise ValueError(f"{rows.size} row indices for {cols.size} column indices")
         if n_rows < 0 or n_cols < 0:
             raise ValueError(f"negative shape {shape}")
         for name, idx, bound in (("row", rows, n_rows), ("column", cols, n_cols)):
+            if idx.size and idx.dtype.kind not in "iu":
+                raise ValueError(f"{name} indices must be integers, got {idx!r}")
             if idx.size and (idx.min() < 0 or idx.max() >= bound):
                 raise ValueError(f"{name} index out of range for shape {(n_rows, n_cols)}")
-        return cls._from_keys(_odd_keys(rows * n_cols + cols), (n_rows, n_cols))
+        keys = rows.astype(np.intp) * n_cols + cols.astype(np.intp)
+        return cls._from_keys(_odd_keys(keys), (n_rows, n_cols))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
@@ -172,7 +182,7 @@ class BitMatrix:
         vec = _as_bits(bits, "vector entries")
         if vec.ndim != 1 or vec.shape[0] != self.cols:
             raise ValueError(
-                f"vector of length {vec.shape} does not match {self.cols} columns"
+                f"vector of shape {vec.shape} does not match {self.cols} columns"
             )
         # Running XOR over the selected bits; each row's parity is the
         # difference of the running values at its two ends.
@@ -218,9 +228,10 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     is a copy of it.  For rows that select more, the rows of *b* that
     they select are filled into word rows once, and each such product
     row XORs the word rows that it selects, so a selection costs one XOR
-    per word however dense the operands.  A pass gathers at most
-    5 * _FILL_ENTRIES words, the bytes that a fill pass holds, so a row
-    may span several passes.
+    per word however dense the operands.  _passes cuts the rows into
+    passes as it cuts _fill's: a pass gathers whole rows' selections,
+    about 5 * _FILL_ENTRIES words, the bytes that a fill pass holds, or
+    one row's selections when they are more.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
@@ -244,19 +255,11 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
         starts = b.indptr[used]
         count = b.indptr[used + 1] - starts
         _fill(rows, b.indices, starts, count, np.arange(used.size), np.arange(b.cols))
-        step = max(1, 5 * _FILL_ENTRIES // words)
-        lows = np.arange(0, sel.size, step)
-        # A run of one row's selections within one pass starts at the row's
-        # first selection or at the pass's first; pass k holds runs seg[k] on.
-        first = picks.cumsum() - picks
-        cuts = np.union1d(first, lows)
-        seg = [*np.searchsorted(cuts, lows).tolist(), cuts.size]
-        row = (np.searchsorted(first, lows, "right") - 1).tolist()
-        out = np.zeros((many.size, words), dtype=np.uint64)
-        for k, lo in enumerate(lows.tolist()):
-            runs = cuts[seg[k] : seg[k + 1]]
-            xors = np.bitwise_xor.reduceat(rows[sel[lo : lo + step]], runs - lo)
-            out[row[k] : row[k] + runs.size] ^= xors
+        bounds = np.concatenate([[0], picks.cumsum()])
+        out = np.empty((many.size, words), dtype=np.uint64)
+        for lo, hi in _passes(picks * words, 5 * _FILL_ENTRIES):
+            at = bounds[lo:hi] - bounds[lo]
+            out[lo:hi] = np.bitwise_xor.reduceat(rows[sel[bounds[lo] : bounds[hi]]], at)
         del rows, sel
         # Only the nonzero words are unpacked, as little-endian bytes, so that
         # byte k holds bits 8k to 8k + 7 on any machine.
@@ -344,9 +347,22 @@ _ONE = np.uint64(1)
 
 # Entries that one pass of _fill turns into words.  Its index arrays
 # cost about 40 bytes an entry, so a pass holds about 160 KB of them
-# however large the matrix.  A pass of mat_mul's XOR rows gathers as
-# many bytes of word rows, 5 * _FILL_ENTRIES words.
+# however large the matrix.  A pass of mat_mul's XOR rows gathers about
+# as many bytes of word rows, 5 * _FILL_ENTRIES words.
 _FILL_ENTRIES = 2**12
+
+
+def _passes(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Runs [lo, hi) of the items that hold about *budget* of their *sizes* each.
+
+    An item ends in the pass of the multiple of *budget* that its running
+    total stays below, so a run passes the budget by less than its first
+    item's size, and no run is empty.
+    """
+    ends = sizes.cumsum()
+    cuts = np.searchsorted(ends, np.arange(budget, ends[-1] if ends.size else 0, budget))
+    bounds = [0, *cuts.tolist(), sizes.size]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
 def _fill(out, cols, starts, count, owner, bit) -> None:
@@ -360,13 +376,7 @@ def _fill(out, cols, starts, count, owner, bit) -> None:
     """
     flat = out.reshape(-1)
     words = out.shape[1]
-    ends = count.cumsum()
-    total = int(ends[-1]) if ends.size else 0
-    cuts = np.searchsorted(ends, np.arange(_FILL_ENTRIES, total, _FILL_ENTRIES))
-    bounds = [0, *cuts.tolist(), count.size]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo == hi:
-            continue
+    for lo, hi in _passes(count, _FILL_ENTRIES):
         at = _ragged_arange(starts[lo:hi], count[lo:hi])
         pos = bit[cols[at]]
         key = (owner[lo:hi].astype(np.int64) * words).repeat(count[lo:hi]) + (pos >> 6)

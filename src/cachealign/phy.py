@@ -29,10 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf2 import _as_bits, _rational
+from .gf2 import _is_integer, _rational
 from .netchannel import Demand, _check_user
-from .schemes import LinearScheme, _is_integer
-from .verifier import decoders, message_bits, observed_bits
+from .schemes import LinearScheme
+from .verifier import _deliver
 
 __all__ = [
     "DemodError",
@@ -326,23 +326,20 @@ def e2e_run(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deliver the demanded files over the noiseless aligned channel.
 
-    One frame carries one bit of each message; integer pair sums reduce
-    mod 2 to the XOR stream, after which the scheme's witness decoders
-    apply.  Returns the decoded file bits for both users.
+    The aligned lattice serves as the bit pipes of the delivery pipeline
+    that decode_bits also runs: one frame carries one bit of each
+    message, and integer pair sums reduce mod 2 to the XOR stream, after
+    which the scheme's witness decoders apply.  Returns the decoded file
+    bits for both users.
     """
     if cfg.q != 2:
         raise ValueError("end-to-end runs use one bit per frame and need q == 2")
-    witnesses = decoders(s, d)
-    for user, decoder in zip((1, 2), witnesses):
-        if decoder is None:
-            raise ValueError(f"scheme is not decodable for demand {d}, user {user}")
-    x = _as_bits(file_bits, "file bits")
-    symbols = np.column_stack(message_bits(s, d, x)).astype(np.int64)
-    outputs = []
-    for user, y, witness in zip((1, 2), _received(cfg, symbols), witnesses):
-        blocks = (_demod(cfg, user, y, noisy=False) % 2).astype(np.uint8)
-        outputs.append(witness.apply(observed_bits(s, user, blocks, x)))
-    return outputs[0], outputs[1]
+
+    def lattice(user, *messages):
+        y = _received(cfg, np.column_stack(messages).astype(np.int64))[user - 1]
+        return (_demod(cfg, user, y, noisy=False) % 2).astype(np.uint8)
+
+    return tuple(_deliver(s, d, file_bits, lattice, (1, 2)))
 
 
 def _transmit_peak(cfg: PhyConfig) -> int:

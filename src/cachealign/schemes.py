@@ -12,7 +12,6 @@ Schemes are immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 import functools
-import numbers
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .gf2 import BitMatrix, _ragged_arange, _rational, _run_starts
+from .gf2 import BitMatrix, _is_integer, _ragged_arange, _rational
 from .netchannel import FILES, Demand
 
 __all__ = [
@@ -50,11 +49,6 @@ __all__ = [
 # in 5 to 7 ms.  A file that spells every row out in full, 2n characters
 # each, takes about 200 MB at this limit.
 MAX_GRANULARITY = 4096
-
-
-def _is_integer(x) -> bool:
-    # bool is an Integral, but True is no count.
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _granularity(n) -> int:
@@ -426,12 +420,8 @@ def _terms_texts(mats: list[BitMatrix], ns: list[int]) -> list[np.ndarray]:
     with n = 0, delivery rows spell it U<c + 1>.  An empty row is "-".
     """
     heights = np.array([mat.rows for mat in mats], dtype=np.intp)
-    # The rows of all matrices as the rows of one: the steps between one
-    # matrix's indptr and the next are no rows.
-    counts = np.delete(
-        np.diff(np.concatenate([np.zeros(0, np.intp)] + [mat.indptr for mat in mats])),
-        np.cumsum(heights + 1)[:-1] - 1,
-    )
+    # The rows of all matrices as the rows of one.
+    counts = np.concatenate([np.zeros(0, np.intp)] + [np.diff(mat.indptr) for mat in mats])
     # Columns stay below 2 * MAX_GRANULARITY, term numbers below 10**9.
     number = np.concatenate([np.zeros(0, np.int32)] + [m.indices.astype(np.int32) for m in mats])
     letter = np.full(number.size, ord("U"), dtype=np.uint8)
@@ -532,9 +522,10 @@ class _Lines:
     whitespace around it as str.strip strips it.  ``a`` and ``b`` are the
     byte extents of the content lines' texts in ``data``, the text's
     UTF-8 bytes, ``no`` their line numbers, counted from 1, and ``end``
-    the number after the last.  The lines are indexed in numpy passes;
-    only a line that starts or ends with whitespace, or holds a non-ASCII
-    character, is stripped in Python.
+    the number after the last.  The lines are indexed in numpy passes,
+    and only a line whose first or last byte is ASCII whitespace or
+    non-ASCII is stripped in Python: a non-ASCII character has only bytes
+    >= 0x80, so str.strip leaves every other line as it is.
     """
 
     def __init__(self, text: str) -> None:
@@ -548,16 +539,10 @@ class _Lines:
         a = np.concatenate([np.zeros(1, idx), breaks + 1])
         b = np.append(breaks, idx(buf.size))
         edged = (a < b).nonzero()[0]
-        slow = edged[_is_space(buf[a[edged]]) | _is_space(buf[b[edged] - 1])]
-        del edged
-        if not text.isascii():
-            for lo, part in passes:
-                # The line of a byte is the number of line ends before it.
-                wide = np.searchsorted(breaks, (part >= 0x80).nonzero()[0] + lo)
-                slow = np.concatenate([slow, wide[_run_starts(wide)]])
-        # np.unique would import numpy.ma, about 7 ms at start-up.
-        slow = np.sort(slow)
-        for i in slow[_run_starts(slow)].tolist():
+        first, last = buf[a[edged]], buf[b[edged] - 1]
+        slow = edged[_is_space(first) | _is_space(last) | (first >= 0x80) | (last >= 0x80)]
+        del edged, first, last
+        for i in slow.tolist():
             line = data[a[i] : b[i]].decode("utf-8", "surrogatepass")
             lead = len(line) - len(line.lstrip())
             a[i] += len(line[:lead].encode("utf-8", "surrogatepass"))

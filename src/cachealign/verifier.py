@@ -31,7 +31,6 @@ __all__ = [
     "VerificationReport",
     "decodable",
     "decode_bits",
-    "decoders",
     "message_bits",
     "observation_matrix",
     "verify_all",
@@ -49,9 +48,10 @@ def _messages(s: LinearScheme, d: Demand) -> tuple[BitMatrix, BitMatrix, BitMatr
     )
 
 
-def _observations(s: LinearScheme, user: int, messages) -> BitMatrix:
+def _system(s: LinearScheme, d: Demand, user: int, messages) -> tuple[BitMatrix, BitMatrix]:
+    # The user's observations and the selector of the file it requests.
     cache = s.z1 if user == 1 else s.z2
-    return vstack([cache, *observe(user, *messages)])
+    return vstack([cache, *observe(user, *messages)]), file_selector(s.n, d.requested(user))
 
 
 def observation_matrix(s: LinearScheme, d: Demand, user: int) -> BitMatrix:
@@ -60,24 +60,12 @@ def observation_matrix(s: LinearScheme, d: Demand, user: int) -> BitMatrix:
     Rows: the receiver cache placement, then the three observation blocks
     (direct from transmitter 1, direct from transmitter 2, XOR).
     """
-    return _observations(s, user, _messages(s, d))
-
-
-def _system(s: LinearScheme, d: Demand, user: int, messages) -> tuple[BitMatrix, BitMatrix]:
-    # The user's observations and the selector of the file it requests.
-    return _observations(s, user, messages), file_selector(s.n, d.requested(user))
+    return _system(s, d, user, _messages(s, d))[0]
 
 
 def decodable(s: LinearScheme, d: Demand, user: int) -> BitMatrix | None:
     """Decoder matrix witnessing recoverability of the demanded file, else None."""
     return solve_left(*_system(s, d, user, _messages(s, d)))
-
-
-def decoders(s: LinearScheme, d: Demand) -> tuple[BitMatrix | None, BitMatrix | None]:
-    """The :func:`decodable` witnesses of users 1 and 2, solved as one system."""
-    messages = _messages(s, d)
-    one, two = solve_each(_system(s, d, user, messages) for user in (1, 2))
-    return one.decoder, two.decoder
 
 
 @dataclass(frozen=True)
@@ -168,28 +156,42 @@ def verify_all(s: LinearScheme) -> VerificationReport:
     return VerificationReport(memory=s.memory, load=s.load, cases=tuple(cases))
 
 
+def _file_bits(s: LinearScheme, file_bits: np.ndarray) -> np.ndarray:
+    x = _as_bits(file_bits, "file bits")
+    if x.shape != (2 * s.n,):
+        raise ValueError(f"file bits must have length {2 * s.n}, got shape {x.shape}")
+    return x
+
+
 def message_bits(
     s: LinearScheme, d: Demand, file_bits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Realize the four transmitted messages (v1, v2, v3, v4) for concrete file bits."""
-    x = _as_bits(file_bits, "file bits")
-    if x.shape != (2 * s.n,):
-        raise ValueError(f"file bits must have length {2 * s.n}, got shape {x.shape}")
-    u1_bits = s.u1.apply(x)
-    u2_bits = s.u2.apply(x)
-    quad = s.delivery[d]
-    return (
-        quad.d1.apply(u1_bits),
-        quad.d2.apply(u1_bits),
-        quad.d3.apply(u2_bits),
-        quad.d4.apply(u2_bits),
-    )
+    x = _file_bits(s, file_bits)
+    return tuple(m.apply(x) for m in _messages(s, d))
 
 
-def observed_bits(s: LinearScheme, user: int, blocks, file_bits: np.ndarray) -> np.ndarray:
-    """Stack the user's realized cache bits on top of its three observed blocks."""
-    cache = s.z1 if user == 1 else s.z2
-    return np.concatenate([cache.apply(file_bits), *blocks])
+def _deliver(s: LinearScheme, d: Demand, file_bits: np.ndarray, pipes, users) -> list[np.ndarray]:
+    """The file bits that each of *users* decodes when the messages reach it through *pipes*.
+
+    pipes(user, v1, v2, v3, v4) gives the three blocks of bits the user
+    observes.  The users' systems are solved together, and each user
+    applies its witness decoder to its cache bits stacked on its blocks.
+    Raises ValueError for the first user that cannot decode.
+    """
+    messages = _messages(s, d)
+    solutions = solve_each(_system(s, d, user, messages) for user in users)
+    for user, solution in zip(users, solutions):
+        if solution.decoder is None:
+            raise ValueError(f"scheme is not decodable for demand {d}, user {user}")
+    x = _file_bits(s, file_bits)
+    sent = [m.apply(x) for m in messages]
+    return [
+        solution.decoder.apply(
+            np.concatenate([(s.z1 if user == 1 else s.z2).apply(x), *pipes(user, *sent)])
+        )
+        for user, solution in zip(users, solutions)
+    ]
 
 
 def decode_bits(
@@ -199,8 +201,4 @@ def decode_bits(
 
     Raises ValueError when the scheme is not decodable for this case.
     """
-    decoder = decodable(s, d, user)
-    if decoder is None:
-        raise ValueError(f"scheme is not decodable for demand {d}, user {user}")
-    x = _as_bits(file_bits, "file bits")
-    return decoder.apply(observed_bits(s, user, observe(user, *message_bits(s, d, x)), x))
+    return _deliver(s, d, file_bits, observe, (user,))[0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -115,9 +116,9 @@ def test_mat_mul_matches_bruteforce_oracle():
 
 
 def test_mat_mul_xor_rows_across_passes(monkeypatch):
-    # With fill passes of 1 to 3 entries, a pass gathers 5 to 15 words, so
-    # the XOR rows of these products span several passes, and a pass ends
-    # inside a row or on a row's last selection.
+    # With fill passes of 1 to 3 entries, a pass gathers about 5 to 15
+    # words, so the XOR rows of these products are cut into several
+    # passes, some of one row that passes the budget, some of several rows.
     rng = np.random.default_rng(11)
     cases = [
         (shaped_bits(rng, kind, rows, inner), shaped_bits(rng, kind, inner, width))
@@ -136,6 +137,35 @@ def test_mat_mul_xor_rows_across_passes(monkeypatch):
 def test_mat_mul_dimension_mismatch_names_both_shapes():
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
         mat_mul(BitMatrix.zeros(2, 3), BitMatrix.zeros(2, 3))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: BitMatrix(np.zeros(3)), "expected a 2-d array of bits, got shape (3,)"),
+        (
+            lambda: BitMatrix.identity(3).apply([0, 1]),
+            "vector of shape (2,) does not match 3 columns",
+        ),
+        (
+            lambda: BitMatrix.identity(2).apply([[0, 1]]),
+            "vector of shape (1, 2) does not match 2 columns",
+        ),
+        (
+            lambda: BitMatrix.zeros(2, 3) ^ BitMatrix.zeros(3, 2),
+            "shape mismatch for XOR: (2, 3) vs (3, 2)",
+        ),
+        (lambda: vstack([]), "vstack needs at least one matrix"),
+        (
+            lambda: vstack([BitMatrix.zeros(1, 2), BitMatrix.zeros(1, 3)]),
+            "column mismatch in vstack: 3 vs 2",
+        ),
+    ],
+    ids=["not_2d", "apply_length", "apply_2d", "xor", "vstack_empty", "vstack_columns"],
+)
+def test_shape_errors_name_the_shapes(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_rank_identity_and_zero():
@@ -188,6 +218,7 @@ def test_solve_left_dimension_mismatch():
 def test_mat_mul_associative(abc):
     a, b, c = abc
     assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
+    assert a @ b == mat_mul(a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -212,6 +243,7 @@ def test_xor_and_product_refuse_what_is_not_a_bit_matrix(other):
         m ^ other
     with pytest.raises(TypeError, match="unsupported operand"):
         m @ other
+    assert not m == other and m != other
 
 
 @st.composite
@@ -248,8 +280,9 @@ def test_entries_must_be_bits():
     with warnings.catch_warnings():
         # Refused before any cast: no RuntimeWarning or ComplexWarning.
         warnings.simplefilter("error")
-        for data in ([[0.5, 1.7]], [[2, 0]], [[-1, 0]], [[257, 0]], *([row] for row in odd)):
-            with pytest.raises(ValueError, match="0 or 1"):
+        uint8 = np.array([[2]], dtype=np.uint8)
+        for data in ([[0.5, 1.7]], [[2, 0]], [[-1, 0]], [[257, 0]], uint8, *([row] for row in odd)):
+            with pytest.raises(ValueError, match="^matrix entries must be 0 or 1$"):
                 BitMatrix(data)
         # apply checks its vector the same way: a cast would give [0 1] for each.
         for vec in ([2, 3], [0.5, 1.7], [257, 0], [-1, 0], *odd):
@@ -260,6 +293,7 @@ def test_entries_must_be_bits():
 
 def test_empty_matrices_are_first_class():
     empty = BitMatrix.zeros(0, 4)
+    assert BitMatrix(np.array([])).shape == (0, 0)
     assert mat_mul(empty, BitMatrix.zeros(4, 2)) == BitMatrix.zeros(0, 2)
     assert vstack([empty, BitMatrix.identity(4)]) == BitMatrix.identity(4)
 
@@ -441,9 +475,26 @@ def test_from_entries_keeps_odd_counts():
     assert m.indptr.tolist() == [0, 1, 1, 1] and m.indices.tolist() == [0]
     with pytest.raises(ValueError):
         m.indices[0] = 1
-    for rows, cols in (([3], [0]), ([0], [4]), ([-1], [0]), ([0, 1], [0])):
-        with pytest.raises(ValueError):
-            BitMatrix.from_entries(rows, cols, (3, 4))
+    # Empty lists are float64, and the corners' empty rows pass them.
+    assert BitMatrix.from_entries([], [], (np.int64(2), 3)) == BitMatrix.zeros(2, 3)
+    refused = [
+        ([3], [0], (3, 4), "row index out of range for shape (3, 4)"),
+        ([0], [4], (3, 4), "column index out of range for shape (3, 4)"),
+        ([-1], [0], (3, 4), "row index out of range for shape (3, 4)"),
+        ([0, 1], [0], (3, 4), "2 row indices for 1 column indices"),
+        ([], [], (-1, 2), "negative shape (-1, 2)"),
+        # A cast truncated these: [0.5] set entry (0, 0), [1.7] row 1, and
+        # the shape (1.5, 1) read as (1, 1).
+        ([0.5], [0], (1, 1), "row indices must be integers, got array([0.5])"),
+        ([1.7], [0], (2, 1), "row indices must be integers, got array([1.7])"),
+        ([True], [0], (1, 1), "row indices must be integers, got array([ True])"),
+        ([0], [1.0], (1, 2), "column indices must be integers, got array([1.])"),
+        ([0], [0], (1.5, 1), "shape entries must be integers, got (1.5, 1)"),
+        ([0], [0], (1, True), "shape entries must be integers, got (1, True)"),
+    ]
+    for rows, cols, shape, message in refused:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BitMatrix.from_entries(rows, cols, shape)
 
 
 # --- Several systems solved as one block-diagonal system -------------------

@@ -129,6 +129,17 @@ def test_non_bit_entries_rejected(bad):
             run()
 
 
+def test_file_bits_must_be_two_files_long():
+    scheme, file_bits = corner_scheme("M13"), np.zeros(5, dtype=np.uint8)
+    for run in (
+        lambda: message_bits(scheme, Demand.AB, file_bits),
+        lambda: decode_bits(scheme, Demand.AB, 1, file_bits),
+        lambda: e2e_run(scheme, Demand.AB, PhyConfig(2, 3, 5, 7), file_bits),
+    ):
+        with pytest.raises(ValueError, match=r"^file bits must have length 6, got shape \(5,\)$"):
+            run()
+
+
 def test_mixed_block_kinds_rejected():
     bits = np.zeros((1, 2), dtype=np.uint8)
     with pytest.raises(ValueError, match="mix"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -17,6 +18,8 @@ from cachealign import phy
 from cachealign import (
     MAX_ALPHABET,
     MAX_TRIALS,
+    BitMatrix,
+    DeliveryQuad,
     Demand,
     DemodError,
     PhyConfig,
@@ -408,6 +411,16 @@ def test_e2e_random_files_all_demands():
 def test_e2e_requires_binary_alphabet():
     with pytest.raises(ValueError, match="q == 2"):
         e2e_run(corner_scheme("M13"), Demand.AB, PhyConfig(2, 3, 5, 7, q=3), np.zeros(6))
+
+
+def test_e2e_requires_decodability():
+    m13 = corner_scheme("M13")
+    silent = {
+        d: DeliveryQuad(*(BitMatrix.zeros(*m.shape) for m in quad))
+        for d, quad in m13.delivery.items()
+    }
+    with pytest.raises(ValueError, match="^scheme is not decodable for demand AB, user 1$"):
+        e2e_run(dataclasses.replace(m13, delivery=silent), Demand.AB, CFG, np.zeros(6))
 
 
 def test_power_calibration():

@@ -162,6 +162,29 @@ def test_unknown_corner_name():
         corner_scheme("M11")
 
 
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"memory": F(7, 3)}, "memory 7/3 out of range [0, 2]"),
+        ({"load": F(-1, 3)}, "load -1/3 must be nonnegative"),
+        ({"load": F(1, 2)}, "load*n = 3/2 is not an integer"),
+        (
+            {"delivery": {Demand.AA: corner_scheme("M13").delivery[Demand.AA]}},
+            "delivery must cover exactly the four demands",
+        ),
+    ],
+    ids=["memory", "negative_load", "fractional_rows", "one_demand"],
+)
+def test_scheme_fields_are_checked(changes, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(corner_scheme("M13"), **changes)
+
+
+def test_unknown_file_id():
+    with pytest.raises(ValueError, match="^unknown file id 'C'$"):
+        file_selector(3, "C")
+
+
 def test_memory_share_degenerate_endpoints():
     s13 = corner_scheme("M13")
     s45 = corner_scheme("M45")
@@ -613,6 +636,7 @@ def test_headers_take_ascii_integers_only(old, new, expected):
         ("M 1/3", "M -1/3", "line 2: memory -1/3 out of range [0, 2]"),
         ("M 1/3", "M 7/3", "line 2: memory 7/3 out of range [0, 2]"),
         ("c 1/3", "c -1/3", "line 3: load -1/3 must be nonnegative"),
+        ("U1 3", "U1 4", "line 8: U1 must declare at most 3 rows, got 4"),
     ],
 )
 def test_memory_and_load_ranges_checked_at_their_header(old, new, expected):

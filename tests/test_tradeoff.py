@@ -96,6 +96,14 @@ def test_rho_star_rejects_out_of_range():
         rho_star(F(-1, 2))
 
 
+def test_negative_memory_is_refused():
+    message = "memory and rho must be nonnegative, got (-1, 0)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_converse(-1, 0)
+    with pytest.raises(ValueError, match="^memory must be nonnegative, got -1$"):
+        dof_lower_bound(-1)
+
+
 def test_breakpoints_from_intersections():
     assert breakpoints() == [F(0), F(1, 3), F(4, 5), F(2)]
 
