@@ -89,8 +89,13 @@ def _odd_keys(keys: np.ndarray) -> np.ndarray:
 
 def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenated ranges [start, start + length) for each pair."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
+    ends = np.cumsum(lengths, dtype=np.intp)
+    out = np.repeat(starts - ends + lengths, lengths)
+    # Each range's offset is repeated before the ranges are made, and ends
+    # let go, so that only two output-sized arrays are alive for the sum.
+    del ends
+    out += np.arange(out.size)
+    return out
 
 
 class BitMatrix:

@@ -6,7 +6,10 @@ caches, and for each demand selects the four messages as linear maps of
 the transmitter cache bits.  Column convention throughout: columns
 0..n-1 are file A's parts, columns n..2n-1 are file B's parts.
 
-Schemes are immutable after construction and safe for concurrent reads.
+Schemes are immutable after construction and safe for concurrent use.
+The one exception is a private store, in which the verifier keeps the
+systems it has solved for a scheme; a store only ever gains entries
+equal to those a fresh solve would give.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -42,12 +46,12 @@ __all__ = [
 # Largest granularity memory_share builds and read_scheme accepts: it
 # bounds the flat rows that a built scheme holds and a file spells out.
 # Built schemes are sparse, with at most 3 ones in a placement row.  At
-# n = 4093 memory_share builds one in about 2 ms, and verify_all
-# certifies it by its parts in about 7 ms, or its flat copy read from a
-# file in 0.04 to 0.06 s.  Their scheme file spells rows as terms in
-# 235 KB, which write_scheme writes in 3 to 4 ms and read_scheme reads
-# in 5 to 7 ms.  A file that spells every row out in full, 2n characters
-# each, takes about 200 MB at this limit.
+# n = 4093 memory_share builds one in about 3 ms, and verify_all
+# certifies it by its parts in about 0.3 ms once its corners are solved,
+# or its flat copy read from a file in 0.06 to 0.08 s.  Their scheme
+# file spells rows as terms in 235 KB, which write_scheme writes in 3 to
+# 4 ms and read_scheme reads in 5 to 7 ms.  A file that spells every row
+# out in full, 2n characters each, takes about 200 MB at this limit.
 MAX_GRANULARITY = 4096
 
 
@@ -100,6 +104,10 @@ class LinearScheme:
     # an argument, so dataclasses.replace, read_scheme and hand-built
     # schemes give flat schemes, with no parts.
     parts: _Parts | None = field(default=None, init=False, compare=False, repr=False)
+    # The systems verifier._solved has solved for this scheme, by (routing,
+    # demand, user).  Like parts it is not an argument, so replace, pickle
+    # and copy start with an empty store.
+    _solutions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "memory", Fraction(self.memory))
@@ -182,9 +190,14 @@ class _Parts(NamedTuple):
     s2: LinearScheme
     k2: int
 
-    def copies(self) -> tuple[np.ndarray, np.ndarray]:
-        """For each operand, the parts of the share that copy each of its parts (see _copies)."""
-        return _copies(self.s1.n, self.k1, self.s2.n, self.k2)
+    def copies(self, size: str = "n") -> tuple[np.ndarray, np.ndarray]:
+        """For each operand, the items of the share that copy each of its items (see _copies).
+
+        The items are counted by the attribute *size*: parts for "n", and
+        likewise "cache_rows", "message_rows", "u1.rows" or "u2.rows".
+        """
+        count = attrgetter(size)
+        return _copies(count(self.s1), self.k1, count(self.s2), self.k2)
 
 
 def file_selector(n: int, file_id: str) -> BitMatrix:
@@ -342,8 +355,8 @@ def memory_share(s1: LinearScheme, s2: LinearScheme, lam: Fraction) -> LinearSch
     # its columns lands: a part's A column, and its B column n on; the
     # share's U rows copy the operands' U rows as its parts copy theirs.
     spans = {"AB": (2 * n, *(np.concatenate([c[:, 0], n + c[:, 0]]) for c in parts.copies()))}
-    for over, u1, u2 in (("U1", s1.u1, s2.u1), ("U2", s1.u2, s2.u2)):
-        c1, c2 = _copies(u1.rows, k1, u2.rows, k2)
+    for over in ("U1", "U2"):
+        c1, c2 = parts.copies(f"{over.lower()}.rows")
         spans[over] = (c1.size + c2.size, c1[:, 0], c2[:, 0])
     pieces = []
     for (_, over), a, b in zip(_BLOCKS, s1.blocks, s2.blocks):

@@ -10,8 +10,15 @@ A memory share is certified by its parts.  memory_share puts k1 scaled
 copies of s1 and k2 of s2 on disjoint file parts, with block-diagonal
 delivery maps, so each user's system is, up to a row and column order,
 k1 copies of s1's system beside k2 copies of s2's.  A case then passes
-exactly when it passes on s1 and on s2, and the parts it misses are the
-copies of the parts they miss.
+exactly when it passes on s1 and on s2, the parts it misses are the
+copies of the parts they miss, and its decoder is the block sum of
+their decoders.
+
+Each flat scheme keeps the systems solved for it, by routing, demand
+and user.  verify_all, decodable, decode_bits and phy.e2e_run of a
+share read its leaves' kept solutions, so a share runs no elimination
+of its own, and the corners that every built scheme shares are solved
+once per routing.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf2 import BitMatrix, _as_bits, mat_mul, solve_each, solve_left, vstack
+from .gf2 import BitMatrix, Solution, _as_bits, mat_mul, solve_each, vstack
 from .netchannel import Demand, observe
 from .schemes import LinearScheme, file_selector
 
@@ -61,11 +68,6 @@ def observation_matrix(s: LinearScheme, d: Demand, user: int) -> BitMatrix:
     (direct from transmitter 1, direct from transmitter 2, XOR).
     """
     return _system(s, d, user, _messages(s, d))[0]
-
-
-def decodable(s: LinearScheme, d: Demand, user: int) -> BitMatrix | None:
-    """Decoder matrix witnessing recoverability of the demanded file, else None."""
-    return solve_left(*_system(s, d, user, _messages(s, d)))
 
 
 @dataclass(frozen=True)
@@ -107,28 +109,92 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _all_systems(s: LinearScheme):
-    # Lazily, so that the solver builds each system only when it takes it.
-    for d in Demand:
-        messages = _messages(s, d)
-        for user in (1, 2):
-            yield _system(s, d, user, messages)
+# The items that a leaf's copy maps count: parts, cache rows, message rows.
+_SIZES = ("n", "cache_rows", "message_rows")
 
 
-def _leaves(s: LinearScheme) -> list[tuple[LinearScheme, np.ndarray]]:
-    """The flat schemes that *s* shares, each with the parts of *s* that copy its parts.
+def _leaves(s: LinearScheme) -> list[tuple[LinearScheme, np.ndarray, np.ndarray, np.ndarray]]:
+    """The flat schemes that *s* shares, each with where *s* copies its parts and rows.
 
-    Row i of a leaf's array lists the parts of *s* that are copies of the
-    leaf's part i; a flat scheme is its own leaf.  A share's copy map,
-    from its operands' parts to its own, composes with theirs.
+    For each leaf come three copy maps, one for each of _SIZES.  Row i
+    of a map lists the items of *s* that copy the leaf's item i, copy j
+    in column j of all three.  A flat scheme is its own leaf.  A share's
+    copy maps, from its operands' items to its own, compose with theirs.
     """
     if s.parts is None:
-        return [(s, np.arange(s.n)[:, None])]
-    return [
-        (leaf, copies[where].reshape(leaf.n, -1))
-        for sub, copies in zip((s.parts.s1, s.parts.s2), s.parts.copies())
-        for leaf, where in _leaves(sub)
+        return [(s, *(np.arange(getattr(s, size))[:, None] for size in _SIZES))]
+    out = []
+    for sub, *ours in zip((s.parts.s1, s.parts.s2), *map(s.parts.copies, _SIZES)):
+        for leaf, *theirs in _leaves(sub):
+            # The width is spelled out: reshape cannot infer it for an empty map.
+            maps = (o[t].reshape(len(t), t.shape[1] * o.shape[1]) for o, t in zip(ours, theirs))
+            out.append((leaf, *maps))
+    return out
+
+
+def _solved(leaves, keys) -> list[list[Solution]]:
+    """For each of _leaves' *leaves*, its solutions for the (demand, user) pairs *keys*.
+
+    A scheme keeps the systems solved for it, by routing, demand and
+    user, where the routing is the observe function that _system reads.
+    The pairs not kept yet are solved together in one solve_each, each
+    leaf once however often it comes.  Two threads can at worst solve the
+    same key twice and store equal solutions, so no lock is taken.
+    """
+    routing = observe
+    todo = [
+        (leaf, d, user)
+        for leaf in {id(leaf): leaf for leaf, *_ in leaves}.values()
+        for d, user in keys
+        if (routing, d, user) not in leaf._solutions
     ]
+
+    def systems():
+        # Lazily, so that the solver builds each system only when it takes
+        # it; the cases of one leaf and demand share its messages.
+        for (_, d), cases in itertools.groupby(todo, key=lambda case: (id(case[0]), case[1])):
+            cases = list(cases)
+            messages = _messages(cases[0][0], d)
+            for leaf, _, user in cases:
+                yield _system(leaf, d, user, messages)
+
+    for (leaf, d, user), solution in zip(todo, solve_each(systems())):
+        leaf._solutions[routing, d, user] = solution
+    return [[leaf._solutions[routing, d, user] for d, user in keys] for leaf, *_ in leaves]
+
+
+def _decoder(s: LinearScheme, leaves, solutions: list[Solution]) -> BitMatrix | None:
+    """The decoder of *s* for one case, the block sum of its leaves' decoders, or None.
+
+    Entry (i, o) of a leaf's decoder gives, in copy j, the entry at row
+    parts[i, j] and at the column of the copy of observation row o: the
+    cache row map, then one message row map per observation block.
+    """
+    if any(solution.decoder is None for solution in solutions):
+        return None
+    if s.parts is None:
+        return solutions[0].decoder
+    rows, cols = [], []
+    for (_, parts, cache, message), solution in zip(leaves, solutions):
+        obs = np.concatenate(
+            [cache] + [s.cache_rows + b * s.message_rows + message for b in range(3)]
+        )
+        i, o = solution.decoder.nonzero()
+        rows.append(parts[i].ravel())
+        cols.append(obs[o].ravel())
+    return BitMatrix.from_entries(
+        np.concatenate(rows), np.concatenate(cols), (s.n, s.cache_rows + 3 * s.message_rows)
+    )
+
+
+def decodable(s: LinearScheme, d: Demand, user: int) -> BitMatrix | None:
+    """Decoder matrix witnessing recoverability of the demanded file, else None.
+
+    A memory share's decoder is the block sum of its leaves' decoders.
+    """
+    leaves = _leaves(s)
+    solved = _solved(leaves, [(d, user)])
+    return _decoder(s, leaves, [ours[0] for ours in solved])
 
 
 def verify_all(s: LinearScheme) -> VerificationReport:
@@ -141,15 +207,13 @@ def verify_all(s: LinearScheme) -> VerificationReport:
     """
     keys = [(d, user) for d in Demand for user in (1, 2)]
     leaves = _leaves(s)
-    solutions = solve_each(itertools.chain.from_iterable(_all_systems(leaf) for leaf, _ in leaves))
-    # Leaf by leaf, each leaf's systems in the order of keys.
-    per_leaf = [solutions[j : j + len(keys)] for j in range(0, len(solutions), len(keys))]
+    solved = _solved(leaves, keys)
     cases = []
     for k, (d, user) in enumerate(keys):
         # Leaves come in the order of their parts, and a leaf's rows in the
         # order of its copies' parts, so the failing parts come sorted.
         failed = np.concatenate(
-            [where[ours[k].failed].ravel() for (_, where), ours in zip(leaves, per_leaf)]
+            [parts[ours[k].failed].ravel() for (_, parts, *_), ours in zip(leaves, solved)]
         )
         names = (f"{d.requested(user)}{i + 1}" for i in failed.tolist())
         cases.append(CaseResult(d, user, tuple(names)))
@@ -168,7 +232,9 @@ def message_bits(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Realize the four transmitted messages (v1, v2, v3, v4) for concrete file bits."""
     x = _file_bits(s, file_bits)
-    return tuple(m.apply(x) for m in _messages(s, d))
+    quad = s.delivery[d]
+    y1, y2 = s.u1.apply(x), s.u2.apply(x)
+    return quad.d1.apply(y1), quad.d2.apply(y1), quad.d3.apply(y2), quad.d4.apply(y2)
 
 
 def _deliver(s: LinearScheme, d: Demand, file_bits: np.ndarray, pipes, users) -> list[np.ndarray]:
@@ -179,18 +245,17 @@ def _deliver(s: LinearScheme, d: Demand, file_bits: np.ndarray, pipes, users) ->
     applies its witness decoder to its cache bits stacked on its blocks.
     Raises ValueError for the first user that cannot decode.
     """
-    messages = _messages(s, d)
-    solutions = solve_each(_system(s, d, user, messages) for user in users)
-    for user, solution in zip(users, solutions):
-        if solution.decoder is None:
+    leaves = _leaves(s)
+    solved = _solved(leaves, [(d, user) for user in users])
+    decoders = [_decoder(s, leaves, [ours[k] for ours in solved]) for k in range(len(users))]
+    for user, decoder in zip(users, decoders):
+        if decoder is None:
             raise ValueError(f"scheme is not decodable for demand {d}, user {user}")
     x = _file_bits(s, file_bits)
-    sent = [m.apply(x) for m in messages]
+    sent = message_bits(s, d, x)
     return [
-        solution.decoder.apply(
-            np.concatenate([(s.z1 if user == 1 else s.z2).apply(x), *pipes(user, *sent)])
-        )
-        for user, solution in zip(users, solutions)
+        decoder.apply(np.concatenate([(s.z1 if user == 1 else s.z2).apply(x), *pipes(user, *sent)]))
+        for user, decoder in zip(users, decoders)
     ]
 
 

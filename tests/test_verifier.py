@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import itertools
 import os
+import pickle
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 import gf2_oracle as oracle
 import scheme_oracle
 from test_netchannel import dense_schemes
-from cachealign import verifier
+from cachealign import gf2, verifier
 from cachealign import (
     BitMatrix,
     Demand,
@@ -40,6 +43,7 @@ from cachealign import (
 )
 from cachealign.gf2 import solve_each
 from cachealign.netchannel import observe
+from cachealign.phy import PhyConfig, e2e_run
 
 F = Fraction
 ALL_CASES = [(d, user) for d in Demand for user in (1, 2)]
@@ -250,6 +254,15 @@ def test_certification_imports_no_scipy():
     assert run.stdout.strip() == "[]"
 
 
+def test_corners_keep_their_solutions_for_interacting_pipes():
+    # Runs before the test below, which certifies the same corner objects
+    # with other pipes: the solutions kept here must not answer for those.
+    for name in ("M13", "M45"):
+        scheme = corner_scheme(name)
+        assert verify_all(scheme).passed
+        assert {(observe, d, user) for d, user in ALL_CASES} <= scheme._solutions.keys()
+
+
 def test_fail_lines_name_the_parts_the_xor_block_carried(monkeypatch):
     # Independent bit pipes: without the XOR block each user sees only its
     # two direct messages.  The parts a case then misses are those outside
@@ -384,3 +397,157 @@ def test_shares_certify_by_parts_as_their_flat_copies(shared):
     assert flat == shared and flat.parts is None
     # Failing cases included: their missing parts must agree name for name.
     assert verify_all(shared) == verify_all(flat)
+
+
+def flat_copy(scheme):
+    """The scheme read back from its file: equal rows, no parts, an empty store."""
+    flat = read_scheme(write_scheme(scheme))
+    assert flat == scheme and flat.parts is None and not flat._solutions
+    return flat
+
+
+def assert_decodes_as_its_flat_copy(shared, flat) -> None:
+    bits = np.random.default_rng(shared.n).integers(0, 2, size=2 * shared.n, dtype=np.uint8)
+    for d, user in ALL_CASES:
+        decoder = decodable(shared, d, user)
+        assert (decoder is None) == (decodable(flat, d, user) is None)
+        if decoder is None:
+            for scheme in (shared, flat):
+                with pytest.raises(ValueError, match="not decodable"):
+                    decode_bits(scheme, d, user, bits)
+            continue
+        # The share's witness may differ from the flat one, but it is exact.
+        selector = file_selector(shared.n, d.requested(user))
+        assert mat_mul(decoder, observation_matrix(shared, d, user)) == selector
+        assert np.array_equal(decode_bits(shared, d, user, bits), decode_bits(flat, d, user, bits))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shares())
+def test_shares_decode_by_parts_as_their_flat_copies(shared):
+    assert_decodes_as_its_flat_copy(shared, flat_copy(shared))
+
+
+# Shares with an empty row block: M0 has no cache rows and M2 no message
+# rows, and each is shared once flat and once inside a nested share.
+EMPTY_BLOCK_SHARES = {
+    "M0 and M13": lambda: scheme_for_memory(F(1, 7)),
+    "M45 and M2": lambda: scheme_for_memory(F(9, 7)),
+    "nested over M0": lambda: memory_share(
+        scheme_for_memory(F(1, 5)), corner_scheme("M13"), F(1, 2)
+    ),
+    "nested over M2": lambda: memory_share(
+        corner_scheme("M45"), scheme_for_memory(F(3, 2)), F(2, 3)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EMPTY_BLOCK_SHARES))
+def test_shares_with_an_empty_row_block_decode_and_deliver(name):
+    shared = EMPTY_BLOCK_SHARES[name]()
+    flat = flat_copy(shared)
+    assert verify_all(shared).passed
+    assert_decodes_as_its_flat_copy(shared, flat)
+    bits = np.random.default_rng(7).integers(0, 2, size=2 * shared.n, dtype=np.uint8)
+    for d in Demand:
+        delivered = e2e_run(shared, d, PhyConfig(2, 3, 5, 7), bits)
+        assert all(map(np.array_equal, delivered, e2e_run(flat, d, PhyConfig(2, 3, 5, 7), bits)))
+        for user, got in zip((1, 2), delivered):
+            assert np.array_equal(got, file_selector(shared.n, d.requested(user)).apply(bits))
+
+
+@pytest.mark.parametrize("memory", list(BUILT))
+def test_built_schemes_deliver_as_their_flat_copies(memory):
+    shared = scheme_for_memory(memory)
+    flat = flat_copy(shared)
+    bits = np.random.default_rng(shared.n).integers(0, 2, size=2 * shared.n, dtype=np.uint8)
+    cfg = PhyConfig(2, 3, 5, 7)
+    for d in Demand:
+        by_parts, by_rows = e2e_run(shared, d, cfg, bits), e2e_run(flat, d, cfg, bits)
+        assert all(map(np.array_equal, by_parts, by_rows))
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The row count of every matrix that gf2 eliminates while the test runs."""
+    rows = []
+
+    class Counted(gf2._Reduced):
+        def __init__(self, g):
+            rows.append(g.rows)
+            super().__init__(g)
+
+    monkeypatch.setattr(gf2, "_Reduced", Counted)
+    return rows
+
+
+def test_shares_of_solved_corners_run_no_elimination(eliminations, monkeypatch):
+    verify_all(scheme_for_memory(F(1, 7)))
+    eliminations.clear()
+    # A second share of the same corners, M0 and M13, by every entry point.
+    shared = scheme_for_memory(F(2, 7))
+    assert shared.parts.s1 is corner_scheme("M0") and shared.parts.s2 is corner_scheme("M13")
+    assert verify_all(shared).passed
+    assert decodable(shared, Demand.AB, 1) is not None
+    decode_bits(shared, Demand.BA, 2, np.zeros(2 * shared.n, dtype=np.uint8))
+    e2e_run(shared, Demand.BB, PhyConfig(2, 3, 5, 7), np.zeros(2 * shared.n, dtype=np.uint8))
+    assert eliminations == []
+    # Other pipes solve the corners again, once: their 16 systems in one
+    # elimination, 8 of M13 with 1 + 3 rows and 8 of M0 with 0 + 3.
+    monkeypatch.setattr(verifier, "observe", lambda user, *messages: observe(user, *messages))
+    assert verify_all(shared).passed and verify_all(shared).passed
+    assert eliminations == [8 * 4 + 8 * 3]
+
+
+def test_flat_schemes_solve_only_the_cases_asked_for(eliminations):
+    flat = flat_copy(scheme_for_memory(F(1, 7)))
+    rows = flat.cache_rows + 3 * flat.message_rows
+    e2e_run(flat, Demand.AB, PhyConfig(2, 3, 5, 7), np.zeros(2 * flat.n, dtype=np.uint8))
+    assert eliminations == [2 * rows]
+    # verify_all solves the six cases not kept yet, decode_bits then none.
+    assert verify_all(flat).passed
+    decode_bits(flat, Demand.AB, 1, np.zeros(2 * flat.n, dtype=np.uint8))
+    assert eliminations == [2 * rows, 6 * rows]
+
+
+def test_kept_solutions_are_not_compared_copied_or_pickled():
+    shared = scheme_for_memory(F(2, 7))
+    flat = flat_copy(shared)
+    verify_all(flat)
+    assert len(flat._solutions) == 8 and flat == read_scheme(write_scheme(flat))
+    for other in (dataclasses.replace(flat), copy.copy(flat), pickle.loads(pickle.dumps(flat))):
+        assert other == flat and not other._solutions and hash(other) == hash(flat)
+    assert "_solutions" not in repr(flat)
+
+
+def test_threads_sharing_leaves_agree():
+    # Four threads certify and decode shares of two fresh flat schemes at
+    # once, switching often: a lost store only costs a second solve.
+    s1, s2 = flat_copy(corner_scheme("M13")), flat_copy(corner_scheme("M45"))
+    memories = [F(1, 2), F(2, 3), F(3, 5), F(7, 10)]
+    shares_ = [memory_share(s1, s2, (F(4, 5) - m) / (F(4, 5) - F(1, 3))) for m in memories]
+    results, errors = {}, []
+
+    def work(k):
+        try:
+            shared = shares_[k]
+            bits = np.ones(2 * shared.n, dtype=np.uint8)
+            results[k] = (verify_all(shared), decode_bits(shared, Demand.AB, 2, bits))
+        except Exception as exc:  # reported below, on the test's own thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(shares_))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(thread.is_alive() for thread in threads)
+    for k, shared in enumerate(shares_):
+        report, decoded = results[k]
+        assert report.passed and report == verify_all(flat_copy(shared))
+        assert np.array_equal(decoded, np.ones(shared.n, dtype=np.uint8))
