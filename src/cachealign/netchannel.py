@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .gf2 import BitMatrix, _as_bits
+from .gf2 import BitMatrix, _as_bits, _is_integer
 
 __all__ = ["Demand", "observe"]
 
@@ -52,7 +52,8 @@ class Demand(Enum):
 
 
 def _check_user(user: int) -> None:
-    if user not in (1, 2):
+    # Integers only: True and 1.0 also equal 1.
+    if not _is_integer(user) or user not in (1, 2):
         raise ValueError(f"user must be 1 or 2, got {user!r}")
 
 

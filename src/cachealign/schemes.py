@@ -176,28 +176,40 @@ def _from_blocks(n: int, memory: Fraction, load: Fraction, blocks) -> LinearSche
     return LinearScheme(n, memory, load, z1, z2, u1, u2, delivery)
 
 
-def _copies(n1: int, k1: int, n2: int, k2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Copy j of item i of the first operand is item i*k1 + j of the share, in row i of
-    the first array; the second operand's copies follow from item n1*k1 on, in the same way."""
-    return np.arange(n1 * k1).reshape(n1, k1), n1 * k1 + np.arange(n2 * k2).reshape(n2, k2)
-
-
 class _Parts(NamedTuple):
-    """A memory share's operands: k1 scaled copies of s1 beside k2 of s2."""
+    """A memory share's operands: k1 scaled copies of s1 beside k2 of s2 (see _copy_bases)."""
 
     s1: LinearScheme
     k1: int
     s2: LinearScheme
     k2: int
 
-    def copies(self, size: str = "n") -> tuple[np.ndarray, np.ndarray]:
-        """For each operand, the items of the share that copy each of its items (see _copies).
 
-        The items are counted by the attribute *size*: parts for "n", and
-        likewise "cache_rows", "message_rows", "u1.rows" or "u2.rows".
-        """
-        count = attrgetter(size)
-        return _copies(count(self.s1), self.k1, count(self.s2), self.k2)
+def _leaves(s: LinearScheme, k: int = 1) -> list[tuple[LinearScheme, int]]:
+    """The flat schemes that *s* shares, in the order of their parts, each with its copy count.
+
+    The copy rule composes: copy j' of a leaf's item i in s1, copied again
+    as copy j, is item (i*k' + j')*k1 + j, or copy j'*k1 + j under the
+    same rule with k'*k1 copies, after the copies of the leaves before.
+    """
+    if s.parts is None:
+        return [(s, k)]
+    s1, k1, s2, k2 = s.parts
+    return _leaves(s1, k * k1) + _leaves(s2, k * k2)
+
+
+def _copy_bases(copied, size: str = "n") -> list[np.ndarray]:
+    """For each (scheme, k) of *copied*, where copy 0 of each of its items lands.
+
+    Copy j of item i is item start + i*k + j, and the next scheme starts
+    after these copies.  Items are counted by the attribute *size*: "n",
+    "cache_rows", "message_rows", "u1.rows" or "u2.rows".
+    """
+    count, bases, start = attrgetter(size), [], 0
+    for s, k in copied:
+        bases.append(start + k * np.arange(count(s)))
+        start += k * count(s)
+    return bases
 
 
 def file_selector(n: int, file_id: str) -> BitMatrix:
@@ -325,9 +337,10 @@ def memory_share(s1: LinearScheme, s2: LinearScheme, lam: Fraction) -> LinearSch
 
     A lam-fraction of every file is served by k1 scaled copies of s1 on
     the low-index parts and the rest by k2 scaled copies of s2, on
-    disjoint bit ranges, with block-diagonal delivery maps.  Metrics
-    combine exactly: memory = lam*M1 + (1-lam)*M2 and load = lam*c1 +
-    (1-lam)*c2.  The result keeps (s1, k1, s2, k2) as its ``parts``.
+    disjoint bit ranges, with block-diagonal delivery maps, all copied by
+    the rule of _copy_bases.  Metrics combine exactly: memory = lam*M1 +
+    (1-lam)*M2 and load = lam*c1 + (1-lam)*c2.  The result keeps (s1,
+    k1, s2, k2) as its ``parts``.
     """
     for s in (s1, s2):
         if not isinstance(s, LinearScheme):
@@ -350,21 +363,21 @@ def memory_share(s1: LinearScheme, s2: LinearScheme, lam: Fraction) -> LinearSch
         )
     k1 = p * t // s1.n
     k2 = (q - p) * t // s2.n
-    parts = _Parts(s1, k1, s2, k2)
+    copied = ((s1, k1), (s2, k2))
     # The columns of each span and, per operand, where copy 0 of each of
     # its columns lands: a part's A column, and its B column n on; the
     # share's U rows copy the operands' U rows as its parts copy theirs.
-    spans = {"AB": (2 * n, *(np.concatenate([c[:, 0], n + c[:, 0]]) for c in parts.copies()))}
+    spans = {"AB": (2 * n, *(np.concatenate([b, n + b]) for b in _copy_bases(copied)))}
     for over in ("U1", "U2"):
-        c1, c2 = parts.copies(f"{over.lower()}.rows")
-        spans[over] = (c1.size + c2.size, c1[:, 0], c2[:, 0])
+        b1, b2 = _copy_bases(copied, f"{over.lower()}.rows")
+        spans[over] = (k1 * b1.size + k2 * b2.size, b1, b2)
     pieces = []
     for (_, over), a, b in zip(_BLOCKS, s1.blocks, s2.blocks):
         cols, base1, base2 = spans[over]
         pieces.append((cols, [(a, k1, base1), (b, k2, base2)]))
     memory, load = lam * s1.memory + (1 - lam) * s2.memory, lam * s1.load + (1 - lam) * s2.load
     shared = _from_blocks(n, memory, load, _scaled(pieces))
-    object.__setattr__(shared, "parts", parts)
+    object.__setattr__(shared, "parts", _Parts(s1, k1, s2, k2))
     return shared
 
 

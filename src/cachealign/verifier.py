@@ -12,7 +12,8 @@ delivery maps, so each user's system is, up to a row and column order,
 k1 copies of s1's system beside k2 copies of s2's.  A case then passes
 exactly when it passes on s1 and on s2, the parts it misses are the
 copies of the parts they miss, and its decoder is the block sum of
-their decoders.
+their decoders.  The copy rule composes, so a nested share is read as
+its flat leaves, each with a copy count (schemes._leaves).
 
 Each flat scheme keeps the systems solved for it, by routing, demand
 and user.  verify_all, decodable, decode_bits and phy.e2e_run of a
@@ -30,8 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .gf2 import BitMatrix, Solution, _as_bits, mat_mul, solve_each, vstack
-from .netchannel import Demand, observe
-from .schemes import LinearScheme, file_selector
+from .netchannel import Demand, _check_user, observe
+from .schemes import DeliveryQuad, LinearScheme, _copy_bases, _leaves, _scaled, file_selector
 
 __all__ = [
     "CaseResult",
@@ -44,9 +45,16 @@ __all__ = [
 ]
 
 
+def _delivery(s: LinearScheme, d: Demand) -> DeliveryQuad:
+    """The scheme's delivery maps for demand *d*; a ValueError unless *d* is a Demand."""
+    if not isinstance(d, Demand):
+        raise ValueError(f"demand must be one of AA, AB, BA, BB, got {d!r}")
+    return s.delivery[d]
+
+
 def _messages(s: LinearScheme, d: Demand) -> tuple[BitMatrix, BitMatrix, BitMatrix, BitMatrix]:
     # The four transmitted messages as linear maps of the 2n file bits.
-    quad = s.delivery[d]
+    quad = _delivery(s, d)
     return (
         mat_mul(quad.d1, s.u1),
         mat_mul(quad.d2, s.u1),
@@ -109,31 +117,8 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-# The items that a leaf's copy maps count: parts, cache rows, message rows.
-_SIZES = ("n", "cache_rows", "message_rows")
-
-
-def _leaves(s: LinearScheme) -> list[tuple[LinearScheme, np.ndarray, np.ndarray, np.ndarray]]:
-    """The flat schemes that *s* shares, each with where *s* copies its parts and rows.
-
-    For each leaf come three copy maps, one for each of _SIZES.  Row i
-    of a map lists the items of *s* that copy the leaf's item i, copy j
-    in column j of all three.  A flat scheme is its own leaf.  A share's
-    copy maps, from its operands' items to its own, compose with theirs.
-    """
-    if s.parts is None:
-        return [(s, *(np.arange(getattr(s, size))[:, None] for size in _SIZES))]
-    out = []
-    for sub, *ours in zip((s.parts.s1, s.parts.s2), *map(s.parts.copies, _SIZES)):
-        for leaf, *theirs in _leaves(sub):
-            # The width is spelled out: reshape cannot infer it for an empty map.
-            maps = (o[t].reshape(len(t), t.shape[1] * o.shape[1]) for o, t in zip(ours, theirs))
-            out.append((leaf, *maps))
-    return out
-
-
 def _solved(leaves, keys) -> list[list[Solution]]:
-    """For each of _leaves' *leaves*, its solutions for the (demand, user) pairs *keys*.
+    """For each (demand, user) pair of *keys*, the solutions of _leaves' *leaves*, in order.
 
     A scheme keeps the systems solved for it, by routing, demand and
     user, where the routing is the observe function that _system reads.
@@ -141,10 +126,12 @@ def _solved(leaves, keys) -> list[list[Solution]]:
     leaf once however often it comes.  Two threads can at worst solve the
     same key twice and store equal solutions, so no lock is taken.
     """
+    for _, user in keys:  # before the store is read: True would find user 1's entries
+        _check_user(user)
     routing = observe
     todo = [
         (leaf, d, user)
-        for leaf in {id(leaf): leaf for leaf, *_ in leaves}.values()
+        for leaf in {id(leaf): leaf for leaf, _ in leaves}.values()
         for d, user in keys
         if (routing, d, user) not in leaf._solutions
     ]
@@ -160,31 +147,26 @@ def _solved(leaves, keys) -> list[list[Solution]]:
 
     for (leaf, d, user), solution in zip(todo, solve_each(systems())):
         leaf._solutions[routing, d, user] = solution
-    return [[leaf._solutions[routing, d, user] for d, user in keys] for leaf, *_ in leaves]
+    return [[leaf._solutions[routing, d, user] for leaf, _ in leaves] for d, user in keys]
 
 
 def _decoder(s: LinearScheme, leaves, solutions: list[Solution]) -> BitMatrix | None:
     """The decoder of *s* for one case, the block sum of its leaves' decoders, or None.
 
-    Entry (i, o) of a leaf's decoder gives, in copy j, the entry at row
-    parts[i, j] and at the column of the copy of observation row o: the
-    cache row map, then one message row map per observation block.
+    Built as memory_share builds its blocks, in one _scaled pass: a
+    leaf's decoder is copied onto its parts and the copies of its cache
+    rows and then its three message blocks, canonical with no sort.
     """
     if any(solution.decoder is None for solution in solutions):
         return None
     if s.parts is None:
         return solutions[0].decoder
-    rows, cols = [], []
-    for (_, parts, cache, message), solution in zip(leaves, solutions):
-        obs = np.concatenate(
-            [cache] + [s.cache_rows + b * s.message_rows + message for b in range(3)]
-        )
-        i, o = solution.decoder.nonzero()
-        rows.append(parts[i].ravel())
-        cols.append(obs[o].ravel())
-    return BitMatrix.from_entries(
-        np.concatenate(rows), np.concatenate(cols), (s.n, s.cache_rows + 3 * s.message_rows)
-    )
+    cache, message = _copy_bases(leaves, "cache_rows"), _copy_bases(leaves, "message_rows")
+    pieces = []
+    for (_, k), c, m, solution in zip(leaves, cache, message, solutions):
+        obs = np.concatenate([c] + [s.cache_rows + b * s.message_rows + m for b in range(3)])
+        pieces.append((solution.decoder, k, obs))
+    return _scaled([(s.cache_rows + 3 * s.message_rows, pieces)])[0]
 
 
 def decodable(s: LinearScheme, d: Demand, user: int) -> BitMatrix | None:
@@ -193,8 +175,7 @@ def decodable(s: LinearScheme, d: Demand, user: int) -> BitMatrix | None:
     A memory share's decoder is the block sum of its leaves' decoders.
     """
     leaves = _leaves(s)
-    solved = _solved(leaves, [(d, user)])
-    return _decoder(s, leaves, [ours[0] for ours in solved])
+    return _decoder(s, leaves, _solved(leaves, [(d, user)])[0])
 
 
 def verify_all(s: LinearScheme) -> VerificationReport:
@@ -207,15 +188,16 @@ def verify_all(s: LinearScheme) -> VerificationReport:
     """
     keys = [(d, user) for d in Demand for user in (1, 2)]
     leaves = _leaves(s)
-    solved = _solved(leaves, keys)
+    bases = _copy_bases(leaves)
     cases = []
-    for k, (d, user) in enumerate(keys):
+    for (d, user), ours in zip(keys, _solved(leaves, keys)):
         # Leaves come in the order of their parts, and a leaf's rows in the
         # order of its copies' parts, so the failing parts come sorted.
-        failed = np.concatenate(
-            [parts[ours[k].failed].ravel() for (_, parts, *_), ours in zip(leaves, solved)]
-        )
-        names = (f"{d.requested(user)}{i + 1}" for i in failed.tolist())
+        failed = [
+            (base[solution.failed, None] + np.arange(k)).ravel()
+            for (_, k), base, solution in zip(leaves, bases, ours)
+        ]
+        names = (f"{d.requested(user)}{i + 1}" for i in np.concatenate(failed).tolist())
         cases.append(CaseResult(d, user, tuple(names)))
     return VerificationReport(memory=s.memory, load=s.load, cases=tuple(cases))
 
@@ -232,7 +214,7 @@ def message_bits(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Realize the four transmitted messages (v1, v2, v3, v4) for concrete file bits."""
     x = _file_bits(s, file_bits)
-    quad = s.delivery[d]
+    quad = _delivery(s, d)
     y1, y2 = s.u1.apply(x), s.u2.apply(x)
     return quad.d1.apply(y1), quad.d2.apply(y1), quad.d3.apply(y2), quad.d4.apply(y2)
 
@@ -247,7 +229,7 @@ def _deliver(s: LinearScheme, d: Demand, file_bits: np.ndarray, pipes, users) ->
     """
     leaves = _leaves(s)
     solved = _solved(leaves, [(d, user) for user in users])
-    decoders = [_decoder(s, leaves, [ours[k] for ours in solved]) for k in range(len(users))]
+    decoders = [_decoder(s, leaves, ours) for ours in solved]
     for user, decoder in zip(users, decoders):
         if decoder is None:
             raise ValueError(f"scheme is not decodable for demand {d}, user {user}")

@@ -7,6 +7,7 @@ Kronecker-product matrix of the same map.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +23,10 @@ from cachealign import (
     LinearScheme,
     PhyConfig,
     corner_scheme,
+    decodable,
     decode_bits,
     e2e_run,
+    enumerate_constellation,
     file_selector,
     observation_matrix,
     observe,
@@ -280,3 +283,30 @@ def test_observation_matrix_matches_oracle_channel(scheme):
 )
 def test_observation_matrix_matches_oracle_channel_on_built_schemes(scheme):
     assert_observations_match_oracle(scheme)
+
+
+@pytest.mark.parametrize("user", [True, 1.0, 2.0])
+def test_users_that_are_not_the_integer_1_or_2_are_refused(user):
+    # Each equals 1 or 2, and hashes as it does, so a store or table keyed
+    # by user would find user 1's or 2's entry.  The scheme is solved for
+    # both users first, so that decodable refuses before reading its store.
+    scheme = corner_scheme("M13")
+    assert all(decodable(scheme, Demand.AB, u) is not None for u in (1, 2))
+    zero = np.zeros(3, dtype=np.uint8)
+    calls = [
+        lambda: decodable(scheme, Demand.AB, user),
+        lambda: observe(user, zero, zero, zero, zero),
+        lambda: Demand.AB.requested(user),
+        lambda: enumerate_constellation(PhyConfig(2, 3, 5, 7), user),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"user must be 1 or 2, got {user!r}")):
+            call()
+    # Numpy integers stay users.
+    two = np.int64(2)
+    assert decodable(scheme, Demand.AB, two) == decodable(scheme, Demand.AB, 2)
+    messages = random_messages(np.random.default_rng(1), 3)
+    assert all(map(np.array_equal, observe(two, *messages), observe(2, *messages)))
+    assert Demand.AB.requested(two) == "B"
+    cfg = PhyConfig(2, 3, 5, 7)
+    assert enumerate_constellation(cfg, two) == enumerate_constellation(cfg, 2)

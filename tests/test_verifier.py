@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import itertools
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 import gf2_oracle as oracle
 import scheme_oracle
 from test_netchannel import dense_schemes
-from cachealign import gf2, verifier
+from cachealign import gf2, schemes, verifier
 from cachealign import (
     BitMatrix,
     Demand,
@@ -43,6 +45,7 @@ from cachealign import (
 )
 from cachealign.gf2 import solve_each
 from cachealign.netchannel import observe
+from cachealign.verifier import message_bits
 from cachealign.phy import PhyConfig, e2e_run
 
 F = Fraction
@@ -551,3 +554,82 @@ def test_threads_sharing_leaves_agree():
         report, decoded = results[k]
         assert report.passed and report == verify_all(flat_copy(shared))
         assert np.array_equal(decoded, np.ones(shared.n, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("demand", ["AA", ("A", "A"), None])
+def test_demands_that_are_not_a_demand_are_refused(demand):
+    # Refused by a flat scheme and by a share, both with every case solved.
+    refusal = re.escape(f"demand must be one of AA, AB, BA, BB, got {demand!r}")
+    shared = scheme_for_memory(F(1, 7))
+    for scheme in (shared, flat_copy(shared)):
+        assert verify_all(scheme).passed
+        bits = np.zeros(2 * scheme.n, dtype=np.uint8)
+        calls = [
+            lambda: decodable(scheme, demand, 1),
+            lambda: decode_bits(scheme, demand, 1, bits),
+            lambda: message_bits(scheme, demand, bits),
+            lambda: observation_matrix(scheme, demand, 1),
+            lambda: e2e_run(scheme, demand, PhyConfig(2, 3, 5, 7), bits),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=refusal):
+                call()
+
+
+# Shares whose leaves repeat or nest deeper than the shares() strategy draws.
+DEEP_SHARES = {
+    "n = 1001, M13 twice": lambda: memory_share(
+        scheme_for_memory(F(1, 11)), scheme_for_memory(F(1, 2)), F(1, 13)
+    ),
+    "three levels": lambda: memory_share(
+        memory_share(corner_scheme("M45"), EMPTY_BLOCK_SHARES["nested over M0"](), F(1, 3)),
+        scheme_for_memory(F(3, 2)),
+        F(2, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DEEP_SHARES))
+def test_deep_and_repeated_leaves_decode_and_deliver_as_their_flat_copies(name):
+    shared = DEEP_SHARES[name]()
+    leaves = schemes._leaves(shared)
+    if shared.n == 1001:
+        m0, m13, m45 = map(corner_scheme, ("M0", "M13", "M45"))
+        assert leaves == [(m0, 28), (m13, 7), (m13, 198), (m45, 66)]
+        assert leaves[1][0] is leaves[2][0]
+    else:
+        assert shared.parts.s1.parts.s2.parts is not None
+    assert sum(leaf.n * k for leaf, k in leaves) == shared.n
+    flat = flat_copy(shared)
+    assert verify_all(shared) == verify_all(flat)
+    assert_decodes_as_its_flat_copy(shared, flat)
+    bits = np.random.default_rng(11).integers(0, 2, size=2 * shared.n, dtype=np.uint8)
+    cfg = PhyConfig(2, 3, 5, 7)
+    for d in Demand:
+        by_parts, by_rows = e2e_run(shared, d, cfg, bits), e2e_run(flat, d, cfg, bits)
+        assert all(map(np.array_equal, by_parts, by_rows))
+
+
+def assert_decoders_are_canonical(shared) -> None:
+    # Sorted columns in every row, as from_entries gives them.
+    for d, user in ALL_CASES:
+        decoder = decodable(shared, d, user)
+        if decoder is not None:
+            assert BitMatrix.from_entries(*decoder.nonzero(), decoder.shape) == decoder
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*DEEP_SHARES.values(), *EMPTY_BLOCK_SHARES.values()]
+    + [functools.partial(scheme_for_memory, memory) for memory in BUILT],
+)
+def test_share_decoders_are_canonical(make):
+    shared = make()
+    assert shared.parts is not None
+    assert_decoders_are_canonical(shared)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shares())
+def test_decoders_of_drawn_shares_are_canonical(shared):
+    assert_decoders_are_canonical(shared)
