@@ -6,10 +6,19 @@ caches, and for each demand selects the four messages as linear maps of
 the transmitter cache bits.  Column convention throughout: columns
 0..n-1 are file A's parts, columns n..2n-1 are file B's parts.
 
+A memory share is a description: its operands (s1, k1, s2, k2), n, M
+and c.  memory_share builds no n-sized array, and the share's flat form,
+its 20 blocks, is built from its flat leaves on first read (see
+_leaves and _flatten).  The verifier certifies, decodes and delivers a
+share by its leaves, so only write_scheme, observation_matrix,
+equality, hashing, repr, pickling and dataclasses.replace read that
+form.
+
 Schemes are immutable after construction and safe for concurrent use.
-The one exception is a private store, in which the verifier keeps the
-systems it has solved for a scheme; a store only ever gains entries
-equal to those a fresh solve would give.
+Two exceptions only ever gain values equal to those a fresh build would
+give: a share's flat form, which two threads may build twice and store
+alike, and a private store, in which the verifier keeps the systems it
+has solved for a scheme.
 """
 
 from __future__ import annotations
@@ -44,14 +53,16 @@ __all__ = [
 ]
 
 # Largest granularity memory_share builds and read_scheme accepts: it
-# bounds the flat rows that a built scheme holds and a file spells out.
-# Built schemes are sparse, with at most 3 ones in a placement row.  At
-# n = 4093 memory_share builds one in about 3 ms, and verify_all
-# certifies it by its parts in about 0.3 ms once its corners are solved,
-# or its flat copy read from a file in 0.06 to 0.08 s.  Their scheme
-# file spells rows as terms in 235 KB, which write_scheme writes in 3 to
-# 4 ms and read_scheme reads in 5 to 7 ms.  A file that spells every row
-# out in full, 2n characters each, takes about 200 MB at this limit.
+# bounds the flat rows that a built scheme's flat form holds and a file
+# spells out.  Built schemes are sparse, with at most 3 ones in a
+# placement row.  At n = 4093 scheme_for_memory describes a share in
+# about 15 us, and its flat form takes 1 to 2.5 ms to build on first
+# read; verify_all certifies the share by its parts in about 0.04 ms once
+# its corners are solved, or its flat copy read from a file in 0.06 to
+# 0.08 s.  Their scheme file spells rows as terms in 235 KB, which
+# write_scheme writes in 3 to 4 ms and read_scheme reads in 5 to 7 ms.
+# A file that spells every row out in full, 2n characters each, takes
+# about 200 MB at this limit.
 MAX_GRANULARITY = 4096
 
 
@@ -82,6 +93,10 @@ _BLOCKS = (
 )
 
 
+# The fields of a scheme's flat form, which a memory share builds on first read.
+_FLAT = ("z1", "z2", "u1", "u2", "delivery")
+
+
 @dataclass(frozen=True)
 class LinearScheme:
     """A complete caching strategy with exact-rational metrics.
@@ -104,6 +119,10 @@ class LinearScheme:
     # an argument, so dataclasses.replace, read_scheme and hand-built
     # schemes give flat schemes, with no parts.
     parts: _Parts | None = field(default=None, init=False, compare=False, repr=False)
+    # Rows of each receiver cache placement, memory * n, and of each
+    # delivered message, load * n, counted once when the scheme is made.
+    cache_rows: int = field(init=False, compare=False, repr=False)
+    message_rows: int = field(init=False, compare=False, repr=False)
     # The systems verifier._solved has solved for this scheme, by (routing,
     # demand, user).  Like parts it is not an argument, so replace, pickle
     # and copy start with an empty store.
@@ -120,14 +139,17 @@ class LinearScheme:
             raise ValueError(f"memory {self.memory} out of range [0, 2]")
         if self.load < 0:
             raise ValueError(f"load {self.load} must be nonnegative")
-        if (self.memory * self.n).denominator != 1:
-            raise ValueError(f"memory*n = {self.memory * self.n} is not an integer")
-        if (self.load * self.n).denominator != 1:
-            raise ValueError(f"load*n = {self.load * self.n} is not an integer")
+        cache_rows, message_rows = self.memory * self.n, self.load * self.n
+        if cache_rows.denominator != 1:
+            raise ValueError(f"memory*n = {cache_rows} is not an integer")
+        if message_rows.denominator != 1:
+            raise ValueError(f"load*n = {message_rows} is not an integer")
         if set(self.delivery) != set(Demand):
             raise ValueError("delivery must cover exactly the four demands")
-        n, message_rows = self.n, self.message_rows
-        rows = {"Z": self.cache_rows, "D": message_rows}
+        n, cache_rows, message_rows = self.n, int(cache_rows), int(message_rows)
+        object.__setattr__(self, "cache_rows", cache_rows)
+        object.__setattr__(self, "message_rows", message_rows)
+        rows = {"Z": cache_rows, "D": message_rows}
         cols = {"AB": 2 * n, "U1": self.u1.rows, "U2": self.u2.rows}
         for (tag, over), mat in zip(_BLOCKS, self.blocks):
             name = f"delivery d{tag[-1]} for {tag[2:4]}" if tag[0] == "D" else tag.lower()
@@ -143,6 +165,14 @@ class LinearScheme:
                     f"load*n = {message_rows} message rows over an empty {name} carry no bits"
                 )
 
+    def __getattr__(self, name: str):
+        # Called only for an attribute not set: a memory share's flat form
+        # before its first read.
+        if name not in _FLAT or self.parts is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        _flatten(self)
+        return object.__getattribute__(self, name)
+
     def __reduce__(self):
         # A mapping proxy cannot be pickled, so pickle and copy rebuild the
         # scheme from its blocks, as a flat scheme.
@@ -154,26 +184,20 @@ class LinearScheme:
         return (self.z1, self.z2, self.u1, self.u2, *(m for d in Demand for m in self.delivery[d]))
 
     @property
-    def cache_rows(self) -> int:
-        """Rows of each receiver cache placement: memory * n."""
-        return int(self.memory * self.n)
-
-    @property
-    def message_rows(self) -> int:
-        """Rows of each delivered message: load * n."""
-        return int(self.load * self.n)
-
-    @property
     def rho(self) -> Fraction:
         """Sum network load over the four messages."""
         return 4 * self.load
 
 
+def _quads(maps) -> dict[Demand, DeliveryQuad]:
+    """The 16 delivery maps *maps*, in the order of _BLOCKS, by demand."""
+    return {d: DeliveryQuad(*maps[4 * i : 4 * i + 4]) for i, d in enumerate(Demand)}
+
+
 def _from_blocks(n: int, memory: Fraction, load: Fraction, blocks) -> LinearScheme:
     """The scheme of the 20 matrices *blocks*, in the order of _BLOCKS."""
     z1, z2, u1, u2, *maps = blocks
-    delivery = {d: DeliveryQuad(*maps[4 * i : 4 * i + 4]) for i, d in enumerate(Demand)}
-    return LinearScheme(n, memory, load, z1, z2, u1, u2, delivery)
+    return LinearScheme(n, memory, load, z1, z2, u1, u2, _quads(maps))
 
 
 class _Parts(NamedTuple):
@@ -185,17 +209,24 @@ class _Parts(NamedTuple):
     k2: int
 
 
-def _leaves(s: LinearScheme, k: int = 1) -> list[tuple[LinearScheme, int]]:
+def _leaves(s: LinearScheme) -> list[tuple[LinearScheme, int]]:
     """The flat schemes that *s* shares, in the order of their parts, each with its copy count.
 
     The copy rule composes: copy j' of a leaf's item i in s1, copied again
     as copy j, is item (i*k' + j')*k1 + j, or copy j'*k1 + j under the
     same rule with k'*k1 copies, after the copies of the leaves before.
+    The shares are walked on an explicit stack, so that no depth of
+    nesting reaches Python's recursion limit.
     """
-    if s.parts is None:
-        return [(s, k)]
-    s1, k1, s2, k2 = s.parts
-    return _leaves(s1, k * k1) + _leaves(s2, k * k2)
+    leaves, stack = [], [(s, 1)]
+    while stack:
+        s, k = stack.pop()
+        if s.parts is None:
+            leaves.append((s, k))
+        else:
+            s1, k1, s2, k2 = s.parts
+            stack += [(s2, k * k2), (s1, k * k1)]
+    return leaves
 
 
 def _copy_bases(copied, size: str = "n") -> list[np.ndarray]:
@@ -339,8 +370,9 @@ def memory_share(s1: LinearScheme, s2: LinearScheme, lam: Fraction) -> LinearSch
     the low-index parts and the rest by k2 scaled copies of s2, on
     disjoint bit ranges, with block-diagonal delivery maps, all copied by
     the rule of _copy_bases.  Metrics combine exactly: memory = lam*M1 +
-    (1-lam)*M2 and load = lam*c1 + (1-lam)*c2.  The result keeps (s1,
-    k1, s2, k2) as its ``parts``.
+    (1-lam)*M2 and load = lam*c1 + (1-lam)*c2.  The result is a
+    description, (s1, k1, s2, k2) as its ``parts`` with n, M and c; its
+    flat form is built on first read (see _flatten).
     """
     for s in (s1, s2):
         if not isinstance(s, LinearScheme):
@@ -363,22 +395,47 @@ def memory_share(s1: LinearScheme, s2: LinearScheme, lam: Fraction) -> LinearSch
         )
     k1 = p * t // s1.n
     k2 = (q - p) * t // s2.n
-    copied = ((s1, k1), (s2, k2))
-    # The columns of each span and, per operand, where copy 0 of each of
-    # its columns lands: a part's A column, and its B column n on; the
-    # share's U rows copy the operands' U rows as its parts copy theirs.
-    spans = {"AB": (2 * n, *(np.concatenate([b, n + b]) for b in _copy_bases(copied)))}
-    for over in ("U1", "U2"):
-        b1, b2 = _copy_bases(copied, f"{over.lower()}.rows")
-        spans[over] = (k1 * b1.size + k2 * b2.size, b1, b2)
-    pieces = []
-    for (_, over), a, b in zip(_BLOCKS, s1.blocks, s2.blocks):
-        cols, base1, base2 = spans[over]
-        pieces.append((cols, [(a, k1, base1), (b, k2, base2)]))
-    memory, load = lam * s1.memory + (1 - lam) * s2.memory, lam * s1.load + (1 - lam) * s2.load
-    shared = _from_blocks(n, memory, load, _scaled(pieces))
-    object.__setattr__(shared, "parts", _Parts(s1, k1, s2, k2))
+    # k1*s1.n = lam*n, so lam*M1*n = k1*s1.cache_rows, and so on.  The
+    # operands were checked, so the share's blocks have the shapes these
+    # rows give them.
+    cache_rows = k1 * s1.cache_rows + k2 * s2.cache_rows
+    message_rows = k1 * s1.message_rows + k2 * s2.message_rows
+    shared = object.__new__(LinearScheme)
+    vars(shared).update(
+        n=n,
+        memory=Fraction(cache_rows, n),
+        load=Fraction(message_rows, n),
+        parts=_Parts(s1, k1, s2, k2),
+        cache_rows=cache_rows,
+        message_rows=message_rows,
+        _solutions={},
+    )
     return shared
+
+
+def _flatten(s: LinearScheme) -> None:
+    """Build and keep a memory share's flat form, its 20 blocks, from its flat leaves.
+
+    One _scaled pass copies each leaf's blocks onto its parts and rows by
+    the copy rule, so a nested share neither recurses nor builds the
+    flat form of its inner shares.  Two threads may both build it; they
+    store equal blocks.
+    """
+    leaves = _leaves(s)
+    # The columns of each span and, per leaf, where copy 0 of each of its
+    # columns lands: a part's A column, and its B column n on; the share's
+    # U rows copy the leaves' U rows as its parts copy theirs.
+    spans = {"AB": (2 * s.n, [np.concatenate([b, s.n + b]) for b in _copy_bases(leaves)])}
+    for over in ("U1", "U2"):
+        bases = _copy_bases(leaves, f"{over.lower()}.rows")
+        spans[over] = (sum(k * b.size for (_, k), b in zip(leaves, bases)), bases)
+    blocks = [leaf.blocks for leaf, _ in leaves]
+    pieces = []
+    for i, (_, over) in enumerate(_BLOCKS):
+        cols, bases = spans[over]
+        pieces.append((cols, [(b[i], k, base) for b, (_, k), base in zip(blocks, leaves, bases)]))
+    z1, z2, u1, u2, *maps = _scaled(pieces)
+    vars(s).update(zip(_FLAT, (z1, z2, u1, u2, MappingProxyType(_quads(maps)))))
 
 
 def scheme_for_memory(m: Fraction) -> LinearScheme:

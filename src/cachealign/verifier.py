@@ -6,20 +6,29 @@ on top of its three channel observation blocks.  Certification is exact
 (zero-error linear recoverability); the witness is the decoder matrix
 produced by elimination.
 
-A memory share is certified by its parts.  memory_share puts k1 scaled
-copies of s1 and k2 of s2 on disjoint file parts, with block-diagonal
-delivery maps, so each user's system is, up to a row and column order,
-k1 copies of s1's system beside k2 copies of s2's.  A case then passes
-exactly when it passes on s1 and on s2, the parts it misses are the
-copies of the parts they miss, and its decoder is the block sum of
-their decoders.  The copy rule composes, so a nested share is read as
-its flat leaves, each with a copy count (schemes._leaves).
+A memory share is certified, decoded and delivered by its parts.
+memory_share puts k1 scaled copies of s1 and k2 of s2 on disjoint file
+parts, with block-diagonal delivery maps, so each user's system is, up
+to a row and column order, k1 copies of s1's system beside k2 copies of
+s2's.  A case then passes exactly when it passes on s1 and on s2, the
+parts it misses are the copies of the parts they miss, and its decoder
+is the block sum of their decoders.  The copy rule composes, so a
+nested share is read as its flat leaves, each with a copy count
+(schemes._leaves).
 
 Each flat scheme keeps the systems solved for it, by routing, demand
 and user.  verify_all, decodable, decode_bits and phy.e2e_run of a
 share read its leaves' kept solutions, so a share runs no elimination
 of its own, and the corners that every built scheme shares are solved
 once per routing.
+
+Bits are delivered by strides.  A leaf with n_l parts and k copies owns
+n_l*k consecutive parts of each file, copy j of part i at i*k + j, so
+as an (n_l, k) block its bits are one column per copy: one product with
+each of the leaf's maps and its kept decoder serves all k copies.  A
+flat scheme is its own leaf with k = 1.  So message_bits, decode_bits
+and e2e_run of a share build neither its flat form nor a block-sum
+decoder; only decodable returns one.
 """
 
 from __future__ import annotations
@@ -153,9 +162,9 @@ def _solved(leaves, keys) -> list[list[Solution]]:
 def _decoder(s: LinearScheme, leaves, solutions: list[Solution]) -> BitMatrix | None:
     """The decoder of *s* for one case, the block sum of its leaves' decoders, or None.
 
-    Built as memory_share builds its blocks, in one _scaled pass: a
-    leaf's decoder is copied onto its parts and the copies of its cache
-    rows and then its three message blocks, canonical with no sort.
+    Built as a share's flat form is built, in one _scaled pass: a leaf's
+    decoder is copied onto its parts and the copies of its cache rows and
+    then its three message blocks, canonical with no sort.
     """
     if any(solution.decoder is None for solution in solutions):
         return None
@@ -193,12 +202,13 @@ def verify_all(s: LinearScheme) -> VerificationReport:
     for (d, user), ours in zip(keys, _solved(leaves, keys)):
         # Leaves come in the order of their parts, and a leaf's rows in the
         # order of its copies' parts, so the failing parts come sorted.
-        failed = [
-            (base[solution.failed, None] + np.arange(k)).ravel()
+        names = tuple(
+            f"{d.requested(user)}{i + 1}"
             for (_, k), base, solution in zip(leaves, bases, ours)
-        ]
-        names = (f"{d.requested(user)}{i + 1}" for i in np.concatenate(failed).tolist())
-        cases.append(CaseResult(d, user, tuple(names)))
+            if solution.failed.size
+            for i in (base[solution.failed, None] + np.arange(k)).ravel().tolist()
+        )
+        cases.append(CaseResult(d, user, names))
     return VerificationReport(memory=s.memory, load=s.load, cases=tuple(cases))
 
 
@@ -209,36 +219,64 @@ def _file_bits(s: LinearScheme, file_bits: np.ndarray) -> np.ndarray:
     return x
 
 
+def _strided(leaves, x: np.ndarray) -> list[np.ndarray]:
+    """Each leaf's file bits, as a (2 n_l, k) block: column j holds copy j.
+
+    By the copy rule, a leaf with n_l parts and k copies owns the n_l*k
+    parts from its start on of each file, copy j of part i at i*k + j.
+    """
+    files, blocks, start = x.reshape(2, -1), [], 0
+    for leaf, k in leaves:
+        blocks.append(files[:, start : start + leaf.n * k].reshape(2 * leaf.n, k))
+        start += leaf.n * k
+    return blocks
+
+
 def message_bits(
     s: LinearScheme, d: Demand, file_bits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Realize the four transmitted messages (v1, v2, v3, v4) for concrete file bits."""
-    x = _file_bits(s, file_bits)
-    quad = _delivery(s, d)
-    y1, y2 = s.u1.apply(x), s.u2.apply(x)
-    return quad.d1.apply(y1), quad.d2.apply(y1), quad.d3.apply(y2), quad.d4.apply(y2)
+    """Realize the four transmitted messages (v1, v2, v3, v4) for concrete file bits.
+
+    Each leaf's maps act on all its copies at once, and the messages'
+    rows are its leaves' rows, copied by the same rule as their parts.
+    """
+    leaves = _leaves(s)
+    sent = []
+    for (leaf, _), bits in zip(leaves, _strided(leaves, _file_bits(s, file_bits))):
+        quad = _delivery(leaf, d)
+        y1, y2 = leaf.u1.apply(bits), leaf.u2.apply(bits)
+        sent.append((quad.d1.apply(y1), quad.d2.apply(y1), quad.d3.apply(y2), quad.d4.apply(y2)))
+    return tuple(np.concatenate([leaf[i].ravel() for leaf in sent]) for i in range(4))
 
 
 def _deliver(s: LinearScheme, d: Demand, file_bits: np.ndarray, pipes, users) -> list[np.ndarray]:
     """The file bits that each of *users* decodes when the messages reach it through *pipes*.
 
     pipes(user, v1, v2, v3, v4) gives the three blocks of bits the user
-    observes.  The users' systems are solved together, and each user
-    applies its witness decoder to its cache bits stacked on its blocks.
-    Raises ValueError for the first user that cannot decode.
+    observes.  The users' systems are solved together.  Each leaf's
+    witness decoder then acts on its cache bits stacked on its rows of the
+    three blocks, all its copies at once, and gives its parts of the
+    requested file.  Raises ValueError for the first user that cannot
+    decode.
     """
     leaves = _leaves(s)
     solved = _solved(leaves, [(d, user) for user in users])
-    decoders = [_decoder(s, leaves, ours) for ours in solved]
-    for user, decoder in zip(users, decoders):
-        if decoder is None:
+    for user, ours in zip(users, solved):
+        if any(solution.decoder is None for solution in ours):
             raise ValueError(f"scheme is not decodable for demand {d}, user {user}")
     x = _file_bits(s, file_bits)
-    sent = message_bits(s, d, x)
-    return [
-        decoder.apply(np.concatenate([(s.z1 if user == 1 else s.z2).apply(x), *pipes(user, *sent)]))
-        for user, decoder in zip(users, decoders)
-    ]
+    sent, blocks = message_bits(s, d, x), _strided(leaves, x)
+    decoded = []
+    for user, ours in zip(users, solved):
+        observed, parts, start = pipes(user, *sent), [], 0
+        for (leaf, k), bits, solution in zip(leaves, blocks, ours):
+            rows = leaf.message_rows
+            seen = [block[start : start + rows * k].reshape(rows, k) for block in observed]
+            cache = (leaf.z1 if user == 1 else leaf.z2).apply(bits)
+            parts.append(solution.decoder.apply(np.concatenate([cache, *seen])).ravel())
+            start += rows * k
+        decoded.append(np.concatenate(parts))
+    return decoded
 
 
 def decode_bits(

@@ -587,3 +587,50 @@ def test_solve_each_edge_shapes():
                 (BitMatrix.zeros(2, 3), BitMatrix.zeros(1, 4)),
             ]
         )
+
+
+# --- Products with several columns of bits at once -------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apply_to_columns_matches_dense_reference_column_by_column(data):
+    a = data.draw(bit_arrays())
+    k = data.draw(st.integers(0, 6))
+    block = data.draw(bit_arrays(rows=a.shape[1], cols=k))
+    out = BitMatrix(a).apply(block)
+    assert out.shape == (a.shape[0], k) and out.dtype == np.uint8
+    for j in range(k):
+        assert np.array_equal(out[:, j], oracle.apply(a, block[:, j]))
+        assert np.array_equal(out[:, j], BitMatrix(a).apply(block[:, j]))
+
+
+@pytest.mark.parametrize(
+    "a,k",
+    [
+        (np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]], dtype=np.uint8), 1),
+        (np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]], dtype=np.uint8), 4),
+        (np.zeros((3, 3), dtype=np.uint8), 2),
+        (np.zeros((0, 3), dtype=np.uint8), 1),
+        (np.zeros((0, 3), dtype=np.uint8), 5),
+        (np.zeros((2, 0), dtype=np.uint8), 3),
+        (np.zeros((0, 0), dtype=np.uint8), 2),
+    ],
+    ids=["k=1", "k=4", "empty_rows", "zero_rows_k=1", "zero_rows", "zero_cols", "empty"],
+)
+def test_apply_to_columns_edge_shapes(a, k):
+    block = np.random.default_rng(k).integers(0, 2, size=(a.shape[1], k), dtype=np.uint8)
+    out = BitMatrix(a).apply(block)
+    assert out.shape == (a.shape[0], k) and out.dtype == np.uint8
+    for j in range(k):
+        assert np.array_equal(out[:, j], oracle.apply(a, block[:, j]))
+
+
+def test_apply_refuses_columns_that_do_not_fit():
+    m = BitMatrix.identity(3)
+    for bad in (np.zeros((2, 4), dtype=np.uint8), np.zeros((3, 1, 1), dtype=np.uint8), np.uint8(1)):
+        message = f"vector of shape {bad.shape} does not match 3 columns"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            m.apply(bad)
+    with pytest.raises(ValueError, match="vector entries must be 0 or 1"):
+        m.apply(np.full((3, 2), 2))

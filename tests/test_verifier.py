@@ -633,3 +633,203 @@ def test_share_decoders_are_canonical(make):
 @given(shares())
 def test_decoders_of_drawn_shares_are_canonical(shared):
     assert_decoders_are_canonical(shared)
+
+
+def outcome(call):
+    """What a call gives: its arrays, or the ValueError it raises."""
+    try:
+        out = call()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    arrays = out if isinstance(out, (tuple, list)) else [out]
+    return "ok", [np.asarray(v).tolist() for v in arrays]
+
+
+def share_outcomes(scheme, bits) -> list:
+    """message_bits, decode_bits and e2e_run (gains 2,3,5,7) of *scheme* for all four demands."""
+    cfg = PhyConfig(2, 3, 5, 7)
+    out = []
+    for d in Demand:
+        out.append(outcome(lambda: message_bits(scheme, d, bits)))
+        out += [outcome(lambda: decode_bits(scheme, d, user, bits)) for user in (1, 2)]
+        out.append(outcome(lambda: e2e_run(scheme, d, cfg, bits)))
+    return out
+
+
+def has_flat_form(scheme) -> bool:
+    return any(name in vars(scheme) for name in schemes._FLAT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shares(), st.integers(0, 2**32 - 1))
+def test_shares_deliver_by_strides_as_their_flat_copies(shared, seed):
+    bits = np.random.default_rng(seed).integers(0, 2, size=2 * shared.n, dtype=np.uint8)
+    by_parts = share_outcomes(shared, bits)
+    assert not has_flat_form(shared)
+    # Failing shares included: they must raise the same ValueError.
+    assert by_parts == share_outcomes(flat_copy(shared), bits)
+
+
+@pytest.fixture
+def scaled_calls(monkeypatch):
+    """The block sums schemes._scaled builds while the test runs, under both of its names."""
+    calls = []
+    scaled = schemes._scaled
+
+    def counted(blocks):
+        calls.append(len(blocks))
+        return scaled(blocks)
+
+    monkeypatch.setattr(schemes, "_scaled", counted)
+    monkeypatch.setattr(verifier, "_scaled", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*DEEP_SHARES.values(), *EMPTY_BLOCK_SHARES.values(), lambda: scheme_for_memory(F(1, 4093))],
+)
+def test_share_paths_build_no_flat_form_and_no_block_sum(make, scaled_calls):
+    shared = make()
+    bits = np.random.default_rng(shared.n).integers(0, 2, size=2 * shared.n, dtype=np.uint8)
+    assert verify_all(shared).passed
+    for d in Demand:
+        message_bits(shared, d, bits)
+        decode_bits(shared, d, 1, bits)
+        e2e_run(shared, d, PhyConfig(2, 3, 5, 7), bits)
+    assert scaled_calls == [] and not has_flat_form(shared)
+    # Only a decoder asked for is summed from its leaves', in one pass.
+    assert decodable(shared, Demand.AB, 2) is not None
+    assert scaled_calls == [1] and not has_flat_form(shared)
+
+
+def test_failing_share_verdicts_build_no_flat_form_and_no_block_sum(scaled_calls):
+    shared = memory_share(corner_scheme("M45"), zero_cache_variant(corner_scheme("M13")), F(2, 5))
+    bits = np.ones(2 * shared.n, dtype=np.uint8)
+    report = verify_all(shared)
+    failing = [(case.demand, case.user) for case in report.cases if not case.ok]
+    assert failing and not report.passed
+    for d, user in failing:
+        assert decodable(shared, d, user) is None
+        with pytest.raises(ValueError, match=f"not decodable for demand {d}, user {user}"):
+            decode_bits(shared, d, user, bits)
+    assert scaled_calls == [] and not has_flat_form(shared)
+
+
+def eager_blocks(s) -> list[BitMatrix]:
+    """The blocks of *s* as memory_share built them eagerly, each share from its operands'."""
+    if s.parts is None:
+        return list(s.blocks)
+    s1, k1, s2, k2 = s.parts
+    ours, theirs = eager_blocks(s1), eager_blocks(s2)
+    # Copy j of item i of an operand with k copies lands on start + i*k + j.
+    counts = {"AB": (s1.n, s2.n), "U1": (ours[2].rows, theirs[2].rows)}
+    counts["U2"] = (ours[3].rows, theirs[3].rows)
+    pieces = []
+    for (_, over), a, b in zip(schemes._BLOCKS, ours, theirs):
+        c1, c2 = counts[over]
+        base1, base2 = k1 * np.arange(c1), k1 * c1 + k2 * np.arange(c2)
+        if over == "AB":
+            base1, base2 = (np.concatenate([base, s.n + base]) for base in (base1, base2))
+        cols = 2 * s.n if over == "AB" else k1 * c1 + k2 * c2
+        pieces.append((cols, [(a, k1, base1), (b, k2, base2)]))
+    return schemes._scaled(pieces)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*DEEP_SHARES.values(), *EMPTY_BLOCK_SHARES.values()]
+    + [functools.partial(scheme_for_memory, memory) for memory in BUILT],
+)
+def test_lazy_blocks_equal_the_eager_build(make):
+    shared = make()
+    expected = eager_blocks(shared)
+    assert not has_flat_form(shared)
+    assert list(shared.blocks) == expected and has_flat_form(shared)
+    # Kept: a second read gives the same objects.
+    assert all(a is b for a, b in zip(shared.blocks, shared.blocks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shares())
+def test_lazy_blocks_of_drawn_shares_equal_the_eager_build(shared):
+    assert list(shared.blocks) == eager_blocks(shared)
+
+
+def test_memory_share_allocates_nothing_sized_by_n():
+    corners = [corner_scheme(name) for name in ("M0", "M13", "M45", "M2")]
+    for memory in (F(683, 4093), F(2321, 4093), F(5732, 4093)):
+        tracemalloc.start()
+        try:
+            shared = scheme_for_memory(memory)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One n-sized array of indices alone would take 32 KB.
+        assert shared.n == 4093 and peak < 4096, f"peak {peak} bytes"
+        assert shared.parts.s1 in corners and not has_flat_form(shared)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: corner_scheme("M45"), lambda: flat_copy(scheme_for_memory(F(2, 7)))]
+    + [*DEEP_SHARES.values(), *EMPTY_BLOCK_SHARES.values()],
+)
+def test_row_counts_are_kept_ints(make):
+    s = make()
+    for name, value in (("cache_rows", s.memory * s.n), ("message_rows", s.load * s.n)):
+        assert type(vars(s)[name]) is int and getattr(s, name) == value
+
+
+def chained_shares(levels: int):
+    """M13 shared with M2 again and again, one level deeper each time: n = 3 + levels."""
+    s = corner_scheme("M13")
+    for _ in range(levels):
+        s = memory_share(s, corner_scheme("M2"), F(s.n, s.n + 1))
+    return s
+
+
+def test_shares_chained_past_the_recursion_limit():
+    # Deeper than Python's default recursion limit of 1000 frames.
+    shared = chained_shares(2000)
+    assert shared.n == 2003
+    leaves = schemes._leaves(shared)
+    assert leaves == [(corner_scheme("M13"), 1)] + [(corner_scheme("M2"), 1)] * 2000
+    report = verify_all(shared)
+    assert report.passed
+    bits = np.random.default_rng(2003).integers(0, 2, size=2 * shared.n, dtype=np.uint8)
+    decoded = decode_bits(shared, Demand.BA, 1, bits)
+    assert np.array_equal(decoded, bits[shared.n :])
+    flat = read_scheme(write_scheme(shared))
+    assert flat == shared and verify_all(flat) == report
+
+
+def test_threads_building_one_flat_form_agree():
+    # Eight threads read the flat form of fresh shares at once, switching
+    # often: a form built twice is stored twice, equal both times.
+    memories = [F(2, 7), F(1, 11), F(3, 5), F(9, 7)]
+    fresh = [scheme_for_memory(m) for m in memories]
+    expected = [write_scheme(flat_copy(scheme_for_memory(m))) for m in memories]
+    results, errors = {}, []
+
+    def work(k):
+        try:
+            shared = fresh[k % len(fresh)]
+            results[k] = (write_scheme(shared), list(shared.blocks) == eager_blocks(shared))
+        except Exception as exc:  # reported below, on the test's own thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(thread.is_alive() for thread in threads)
+    for k in range(8):
+        text, equal = results[k]
+        assert text == expected[k % len(fresh)] and equal
