@@ -17,23 +17,31 @@ product costs what it would on dense storage.
 
 Elimination first splits the columns into the connected components of
 the rows that share them, since no row operation crosses a component.
-Components of similar width and row count form a group, stored as one
-(components x rows x words) uint64 array: each row holds its bits over
-its component's columns, then the combination of the component's rows
-that produced it, which starts as the identity.  Gauss-Jordan
+Components of similar width and row count form a group.  Each is written
+as its rows' bits over its own columns, in order, and components with
+equal bits, their pattern, eliminate alike: a group eliminates each
+distinct pattern once, stored as one (patterns x rows x words) uint64
+array whose rows hold their bits, then the combination of the pattern's
+rows that produced them, which starts as the identity.  Gauss-Jordan
 elimination runs on a whole group in lockstep, one column at a time:
-each component's pivot row for the column is XORed into its other rows
-that hold the bit, all components in one numpy pass.  A dense matrix is
-one component and runs the same code.  solve_each stacks several
-systems into one block-diagonal system, so that they share those
-passes; the failing rows of each system give its own verdict.
+each pattern's pivot row for the column is XORed into its other rows
+that hold the bit, all patterns in one numpy pass.  A row of the right
+side is likewise split into pieces, one per component, and each
+distinct (pattern, piece) pair is reduced once; a piece's combination
+is then read over the rows of its own component.  The copies of a
+scheme's parts thus cost one elimination per pattern, however many
+copies there are.  A dense matrix is one component and runs the same
+code.  solve_each stacks several systems into one block-diagonal
+system, so that they share those passes; the failing rows of each
+system give its own verdict.
 """
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -73,24 +81,32 @@ def _rational(x, what: str, refusal: str = "{what} must be a finite number, got 
 
 def _csr(keys: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, int]:
     """CSR arrays of the entries whose sorted unique keys are r * cols + c."""
-    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
-    return indptr, keys % shape[1], shape[1]
+    rows, cols = shape
+    indptr = np.zeros(rows + 1, dtype=np.intp)
+    # With no rows or no columns there are no keys, and no row to count.
+    if not rows or not cols:
+        return indptr, keys.copy(), cols
+    row, col = np.divmod(keys, cols)
+    np.bincount(row, minlength=rows).cumsum(out=indptr[1:])
+    return indptr, col, cols
 
 
 def _odd_keys(keys: np.ndarray) -> np.ndarray:
     """Sorted keys (all >= 0) that occur an odd number of times; pairs cancel."""
     if np.all(keys[1:] > keys[:-1]):
         return keys
-    keys = np.sort(keys)
+    # Products and sums join sorted runs, which a stable sort merges in
+    # linear time.
+    keys = np.sort(keys, kind="stable")
     first = _run_starts(keys)
-    counts = np.diff(first, append=keys.size)
+    counts = np.append(first[1:], keys.size) - first
     return keys[first[counts % 2 == 1]]
 
 
 def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenated ranges [start, start + length) for each pair."""
-    ends = np.cumsum(lengths, dtype=np.intp)
-    out = np.repeat(starts - ends + lengths, lengths)
+    ends = lengths.cumsum(dtype=np.intp)
+    out = (starts - ends + lengths).repeat(lengths)
     # Each range's offset is repeated before the ranges are made, and ends
     # let go, so that only two output-sized arrays are alive for the sum.
     del ends
@@ -131,6 +147,14 @@ class BitMatrix:
     @classmethod
     def _from_keys(cls, keys: np.ndarray, shape: tuple[int, int]) -> "BitMatrix":
         return cls._from_csr(*_csr(keys, shape))
+
+    def _row_range(self, lo: int, hi: int) -> "BitMatrix":
+        """Rows lo to hi - 1, sharing this matrix's column indices."""
+        return BitMatrix._from_csr(
+            self.indptr[lo : hi + 1] - self.indptr[lo],
+            self.indices[self.indptr[lo] : self.indptr[hi]],
+            self.cols,
+        )
 
     @classmethod
     def from_entries(cls, rows, cols, shape: tuple[int, int]) -> "BitMatrix":
@@ -180,7 +204,7 @@ class BitMatrix:
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column indices of the set entries, in row-major order."""
-        return np.repeat(np.arange(self.rows), np.diff(self.indptr)), self.indices
+        return np.arange(self.rows).repeat(self.indptr[1:] - self.indptr[:-1]), self.indices
 
     def apply(self, bits) -> np.ndarray:
         """Multiply this matrix by a column bit vector, or by each column of a (cols, k) array.
@@ -193,10 +217,16 @@ class BitMatrix:
                 f"vector of shape {vec.shape} does not match {self.cols} columns"
             )
         # Running XOR down the selected rows of bits; each row's parity is
-        # the difference of the running values at its two ends.  On a
-        # (cols, 1) array, take copies the rows in about a third less time
-        # than fancy indexing.
-        running = np.zeros((self.indices.size + 1, *vec.shape[1:]), dtype=np.uint8)
+        # the difference of the running values at its two ends.  One column
+        # is run as a vector: indexing a vector costs less than taking the
+        # rows of a (cols, 1) array, and take costs less than indexing the
+        # rows of a wider one.
+        if vec.ndim == 1 or vec.shape[1] == 1:
+            running = np.zeros(self.indices.size + 1, dtype=np.uint8)
+            np.bitwise_xor.accumulate(vec.reshape(-1)[self.indices], out=running[1:])
+            out = running[self.indptr[1:]] ^ running[self.indptr[:-1]]
+            return out if vec.ndim == 1 else out[:, None]
+        running = np.zeros((self.indices.size + 1, vec.shape[1]), dtype=np.uint8)
         np.bitwise_xor.accumulate(vec.take(self.indices, axis=0), axis=0, out=running[1:])
         return running.take(self.indptr[1:], axis=0) ^ running.take(self.indptr[:-1], axis=0)
 
@@ -210,9 +240,11 @@ class BitMatrix:
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch for XOR: {self.shape} vs {other.shape}")
-        (r1, c1), (r2, c2) = self.nonzero(), other.nonzero()
-        rows, cols = np.concatenate([r1, r2]), np.concatenate([c1, c2])
-        return BitMatrix.from_entries(rows, cols, self.shape)
+        keys = [
+            (np.arange(m.rows) * m.cols).repeat(m.indptr[1:] - m.indptr[:-1]) + m.indices
+            for m in (self, other)
+        ]
+        return BitMatrix._from_keys(_odd_keys(np.concatenate(keys)), self.shape)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):
@@ -245,13 +277,13 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    picks = np.diff(a.indptr)
-    one = np.flatnonzero(picks == 1)
+    picks = a.indptr[1:] - a.indptr[:-1]
+    one = (picks == 1).nonzero()[0]
     src = a.indices[a.indptr[one]]
-    lengths = np.diff(b.indptr)[src]
+    lengths = b.indptr[src + 1] - b.indptr[src]
     copied = b.indices[_ragged_arange(b.indptr[src], lengths)]
-    keys = [np.repeat(one, lengths) * b.cols + copied]
-    many = np.flatnonzero(picks > 1)
+    keys = [one.repeat(lengths) * b.cols + copied]
+    many = (picks > 1).nonzero()[0]
     words = _words(b.cols)
     if many.size and words:
         picks = picks[many]
@@ -295,9 +327,23 @@ def vstack(mats: Iterable[BitMatrix]) -> BitMatrix:
 
 def _stack(mats: list[BitMatrix], indices: list[np.ndarray], cols: int) -> BitMatrix:
     """The rows of *mats* in order, with indices[k] as the column indices of mats[k]."""
-    offsets = np.cumsum([0] + [m.indices.size for m in mats])
+    offsets = itertools.accumulate((m.indices.size for m in mats), initial=0)
     indptr = np.concatenate([[0]] + [m.indptr[1:] + off for m, off in zip(mats, offsets)])
     return BitMatrix._from_csr(indptr, np.concatenate(indices), cols)
+
+
+def _gather(mats: list[BitMatrix], rows: np.ndarray, shift: np.ndarray, cols: int) -> BitMatrix:
+    """Rows *rows* of *mats* stacked, row i moved right by shift[i] columns, in a cols-wide matrix.
+
+    A shift keeps each row's columns sorted, so the rows come out as
+    canonical CSR arrays, with no sort.
+    """
+    pool = _stack(mats, [m.indices for m in mats], cols)
+    lengths = pool.indptr[rows + 1] - pool.indptr[rows]
+    indptr = np.zeros(rows.size + 1, dtype=np.intp)
+    lengths.cumsum(out=indptr[1:])
+    at = _ragged_arange(pool.indptr[rows], lengths)
+    return BitMatrix._from_csr(indptr, pool.indices[at] + shift.repeat(lengths), cols)
 
 
 def _components(m: BitMatrix) -> np.ndarray:
@@ -310,10 +356,10 @@ def _components(m: BitMatrix) -> np.ndarray:
     onto the smallest root it shares an entry with.
     """
     idx = np.int32 if m.cols < 2**31 else np.int64
-    lengths = np.diff(m.indptr)
+    lengths = m.indptr[1:] - m.indptr[:-1]
     live = lengths > 0
     ends = m.indices.astype(idx)
-    starts = np.repeat(ends[m.indptr[:-1][live]], lengths[live])
+    starts = ends[m.indptr[:-1][live]].repeat(lengths[live])
     parent = np.arange(m.cols, dtype=idx)
     np.minimum.at(parent, ends, starts)
     while True:
@@ -331,14 +377,21 @@ def _components(m: BitMatrix) -> np.ndarray:
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
 
 
-def _rank_within(labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Position of each element among the earlier elements with its label."""
-    order = np.argsort(labels, kind="stable")
+def _rank_within(labels: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each element among the earlier elements with its label, and their order by label.
+
+    *counts* holds each label's element count.  Sorting label * size +
+    position, whose values are distinct, orders the elements as a
+    stable sort of the labels would, in a fraction of a stable argsort's
+    time on labels in no order.
+    """
+    size = labels.size
+    keys = np.sort(labels.astype(np.int64) * size + np.arange(size))
+    label, order = np.divmod(keys, size)
+    del keys
     out = np.empty_like(labels)
-    out[order] = np.arange(labels.size, dtype=labels.dtype) - (np.cumsum(counts) - counts)[
-        labels[order]
-    ]
-    return out
+    out[order] = np.arange(size, dtype=labels.dtype) - (counts.cumsum() - counts)[label]
+    return out, order
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -353,7 +406,32 @@ def _words(bits: int) -> int:
     return (bits + 63) >> 6
 
 
-_ONE = np.uint64(1)
+# Odd multiplier of the row hash that _distinct sorts by (2**64 / golden ratio).
+_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One row of each run of equal rows of a 2-d uint64 array, and the run of every row.
+
+    Rows are sorted by a hash of their words, so equal rows are
+    adjacent, and a run ends wherever the next row differs in any word.
+    Rows of one run are thus equal whatever the hash; two rows that
+    collide only split a run, which costs work, not exactness.
+    """
+    count, width = rows.shape
+    # Stable, so that equal hashes already in runs cost a merge, not a quicksort.
+    order = np.argsort(rows @ (np.arange(1, 2 * width, 2, dtype=np.uint64) * _HASH), kind="stable")
+    ordered = rows.take(order, axis=0)
+    starts = np.zeros(count, dtype=bool)
+    starts[:1] = True
+    starts[1 + (ordered[1:] != ordered[:-1]).ravel().nonzero()[0] // width] = True
+    run = np.empty(count, dtype=np.intp)
+    run[order] = starts.cumsum() - 1
+    return order[starts], run
+
+
+# _BITS[i] is the word with bit i alone set.
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 # Entries that one pass of _fill turns into words.  Its index arrays
 # cost about 40 bytes an entry, so a pass holds about 160 KB of them
@@ -378,11 +456,10 @@ def _passes(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
 def _fill(out, cols, starts, count, owner, bit) -> None:
     """Set the bits of cols[starts[i]:starts[i] + count[i]] in row owner[i] of *out*.
 
-    *out* is a (rows x words) uint64 array and column c sets bit bit[c]:
-    its position within its component for elimination, the column
-    itself for a product.  Each run of columns is sorted and its bits
-    are increasing, so the bits of one word are consecutive and one
-    OR-reduction per word sets them.
+    *out* is a (rows x words) uint64 array, zero where the bits go, and
+    column c sets bit bit[c]: its position within its component for
+    elimination, the column itself for a product.  No two entries set
+    one bit of one row, so adding the bits into their words sets them.
     """
     flat = out.reshape(-1)
     words = out.shape[1]
@@ -390,8 +467,7 @@ def _fill(out, cols, starts, count, owner, bit) -> None:
         at = _ragged_arange(starts[lo:hi], count[lo:hi])
         pos = bit[cols[at]]
         key = (owner[lo:hi].astype(np.int64) * words).repeat(count[lo:hi]) + (pos >> 6)
-        first = _run_starts(key)
-        flat[key[first]] = np.bitwise_or.reduceat(_ONE << (pos & 63).astype(np.uint64), first)
+        np.add.at(flat, key, _BITS[pos & 63])
 
 
 def _set_bits(words: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -402,22 +478,22 @@ def _set_bits(words: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Group:
-    """Components of one size class, brought to reduced row echelon form in lockstep.
+    """Distinct component patterns of one size class, in reduced row echelon form in lockstep.
 
-    ``a`` is a (components x rows x words) uint64 array.  The first
+    ``a`` is a (patterns x rows x words) uint64 array.  The first
     ``column_words`` words of a row hold its bits over its component's
     columns (bit j = the component's j-th column, bit j % 64 of word
     j // 64); the rest hold the combination of the component's rows that
     produced it (bit i = the component's i-th row), which starts as the
-    identity.  Components with fewer rows than the group are padded with
+    identity.  Patterns with fewer rows than the group are padded with
     zero rows.
 
     Gauss-Jordan elimination takes the columns in order.  For column j,
-    every component picks its first row that holds bit j and is no pivot
-    yet, and that row is XORed into every other row of the component
-    that holds bit j, all components in one pass.  Afterwards bit j of a
-    pivot column is set in its pivot row alone.  ``pivot[k, j]`` is the
-    pivot row of column j in component k, or -1.
+    every pattern picks its first row that holds bit j and is no pivot
+    yet, and that row is XORed into every other row of the pattern that
+    holds bit j, all patterns in one pass.  Afterwards bit j of a pivot
+    column is set in its pivot row alone.  ``pivot[k, j]`` is the pivot
+    row of column j in pattern k, or -1.
     """
 
     def __init__(self, a: np.ndarray, width: int, column_words: int) -> None:
@@ -428,7 +504,7 @@ class _Group:
         every = np.arange(comps)
         for j in range(width):
             word = j >> 6
-            held = (a[:, :, word] & (_ONE << np.uint64(j & 63))) != 0
+            held = (a[:, :, word] & _BITS[j & 63]) != 0
             candidates = held & free
             at = candidates.argmax(axis=1)
             found = candidates[every, at]
@@ -444,14 +520,13 @@ class _Group:
             held[every, at] = False
             # A pivot row holds no bits before its word: XOR from there on.
             pivots = a[every, at, word:]
-            comp, row = np.nonzero(held)
+            comp, row = held.nonzero()
             a[comp, row, word:] ^= pivots[comp]
-        self.rank = int(np.count_nonzero(pivot >= 0))
 
     def reduce(self, slots: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Reduce the word rows *e* in place, row i over the columns of component slots[i].
+        """Reduce the word rows *e* in place, row i over the columns of pattern slots[i].
 
-        Returns whether each row is outside its component's row space,
+        Returns whether each row is outside its pattern's row space,
         and the combination words of the pivot rows that reduce it.  In
         reduced form a row takes the pivot row of every pivot column it
         holds, and taking one leaves its bits at the other pivot columns
@@ -460,7 +535,7 @@ class _Group:
         for j in range(self.pivot.shape[1]):
             word = j >> 6
             at = self.pivot[slots, j]
-            hit = (((e[:, word] & (_ONE << np.uint64(j & 63))) != 0) & (at >= 0)).nonzero()[0]
+            hit = (((e[:, word] & _BITS[j & 63]) != 0) & (at >= 0)).nonzero()[0]
             if hit.size:
                 e[hit, word:] ^= self.a[slots[hit], at[hit], word:]
         return e[:, : self.column_words].any(axis=1), e[:, self.column_words :]
@@ -471,28 +546,30 @@ class _Reduced:
 
     The components with rows are grouped by size class, the classes of
     their width and of their row count: 1 to 4, 5 to 16, and so on by
-    powers of four.  Each group is one _Group, so a group pads its rows
-    at most fourfold and few groups cover many small components.
-    Per-column and per-row tables use int32 indices while they fit.
+    powers of four.  Each group is one _Group of its distinct patterns,
+    so a group pads its rows at most fourfold and few groups cover many
+    small components.  Per-column and per-row tables use int32 indices
+    while they fit.
     """
 
     def __init__(self, g: BitMatrix) -> None:
         idx = np.int32 if max(g.rows, g.cols) < 2**31 else np.int64
         label = _components(g)
         root = label == np.arange(g.cols, dtype=idx)
-        self.comps = comps = int(np.count_nonzero(root))
-        self.comp_of_col = comp_of_col = np.cumsum(root, dtype=idx)[label] - 1
-        del label, root
+        ranks = root.cumsum(dtype=idx)
+        self.comps = comps = int(ranks[-1]) if ranks.size else 0
+        self.comp_of_col = comp_of_col = ranks[label] - 1
+        del label, root, ranks
         width = np.bincount(comp_of_col, minlength=comps).astype(idx)
-        self.local_col = _rank_within(comp_of_col, width)
+        self.local_col = _rank_within(comp_of_col, width)[0]
         live = (g.indptr[1:] != g.indptr[:-1]).nonzero()[0].astype(idx)
         row_comp = comp_of_col[g.indices[g.indptr[live]]]
         row_count = np.bincount(row_comp, minlength=comps).astype(idx)
-        local_row = _rank_within(row_comp, row_count)
+        local_row, order = _rank_within(row_comp, row_count)
         # The g row of component k's i-th row is comp_rows[row_start[k] + i].
-        self.row_start = np.cumsum(row_count, dtype=idx) - row_count
-        self.comp_rows = np.empty_like(live)
-        self.comp_rows[self.row_start[row_comp] + local_row] = live
+        self.row_start = row_count.cumsum(dtype=idx) - row_count
+        self.comp_rows = live[order]
+        del order
         with_rows = row_count.nonzero()[0].astype(idx)
         # frexp(x - 1)[1] is the bit length of x - 1: a class spans 1 to 4, 5 to 16, ...
         bits = np.frexp(np.stack([width[with_rows], row_count[with_rows]]) - 1)[1]
@@ -504,32 +581,52 @@ class _Reduced:
         del size_class, present
         self.group = np.full(comps, -1, dtype=idx)
         self.group[with_rows] = of_class
-        self.slot = np.zeros(comps, dtype=idx)
-        self.slot[with_rows] = _rank_within(of_class, np.bincount(of_class))
+        # Component k is member[k] of its group, and eliminated as pattern[k].
+        member = np.zeros(comps, dtype=idx)
+        self.pattern = np.zeros(comps, dtype=idx)
         row_group = self.group[row_comp]
         self.groups = []
         for i in range(classes):
             members = with_rows[of_class == i]
+            member[members] = np.arange(members.size, dtype=idx)
             mine = (row_group == i).nonzero()[0]
             rows = int(row_count[members].max())
             span = int(width[members].max())
             cw = _words(span)
-            a = np.zeros((members.size * rows, cw + _words(rows)), dtype=np.uint64)
-            owner = self.slot[row_comp[mine]].astype(np.int64) * rows + local_row[mine]
+            bits = np.zeros((members.size * rows, cw), dtype=np.uint64)
+            owner = member[row_comp[mine]].astype(np.int64) * rows + local_row[mine]
             starts = g.indptr[live[mine]]
-            _fill(a, g.indices, starts, g.indptr[live[mine] + 1] - starts, owner, self.local_col)
-            local = local_row[mine]
-            a[owner, cw + (local >> 6)] = _ONE << (local & 63).astype(np.uint64)
-            self.groups.append(_Group(a.reshape(members.size, rows, -1), span, cw))
-        self.rank = sum(group.rank for group in self.groups)
+            _fill(bits, g.indices, starts, g.indptr[live[mine] + 1] - starts, owner, self.local_col)
+            # Members with equal bits eliminate alike.  Every row holds a bit
+            # and the padding none, so the bits also give the row count.
+            first, self.pattern[members] = _distinct(bits.reshape(members.size, -1))
+            a = np.zeros((first.size, rows, cw + _words(rows)), dtype=np.uint64)
+            a[:, :, :cw] = bits.reshape(members.size, rows, cw).take(first, axis=0)
+            del bits
+            # The identity combinations of the patterns' rows.
+            pattern, local = (row_count[members[first]][:, None] > np.arange(rows)).nonzero()
+            a[pattern, local, cw + (local >> 6)] = _BITS[local & 63]
+            self.groups.append(_Group(a, span, cw))
+
+    @property
+    def rank(self) -> int:
+        """The pivots of every component: each pattern's, once per member."""
+        rank = 0
+        for i, group in enumerate(self.groups):
+            members = np.bincount(self.pattern[self.group == i], minlength=group.pivot.shape[0])
+            rank += int(np.count_nonzero(group.pivot >= 0, axis=1) @ members)
+        return rank
 
     def decode(self, e: BitMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entries (e row, g row) of a decoder R, and the rows of e outside g's row space.
 
         Each row of e is split into its pieces in each component.  A row
         is in the row space when every piece is; the combinations that
-        reduce its pieces make up its decoder row.  Failing rows get no
-        entries.
+        reduce its pieces make up its decoder row.  Pieces with equal bits
+        over components of one pattern reduce alike, so each distinct
+        (pattern, bits) pair is reduced once, and its combination is read
+        over the g rows of each piece's own component.  Failing rows get
+        no entries.
         """
         rows, cols = e.nonzero()
         comp = self.comp_of_col[cols]
@@ -539,7 +636,7 @@ class _Reduced:
             rows, cols, comp, key = rows[order], cols[order], comp[order], key[order]
         # Piece p holds the entries first[p] to first[p] + count[p] - 1.
         first = _run_starts(key)
-        count = np.diff(first, append=key.size)
+        count = np.append(first[1:], key.size) - first
         del key
         piece_row, piece_comp = rows[first], comp[first]
         del rows, comp
@@ -549,13 +646,24 @@ class _Reduced:
         out_rows, out_cols = [], []
         for i, group in enumerate(self.groups):
             mine = (piece_group == i).nonzero()[0]
-            pieces = np.zeros((mine.size, group.a.shape[2]), dtype=np.uint64)
-            _fill(pieces, cols, first[mine], count[mine], np.arange(mine.size), self.local_col)
-            bad, combos = group.reduce(self.slot[piece_comp[mine]], pieces)
-            failed[mine] = bad
+            cw = group.column_words
+            # A piece's bits, then its component's pattern: equal keys reduce alike.
+            keys = np.zeros((mine.size, cw + 1), dtype=np.uint64)
+            _fill(keys, cols, first[mine], count[mine], np.arange(mine.size), self.local_col)
+            keys[:, cw] = self.pattern[piece_comp[mine]]
+            once, alike = _distinct(keys)
+            keys = keys.take(once, axis=0)
+            pieces = np.zeros((once.size, group.a.shape[2]), dtype=np.uint64)
+            pieces[:, :cw] = keys[:, :cw]
+            bad, combos = group.reduce(keys[:, cw].astype(np.intp), pieces)
+            failed[mine] = bad[alike]
+            combos[bad] = 0
+            # The combination bits of each distinct piece, then of each piece in turn.
             owner, bit = _set_bits(combos, group.a.shape[1])
-            good = ~bad[owner]
-            owner, bit = mine[owner[good]], bit[good]
+            bits = np.bincount(owner, minlength=once.size)
+            lengths = bits[alike]
+            bit = bit[_ragged_arange((bits.cumsum() - bits)[alike], lengths)]
+            owner = mine.repeat(lengths)
             out_rows.append(piece_row[owner])
             out_cols.append(self.comp_rows[self.row_start[piece_comp[owner]] + bit])
         failed_rows = piece_row[failed]
@@ -589,6 +697,34 @@ class Solution(NamedTuple):
 _BATCH_ENTRIES = 2**16
 
 
+def _runs(items: Iterable, entries) -> Iterator[list]:
+    """Consecutive runs of *items* that hold at most _BATCH_ENTRIES entries(item) together.
+
+    An item larger than that is a run of its own.  *items* is read only
+    as far as the run being yielded.
+    """
+    run: list = []
+    size = 0
+    for item in items:
+        count = entries(item)
+        if run and size + count > _BATCH_ENTRIES:
+            yield run
+            run, size = [], 0
+        run.append(item)
+        size += count
+    # The last item lives on only in its run, which the caller lets go.
+    item = None
+    if run:
+        yield run
+
+
+def _system_entries(system: tuple[BitMatrix, BitMatrix]) -> int:
+    g, e = system
+    if g.cols != e.cols:
+        raise ValueError(f"dimension mismatch: g is {g.shape}, e is {e.shape}")
+    return g.indices.size + e.indices.size
+
+
 def solve_each(systems: Iterable[tuple[BitMatrix, BitMatrix]]) -> list[Solution]:
     """Solve R @ g == e for every (g, e), several systems as one block-diagonal system.
 
@@ -598,49 +734,53 @@ def solve_each(systems: Iterable[tuple[BitMatrix, BitMatrix]]) -> list[Solution]
     *systems* is read only as far as the batch being solved.
     """
     out: list[Solution] = []
-    batch: list[tuple[BitMatrix, BitMatrix]] = []
-    size = 0
-    for g, e in systems:
-        if g.cols != e.cols:
-            raise ValueError(f"dimension mismatch: g is {g.shape}, e is {e.shape}")
-        entries = g.indices.size + e.indices.size
-        if batch and size + entries > _BATCH_ENTRIES:
-            out.extend(_solve_diagonal(batch))
-            size = 0
-        batch.append((g, e))
-        size += entries
-    # The last system lives on only in its batch, which the solve lets go.
-    g = e = None
-    if batch:
-        out.extend(_solve_diagonal(batch))
+    for batch in _runs(systems, _system_entries):
+        out.extend(_solve_stacked(_diagonal_systems, batch))
     return out
 
 
-def _solve_diagonal(systems: list[tuple[BitMatrix, BitMatrix]]) -> list[Solution]:
-    """solve_each of *systems* as one block-diagonal system; empties the list."""
+def _diagonal_systems(systems: list) -> tuple[BitMatrix, BitMatrix, list[tuple[int, int]]]:
+    """The block-diagonal g and e of *systems*, and their shapes; empties the list."""
     shapes = [(g.rows, e.rows) for g, e in systems]
     g = _diagonal([g for g, _ in systems])
     e = _diagonal([e for _, e in systems])
-    # The inputs live on only as their stacked copies, and those only while used.
+    # The inputs live on only as their stacked copies.
     systems.clear()
+    return g, e, shapes
+
+
+def _solve_stacked(stack, batch: list) -> list[Solution]:
+    """The solutions of the systems of *batch*, which stack(batch) gives as one.
+
+    stack returns a block-diagonal g and e and the row counts (of g, of
+    e) of each system.  They are built here, not passed in, so that no
+    caller holds them while they are solved: each goes once it is read.
+    """
+    g, e, shapes = stack(batch)
     reduced = _Reduced(g)
     del g
     e_rows, g_rows, failed = reduced.decode(e)
     del reduced, e
-    g_start = np.cumsum([0] + [height for height, _ in shapes])
-    e_start = np.cumsum([0] + [height for _, height in shapes])
-    order = np.lexsort((g_rows, e_rows))
-    e_rows, g_rows = e_rows[order], g_rows[order]
-    cuts = np.searchsorted(e_rows, e_start)
-    fail_cuts = np.searchsorted(failed, e_start)
+    g_start = list(itertools.accumulate((height for height, _ in shapes), initial=0))
+    e_start = np.array(list(itertools.accumulate((height for _, height in shapes), initial=0)))
+    # Decoder entries in row-major order, as one CSR matrix over all rows of e.
+    # Stable: decode gives the entries nearly in order, which a merge sort finds.
+    keys = np.sort(e_rows.astype(np.int64) * g_start[-1] + g_rows, kind="stable")
+    e_rows, g_rows = np.divmod(keys, g_start[-1])
+    del keys
+    indptr = np.zeros(e_start[-1] + 1, dtype=np.intp)
+    np.bincount(e_rows, minlength=e_start[-1]).cumsum(out=indptr[1:])
+    del e_rows
+    fail_cuts = np.searchsorted(failed, e_start).tolist()
+    e_start = e_start.tolist()
     out = []
-    for k, (g_height, e_height) in enumerate(shapes):
+    for k, (g_height, _) in enumerate(shapes):
         bad = failed[fail_cuts[k] : fail_cuts[k + 1]] - e_start[k]
         decoder = None
         if not bad.size:
-            span = slice(cuts[k], cuts[k + 1])
-            keys = (e_rows[span] - e_start[k]) * g_height + (g_rows[span] - g_start[k])
-            decoder = BitMatrix._from_keys(keys.astype(np.int64), (e_height, g_height))
+            ptr = indptr[e_start[k] : e_start[k + 1] + 1]
+            cols = g_rows[ptr[0] : ptr[-1]] - g_start[k]
+            decoder = BitMatrix._from_csr(ptr - ptr[0], cols, g_height)
         out.append(Solution(decoder, bad))
     return out
 

@@ -20,7 +20,10 @@ Each flat scheme keeps the systems solved for it, by routing, demand
 and user.  verify_all, decodable, decode_bits and phy.e2e_run of a
 share read its leaves' kept solutions, so a share runs no elimination
 of its own, and the corners that every built scheme shares are solved
-once per routing.
+once per routing.  The systems not kept yet are assembled batch by
+batch in one pass of index arithmetic (_assemble), and gf2 eliminates
+each distinct component pattern of a batch once, so a flat scheme's
+copies of its parts cost little more than one copy.
 
 Bits are delivered by strides.  A leaf with n_l parts and k copies owns
 n_l*k consecutive parts of each file, copy j of part i at i*k + j, so
@@ -35,13 +38,24 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 
 import numpy as np
 
-from .gf2 import BitMatrix, Solution, _as_bits, mat_mul, solve_each, vstack
+from .gf2 import (
+    BitMatrix,
+    Solution,
+    _as_bits,
+    _gather,
+    _ragged_arange,
+    _runs,
+    _solve_stacked,
+    mat_mul,
+    vstack,
+)
 from .netchannel import Demand, _check_user, observe
-from .schemes import DeliveryQuad, LinearScheme, _copy_bases, _leaves, _scaled, file_selector
+from .schemes import DeliveryQuad, LinearScheme, _copy_bases, _leaves, _scaled
 
 __all__ = [
     "CaseResult",
@@ -61,21 +75,74 @@ def _delivery(s: LinearScheme, d: Demand) -> DeliveryQuad:
     return s.delivery[d]
 
 
-def _messages(s: LinearScheme, d: Demand) -> tuple[BitMatrix, BitMatrix, BitMatrix, BitMatrix]:
-    # The four transmitted messages as linear maps of the 2n file bits.
-    quad = _delivery(s, d)
-    return (
-        mat_mul(quad.d1, s.u1),
-        mat_mul(quad.d2, s.u1),
-        mat_mul(quad.d3, s.u2),
-        mat_mul(quad.d4, s.u2),
-    )
+def _assemble(routing, kept: dict, cases) -> tuple[BitMatrix, BitMatrix, list[tuple[int, int]]]:
+    """The systems of *cases*, (scheme, demand, user) triples, as one block-diagonal system.
+
+    Returns g, e and each case's (g rows, e rows).  A case's g is its
+    user's cache placement on top of the blocks routing(user, v1, v2,
+    v3, v4) that it observes, and its e selects the file its user
+    requests; its columns are its scheme's 2n file bits, after those of
+    the cases before it.  A scheme's cases must be adjacent.  Per
+    scheme, one product per U side gives the messages of all its
+    demands here, demand after demand, and one routing call per user
+    observes them all: the routing is row-wise linear, so each observed
+    block holds the demands' rows in that order.  The rows of g are
+    gathered from these blocks, and e is index arithmetic.  *kept* holds
+    the last scheme's messages, so that the next batch of the same
+    scheme and demands, such as the other user's, takes them again.
+    """
+    mats, starts, lengths, shapes, wants_b = [], [], [], [], []
+    pool = 0
+    for _, run in itertools.groupby(cases, key=lambda case: id(case[0])):
+        run = list(run)
+        s, m = run[0][0], run[0][0].message_rows
+        # Each demand's first row in the messages.
+        at = {d: i * m for i, d in enumerate(dict.fromkeys(d for _, d, _ in run))}
+        key = (id(s), *at)
+        if key not in kept:
+            quads = [_delivery(s, d) for d in at]
+            half = len(quads) * m
+            d12 = mat_mul(vstack([q.d1 for q in quads] + [q.d2 for q in quads]), s.u1)
+            d34 = mat_mul(vstack([q.d3 for q in quads] + [q.d4 for q in quads]), s.u2)
+            kept.clear()
+            kept[key] = [p._row_range(lo, lo + half) for p in (d12, d34) for lo in (0, half)]
+        messages = kept[key]
+        # Where each user's cache rows and observed blocks start among the rows of mats.
+        firsts = {}
+        for user in dict.fromkeys(user for _, _, user in run):
+            blocks = [s.z1 if user == 1 else s.z2, *routing(user, *messages)]
+            firsts[user] = list(itertools.accumulate((b.rows for b in blocks), initial=pool))
+            pool = firsts[user].pop()
+            mats += blocks
+        for _, d, user in run:
+            cache, *observed = firsts[user]
+            starts += [cache, *(first + at[d] for first in observed)]
+            lengths += [s.cache_rows, *[m] * len(observed)]
+            shapes.append((s.cache_rows + m * len(observed), s.n))
+            wants_b.append((d.w1 if user == 1 else d.w2) == "B")
+    heights, n = np.array(shapes, dtype=np.intp).reshape(-1, 2).T
+    shifts = (2 * n).cumsum() - 2 * n
+    cols = int(2 * n.sum())
+    rows = _ragged_arange(np.array(starts, dtype=np.intp), np.array(lengths, dtype=np.intp))
+    g = _gather(mats, rows, shifts.repeat(heights), cols)
+    e_cols = _ragged_arange(shifts + n * np.array(wants_b), n)
+    e = BitMatrix._from_csr(np.arange(e_cols.size + 1), e_cols, cols)
+    return g, e, shapes
 
 
-def _system(s: LinearScheme, d: Demand, user: int, messages) -> tuple[BitMatrix, BitMatrix]:
-    # The user's observations and the selector of the file it requests.
-    cache = s.z1 if user == 1 else s.z2
-    return vstack([cache, *observe(user, *messages)]), file_selector(s.n, d.requested(user))
+def _entries(case) -> int:
+    """About the entries of a case's system, g and e, from its scheme's sizes alone.
+
+    A message row is taken to hold a mean row of its U block, which is
+    what it holds when its map's rows pick single rows of U, as built
+    schemes' do, and about what it holds when they pick many.  A user
+    observes three blocks made of the four messages, with at most their
+    entries.
+    """
+    s, _, user = case
+    u1, u2, cache = s.u1, s.u2, s.z1 if user == 1 else s.z2
+    weight = u1.indices.size / (u1.rows or 1) + u2.indices.size / (u2.rows or 1)
+    return cache.indices.size + int(2 * s.message_rows * weight) + s.n
 
 
 def observation_matrix(s: LinearScheme, d: Demand, user: int) -> BitMatrix:
@@ -84,7 +151,7 @@ def observation_matrix(s: LinearScheme, d: Demand, user: int) -> BitMatrix:
     Rows: the receiver cache placement, then the three observation blocks
     (direct from transmitter 1, direct from transmitter 2, XOR).
     """
-    return _system(s, d, user, _messages(s, d))[0]
+    return _assemble(observe, {}, [(s, d, user)])[0]
 
 
 @dataclass(frozen=True)
@@ -130,10 +197,12 @@ def _solved(leaves, keys) -> list[list[Solution]]:
     """For each (demand, user) pair of *keys*, the solutions of _leaves' *leaves*, in order.
 
     A scheme keeps the systems solved for it, by routing, demand and
-    user, where the routing is the observe function that _system reads.
-    The pairs not kept yet are solved together in one solve_each, each
-    leaf once however often it comes.  Two threads can at worst solve the
-    same key twice and store equal solutions, so no lock is taken.
+    user, where the routing is the observe function read at call time.
+    The pairs not kept yet are solved together, each leaf once however
+    often it comes, in batches of about _BATCH_ENTRIES entries by
+    _entries' count, each assembled in one _assemble pass.  Two threads
+    can at worst solve the same key twice and store equal solutions, so
+    no lock is taken.
     """
     for _, user in keys:  # before the store is read: True would find user 1's entries
         _check_user(user)
@@ -144,18 +213,10 @@ def _solved(leaves, keys) -> list[list[Solution]]:
         for d, user in keys
         if (routing, d, user) not in leaf._solutions
     ]
-
-    def systems():
-        # Lazily, so that the solver builds each system only when it takes
-        # it; the cases of one leaf and demand share its messages.
-        for (_, d), cases in itertools.groupby(todo, key=lambda case: (id(case[0]), case[1])):
-            cases = list(cases)
-            messages = _messages(cases[0][0], d)
-            for leaf, _, user in cases:
-                yield _system(leaf, d, user, messages)
-
-    for (leaf, d, user), solution in zip(todo, solve_each(systems())):
-        leaf._solutions[routing, d, user] = solution
+    assemble = partial(_assemble, routing, {})
+    for batch in _runs(todo, _entries):
+        for (leaf, d, user), solution in zip(batch, _solve_stacked(assemble, batch)):
+            leaf._solutions[routing, d, user] = solution
     return [[leaf._solutions[routing, d, user] for leaf, _ in leaves] for d, user in keys]
 
 
@@ -243,10 +304,14 @@ def message_bits(
     leaves = _leaves(s)
     sent = []
     for (leaf, _), bits in zip(leaves, _strided(leaves, _file_bits(s, file_bits))):
-        quad = _delivery(leaf, d)
         y1, y2 = leaf.u1.apply(bits), leaf.u2.apply(bits)
-        sent.append((quad.d1.apply(y1), quad.d2.apply(y1), quad.d3.apply(y2), quad.d4.apply(y2)))
-    return tuple(np.concatenate([leaf[i].ravel() for leaf in sent]) for i in range(4))
+        sent.append([m.apply(y).ravel() for m, y in zip(_delivery(leaf, d), (y1, y1, y2, y2))])
+    return tuple(map(_joined, zip(*sent)))
+
+
+def _joined(pieces) -> np.ndarray:
+    """The 1-d *pieces* end to end: the only piece itself, uncopied, or their concatenation."""
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def _deliver(s: LinearScheme, d: Demand, file_bits: np.ndarray, pipes, users) -> list[np.ndarray]:
@@ -275,7 +340,7 @@ def _deliver(s: LinearScheme, d: Demand, file_bits: np.ndarray, pipes, users) ->
             cache = (leaf.z1 if user == 1 else leaf.z2).apply(bits)
             parts.append(solution.decoder.apply(np.concatenate([cache, *seen])).ravel())
             start += rows * k
-        decoded.append(np.concatenate(parts))
+        decoded.append(_joined(parts))
     return decoded
 
 

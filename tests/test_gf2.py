@@ -6,6 +6,7 @@ import itertools
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import gf2_oracle as oracle
 from cachealign import BitMatrix, mat_mul, rank, solve_left, vstack
 from cachealign import gf2
+from cachealign import read_scheme, scheme_for_memory, verify_all, write_scheme
 from cachealign.gf2 import solve_each
 
 
@@ -634,3 +636,118 @@ def test_apply_refuses_columns_that_do_not_fit():
             m.apply(bad)
     with pytest.raises(ValueError, match="vector entries must be 0 or 1"):
         m.apply(np.full((3, 2), 2))
+
+
+# --- CSR rows from row counts ------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_csr_from_row_counts_matches_the_row_start_search(data):
+    # Sorted unique keys r * cols + c, empty rows and zero shapes included,
+    # against the construction that searched for every row's start.
+    rows, cols = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
+    picked = data.draw(st.sets(st.integers(0, max(rows * cols - 1, 0)), max_size=rows * cols))
+    keys = np.array(sorted(picked), dtype=np.intp)
+    indptr, indices, width = gf2._csr(keys, (rows, cols))
+    assert indptr.dtype == np.intp and width == cols
+    assert indptr.tolist() == np.searchsorted(keys, np.arange(rows + 1) * cols).tolist()
+    assert indices.tolist() == [key % cols for key in keys.tolist()]
+    m = BitMatrix._from_keys(keys, (rows, cols))
+    assert m.shape == (rows, cols) and {(r * cols + c) for r, c in zip(*m.nonzero())} == picked
+
+
+# --- Elimination once per distinct component pattern ------------------------
+
+
+@st.composite
+def copied_patterns(draw):
+    """A system of many copies of 1 to 4 small patterns beside a few unique blocks.
+
+    Returns g and e as dense arrays, and for each e row that is one copy
+    of a template row, (pattern, template, the copy's g rows in order).
+    Each block keeps its own row and column order, while the blocks'
+    rows and columns are interleaved.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []  # (pattern or None, g block, e templates)
+    for p in range(draw(st.integers(1, 4))):
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        g = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        if rows > 1 and draw(st.booleans()):
+            g[-1] = g[0]  # a repeated row: rank-deficient
+        inside = oracle.mat_mul(rng.integers(0, 2, size=(2, rows), dtype=np.uint8), g)
+        outside = rng.integers(0, 2, size=(2, cols), dtype=np.uint8)
+        templates = np.vstack([inside, outside])
+        blocks += [(p, g, templates)] * draw(st.integers(1, 12))
+    for _ in range(draw(st.integers(0, 3))):
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        g = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        blocks.append((None, g, rng.integers(0, 2, size=(2, cols), dtype=np.uint8)))
+    # Interleave: each block takes a sorted random subset of the rows and columns.
+    n_rows, n_cols = sum(b[1].shape[0] for b in blocks), sum(b[1].shape[1] for b in blocks)
+    row_perm, col_perm = rng.permutation(n_rows), rng.permutation(n_cols)
+    g = np.zeros((n_rows, n_cols), dtype=np.uint8)
+    e_rows, copies = [], []
+    r = c = 0
+    for p, block, templates in blocks:
+        at_rows = np.sort(row_perm[r : r + block.shape[0]])
+        at_cols = np.sort(col_perm[c : c + block.shape[1]])
+        r, c = r + block.shape[0], c + block.shape[1]
+        g[np.ix_(at_rows, at_cols)] = block
+        for t, template in enumerate(templates):
+            row_ = np.zeros(n_cols, dtype=np.uint8)
+            row_[at_cols] = template
+            if p is not None:
+                copies.append((p, t, at_rows))
+            e_rows.append(row_)
+    e = np.array(e_rows).reshape(-1, n_cols)
+    # Rows over two blocks, split into one piece per block.
+    pairs = rng.integers(0, e.shape[0], size=(draw(st.integers(0, 3)), 2))
+    e = np.vstack([e, *(e[a] ^ e[b] for a, b in pairs if a != b)]).astype(np.uint8)
+    return g, e, copies
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(copied_patterns(), min_size=1, max_size=3))
+def test_copied_patterns_solve_as_the_dense_reference(drawn):
+    check_solve_each([(g, e) for g, e, _ in drawn])
+    # The rows that reduce, solved again: equal copies of a template row get
+    # equal decoder rows, read over each copy's own rows, since a pattern's
+    # copies share its one elimination.
+    for g, e, copies in drawn:
+        ok = [i for i in range(e.shape[0]) if in_row_space(g, e[i])]
+        decoder = solve_left(BitMatrix(g), BitMatrix(e[ok].reshape(-1, g.shape[1])))
+        assert decoder is not None
+        decoder = decoder.data
+        seen = {}
+        for i, (p, t, at_rows) in enumerate(copies):
+            if i in ok:
+                row_ = decoder[ok.index(i)]
+                assert not np.delete(row_, at_rows).any()
+                seen.setdefault((p, t), set()).add(tuple(row_[at_rows].tolist()))
+        assert all(len(rows) == 1 for rows in seen.values())
+
+
+def test_flat_copy_eliminates_only_its_distinct_patterns(monkeypatch):
+    members = []
+
+    class Counted(gf2._Group):
+        def __init__(self, a, width, column_words):
+            members.append(a.shape[0])
+            super().__init__(a, width, column_words)
+
+    flat = read_scheme(write_scheme(scheme_for_memory(Fraction(59, 293))))
+    components = []
+    reduced = gf2._Reduced
+
+    class Seen(reduced):
+        def __init__(self, g):
+            super().__init__(g)
+            components.append(self.comps)
+
+    monkeypatch.setattr(gf2, "_Group", Counted)
+    monkeypatch.setattr(gf2, "_Reduced", Seen)
+    assert verify_all(flat).passed
+    # 8 distinct patterns among thousands of components.
+    assert sum(components) > 1000 and 0 < sum(members) <= 8

@@ -833,3 +833,76 @@ def test_threads_building_one_flat_form_agree():
     for k in range(8):
         text, equal = results[k]
         assert text == expected[k % len(fresh)] and equal
+
+
+# --- One assembly pass per batch --------------------------------------------
+
+
+def two_blocks(user, *messages):
+    """Independent bit pipes: each user's two direct messages, no XOR block."""
+    return observe(user, *messages)[:2]
+
+
+def reference_system(s, demand, user, routing):
+    """A case's g and e built block by block: four products, the routing, a stack."""
+    quad = s.delivery[demand]
+    messages = [mat_mul(quad.d1, s.u1), mat_mul(quad.d2, s.u1), mat_mul(quad.d3, s.u2), mat_mul(quad.d4, s.u2)]
+    g = vstack([s.z1 if user == 1 else s.z2, *routing(user, *messages)])
+    return g, file_selector(s.n, demand.requested(user))
+
+
+def diagonal_block(m, rows, cols):
+    """Rows rows[0]:rows[1] of m, which must hold entries only in columns cols[0]:cols[1]."""
+    part = m._row_range(*rows)
+    assert part.indices.size == 0 or (part.indices.min() >= cols[0] and part.indices.max() < cols[1])
+    return BitMatrix._from_csr(part.indptr, part.indices - cols[0], cols[1] - cols[0])
+
+
+ASSEMBLED = {
+    **{name: (lambda name=name: [corner_scheme(name)]) for name in ("M0", "M13", "M45", "M2")},
+    **{f"flat {m}": (lambda m=m: [flat_copy(scheme_for_memory(m))]) for m in BUILT},
+    "nested leaves": lambda: [
+        leaf
+        for leaf, _ in schemes._leaves(
+            memory_share(scheme_for_memory(F(1, 11)), scheme_for_memory(F(1, 2)), F(1, 13))
+        )
+    ],
+}
+
+
+@pytest.mark.parametrize("routing", [observe, two_blocks], ids=["observe", "two_blocks"])
+@pytest.mark.parametrize("make", list(ASSEMBLED.values()), ids=list(ASSEMBLED))
+def test_assembled_batch_splits_into_each_case_system(make, routing, monkeypatch):
+    monkeypatch.setattr(verifier, "observe", routing)
+    leaves = list({id(leaf): leaf for leaf in make()}.values())
+    rng = np.random.default_rng(len(leaves))
+    # Every case of every leaf, then a few cases of each, so that a user
+    # misses demands that the other user has.
+    picks = [ALL_CASES, [ALL_CASES[i] for i in sorted(rng.choice(8, size=3, replace=False))]]
+    for chosen in picks:
+        cases = [(leaf, d, user) for leaf in leaves for d, user in chosen]
+        g, e, shapes = verifier._assemble(routing, {}, cases)
+        rows = np.cumsum([0] + [height for height, _ in shapes])
+        parts = np.cumsum([0] + [n for _, n in shapes])
+        assert g.shape == (rows[-1], 2 * parts[-1]) and e.shape == (parts[-1], 2 * parts[-1])
+        for k, (leaf, d, user) in enumerate(cases):
+            cols = (2 * parts[k], 2 * parts[k + 1])
+            ours = diagonal_block(g, rows[k : k + 2], cols), diagonal_block(e, parts[k : k + 2], cols)
+            assert ours == reference_system(leaf, d, user, routing)
+            assert ours == (observation_matrix(leaf, d, user), file_selector(leaf.n, d.requested(user)))
+
+
+def test_flat_batches_hold_about_batch_entries_at_the_cap(monkeypatch):
+    batches = []
+    assemble = verifier._assemble
+
+    def counted(routing, kept, cases):
+        g, e, shapes = assemble(routing, kept, cases)
+        batches.append((len(cases), g.indices.size + e.indices.size))
+        return g, e, shapes
+
+    monkeypatch.setattr(verifier, "_assemble", counted)
+    flat = flat_copy(scheme_for_memory(F(1, 4093)))
+    assert flat.n == 4093 and verify_all(flat).passed
+    assert sum(count for count, _ in batches) == 8 and len(batches) > 1
+    assert all(count == 1 or size <= gf2._BATCH_ENTRIES for count, size in batches)
