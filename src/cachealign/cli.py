@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage error (bad flags, malformed files, out-of-range values).
+Exit codes: 0 success / all checks pass, 1 verification failure (a
+FAIL line of verify, phy cert or e2e), 2 usage error (bad flags,
+malformed files, out-of-range values).
 Rational arguments are written as 'p/q' or bare integers.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +38,7 @@ from .schemes import (
     scheme_for_memory,
     write_scheme,
 )
-from .verifier import verify_all
+from .verifier import decodable, verify_all
 
 __all__ = ["main"]
 
@@ -133,7 +135,17 @@ def _cmd_e2e(args) -> int:
     cfg = PhyConfig(*_gains(args.gains))
     rng = np.random.default_rng(_check_seed(parse_integer(args.seed)))
     file_bits = rng.integers(0, 2, size=2 * scheme.n).astype(np.uint8)
-    decoded = e2e_run(scheme, demand, cfg, file_bits)
+    try:
+        decoded = e2e_run(scheme, demand, cfg, file_bits)
+    except ValueError:
+        # e2e_run solves both users' cases before it refuses, so decodable
+        # reads the kept solutions and solves nothing again.
+        failing = [user for user in (1, 2) if decodable(scheme, demand, user) is None]
+        if not failing:
+            raise
+        for user in failing:
+            print(f"USER {user} FAIL not decodable")
+        return 1
     ok = True
     for user, bits in zip((1, 2), decoded):
         expected = file_selector(scheme.n, demand.requested(user)).apply(file_bits)
@@ -202,6 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default="0")
     p.set_defaults(func=_cmd_e2e)
 
+    # argparse reads a token that starts with "-" as a flag unless its
+    # negative-number matcher takes it.  No option here starts with a digit
+    # or a point, so a token that does, such as -1/2 or -1e3, is a value:
+    # the value of the flag before it.
+    for p in (parser, *sub.choices.values(), *phy_sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

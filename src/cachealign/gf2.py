@@ -31,9 +31,9 @@ distinct (pattern, piece) pair is reduced once; a piece's combination
 is then read over the rows of its own component.  The copies of a
 scheme's parts thus cost one elimination per pattern, however many
 copies there are.  A dense matrix is one component and runs the same
-code.  solve_each stacks several systems into one block-diagonal
-system, so that they share those passes; the failing rows of each
-system give its own verdict.
+code.  _solve_stacked solves several systems stacked as one
+block-diagonal system, so that they share those passes; the failing
+rows of each system give its own verdict.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-__all__ = ["BitMatrix", "Solution", "mat_mul", "rank", "solve_each", "solve_left", "vstack"]
+__all__ = ["BitMatrix", "Solution", "mat_mul", "rank", "solve_left", "vstack"]
 
 
 def _as_bits(data, what: str) -> np.ndarray:
@@ -322,14 +322,14 @@ def vstack(mats: Iterable[BitMatrix]) -> BitMatrix:
     for m in mats[1:]:
         if m.cols != cols:
             raise ValueError(f"column mismatch in vstack: {m.cols} vs {cols}")
-    return _stack(mats, [m.indices for m in mats], cols)
+    return _stack(mats, cols)
 
 
-def _stack(mats: list[BitMatrix], indices: list[np.ndarray], cols: int) -> BitMatrix:
-    """The rows of *mats* in order, with indices[k] as the column indices of mats[k]."""
+def _stack(mats: list[BitMatrix], cols: int) -> BitMatrix:
+    """The rows of *mats* in order, in a cols-wide matrix."""
     offsets = itertools.accumulate((m.indices.size for m in mats), initial=0)
     indptr = np.concatenate([[0]] + [m.indptr[1:] + off for m, off in zip(mats, offsets)])
-    return BitMatrix._from_csr(indptr, np.concatenate(indices), cols)
+    return BitMatrix._from_csr(indptr, np.concatenate([m.indices for m in mats]), cols)
 
 
 def _gather(mats: list[BitMatrix], rows: np.ndarray, shift: np.ndarray, cols: int) -> BitMatrix:
@@ -338,7 +338,7 @@ def _gather(mats: list[BitMatrix], rows: np.ndarray, shift: np.ndarray, cols: in
     A shift keeps each row's columns sorted, so the rows come out as
     canonical CSR arrays, with no sort.
     """
-    pool = _stack(mats, [m.indices for m in mats], cols)
+    pool = _stack(mats, cols)
     lengths = pool.indptr[rows + 1] - pool.indptr[rows]
     indptr = np.zeros(rows.size + 1, dtype=np.intp)
     lengths.cumsum(out=indptr[1:])
@@ -675,14 +675,6 @@ class _Reduced:
         return empty, empty, failed_rows
 
 
-def _diagonal(mats: list[BitMatrix]) -> BitMatrix:
-    """The block-diagonal matrix with *mats* on its diagonal, in order."""
-    if len(mats) == 1:
-        return mats[0]
-    shifts = np.cumsum([0] + [m.cols for m in mats])
-    return _stack(mats, [m.indices + s for m, s in zip(mats, shifts)], shifts[-1])
-
-
 class Solution(NamedTuple):
     """One system's answer: a decoder R with R @ g == e, or None; the failing rows of e."""
 
@@ -697,14 +689,12 @@ class Solution(NamedTuple):
 _BATCH_ENTRIES = 2**16
 
 
-def _runs(items: Iterable, entries) -> Iterator[list]:
+def _runs(items: list, entries) -> Iterator[list]:
     """Consecutive runs of *items* that hold at most _BATCH_ENTRIES entries(item) together.
 
-    An item larger than that is a run of its own.  *items* is read only
-    as far as the run being yielded.
+    An item larger than that is a run of its own.
     """
-    run: list = []
-    size = 0
+    run, size = [], 0
     for item in items:
         count = entries(item)
         if run and size + count > _BATCH_ENTRIES:
@@ -712,41 +702,8 @@ def _runs(items: Iterable, entries) -> Iterator[list]:
             run, size = [], 0
         run.append(item)
         size += count
-    # The last item lives on only in its run, which the caller lets go.
-    item = None
     if run:
         yield run
-
-
-def _system_entries(system: tuple[BitMatrix, BitMatrix]) -> int:
-    g, e = system
-    if g.cols != e.cols:
-        raise ValueError(f"dimension mismatch: g is {g.shape}, e is {e.shape}")
-    return g.indices.size + e.indices.size
-
-
-def solve_each(systems: Iterable[tuple[BitMatrix, BitMatrix]]) -> list[Solution]:
-    """Solve R @ g == e for every (g, e), several systems as one block-diagonal system.
-
-    No row operation crosses a component, so no operation crosses a
-    system, and each system's verdict comes from its own failing rows.
-    Consecutive systems are stacked up to _BATCH_ENTRIES entries, and
-    *systems* is read only as far as the batch being solved.
-    """
-    out: list[Solution] = []
-    for batch in _runs(systems, _system_entries):
-        out.extend(_solve_stacked(_diagonal_systems, batch))
-    return out
-
-
-def _diagonal_systems(systems: list) -> tuple[BitMatrix, BitMatrix, list[tuple[int, int]]]:
-    """The block-diagonal g and e of *systems*, and their shapes; empties the list."""
-    shapes = [(g.rows, e.rows) for g, e in systems]
-    g = _diagonal([g for g, _ in systems])
-    e = _diagonal([e for _, e in systems])
-    # The inputs live on only as their stacked copies.
-    systems.clear()
-    return g, e, shapes
 
 
 def _solve_stacked(stack, batch: list) -> list[Solution]:
@@ -795,6 +752,11 @@ def solve_left(g: BitMatrix, e: BitMatrix) -> BitMatrix | None:
 
     Elimination tracks, for every pivot row, the combination of original
     g rows that produced it; reducing a target row to zero yields its
-    decoder row directly.  See solve_each for several systems at once.
+    decoder row directly.
     """
-    return solve_each([(g, e)])[0].decoder
+    if g.cols != e.cols:
+        raise ValueError(f"dimension mismatch: g is {g.shape}, e is {e.shape}")
+    e_rows, g_rows, failed = _Reduced(g).decode(e)
+    if failed.size:
+        return None
+    return BitMatrix.from_entries(e_rows, g_rows, (e.rows, g.rows))

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cachealign import verifier
 from cachealign import (
     CORNER_NAMES,
     MAX_ALPHABET,
@@ -30,6 +31,7 @@ from cachealign import (
     write_scheme,
 )
 from cachealign.cli import main
+from cachealign.schemes import parse_float, parse_fraction, parse_integer
 from tradeoff_oracle import assert_same_csv, sweep_rows
 from tradeoff_oracle import sweep_csv as oracle_sweep_csv
 
@@ -269,6 +271,40 @@ def test_e2e_rejects_bad_demand(tmp_path, capsys):
     assert "unknown demand" in capsys.readouterr().err
 
 
+def test_e2e_of_an_undecodable_scheme_fails_its_users_from_one_solve(tmp_path, capsys, monkeypatch):
+    # M13 with user 1's cache emptied: user 1 cannot decode AB or BA.
+    path = M13Edit("100100", "000000").write(tmp_path)
+    batches = []
+    assemble = verifier._assemble
+
+    def counted(routing, kept, cases):
+        batches.append([user for _, _, user in cases])
+        return assemble(routing, kept, cases)
+
+    monkeypatch.setattr(verifier, "_assemble", counted)
+    for demand, code, out in (
+        ("AB", 1, "USER 1 FAIL not decodable\n"),
+        ("BA", 1, "USER 1 FAIL not decodable\n"),
+        ("AA", 0, "USER 1 PASS\nUSER 2 PASS\n"),
+    ):
+        batches.clear()
+        assert main(["e2e", "--scheme", path, "--demand", demand, "--gains", "2,3,5,7"]) == code
+        assert capsys.readouterr() == (out, "")
+        # Both users' cases are solved together, once.
+        assert batches == [[1, 2]]
+    # Gains that fail the certificate stay a usage error.
+    assert main(["e2e", "--scheme", path, "--demand", "AA", "--gains", "1,1,1,1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_values_starting_with_a_dash_reach_the_command(capsys):
+    assert main(["phy", "cert", "--gains", "-2,3,5,7"]) == 0
+    assert capsys.readouterr() == ("CERTIFICATE PASS\n", "")
+    assert main(["tradeoff", "--m", "-1/2"]) == 2
+    assert capsys.readouterr() == ("", "error: M out of range [0, 2]: -1/2\n")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["sweep", "--from", "0"])
@@ -456,26 +492,93 @@ def cli_argv(draw) -> list[str]:
     return argv
 
 
-def assert_exits_cleanly(argv: list[str]) -> None:
+def assert_exits_cleanly(argv: list[str]) -> str:
     """main ends in exit 0, 1 or 2: never a traceback, and a refusal from
-    main comes with exactly one error line."""
+    main comes with exactly one error line.  Returns what it wrote to stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse refusing the command line
             assert exc.code == 2
-            return
+            return err.getvalue()
     assert code in (0, 1, 2)
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    return err.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
 @given(cli_argv())
 def test_fuzzed_arguments_exit_cleanly(argv):
     assert_exits_cleanly(argv)
+
+
+def signed(integers):
+    """Numbers as a user types them, sign or not: integers, p/q, decimals and exponents."""
+    sign = st.sampled_from(["-", "", "+"])
+    return st.one_of(
+        integers.map(str),
+        st.builds("{}/{}".format, integers, st.integers(0, 60)),
+        st.builds("{}{}.{}".format, sign, st.sampled_from(["", "0", "2", "25"]), st.integers(0, 99)),
+        st.builds("{}{}e{}".format, sign, st.sampled_from(["1", "2.5", ".5", "7"]), st.integers(-4, 4)),
+    )
+
+
+def accepted(value: str) -> bool:
+    """Whether one of the program's number parsers takes every comma-separated piece of *value*."""
+
+    def parses(piece: str) -> bool:
+        for parse in (parse_fraction, parse_integer, parse_float):
+            try:
+                parse(piece)
+            except ValueError:
+                continue
+            return True
+        return False
+
+    return all(parses(piece) for piece in value.split(","))
+
+
+# Small counts keep every accepted command quick: q <= 9, trials <= 300.
+NUMBER, SMALL = signed(st.integers(-10**6, 10**6)), signed(st.integers(-3, 9))
+
+
+@st.composite
+def spaced_flag_values(draw, scheme: str) -> tuple[list[str], dict[str, str]]:
+    """A command whose flag values come as separate tokens, and each flag's value."""
+    command = draw(st.sampled_from(["construct", "tradeoff", "sweep", "cert", "mc", "e2e"]))
+    if command in ("construct", "tradeoff"):
+        flags = {"--m": draw(SMALL)}
+    elif command == "sweep":
+        flags = {"--from": draw(SMALL), "--to": draw(SMALL), "--step": draw(SMALL)}
+    elif command == "e2e":
+        flags = {"--demand": "AB", "--gains": "2,3,5,7", "--seed": draw(NUMBER)}
+    else:
+        gains = draw(st.lists(SMALL | NUMBER, min_size=4, max_size=4))
+        flags = {"--gains": ",".join(gains), "--q": draw(SMALL)}
+        if command == "mc":
+            trials = draw(signed(st.integers(-3, 300)))
+            flags.update({"--power": draw(NUMBER), "--trials": trials, "--seed": draw(NUMBER)})
+    prefix = {"cert": ["phy", "cert"], "mc": ["phy", "mc"], "e2e": ["e2e", "--scheme", scheme]}
+    argv = prefix.get(command, [command])
+    for flag, value in flags.items():
+        argv += [flag, value]
+    return argv, flags
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_spaced_flag_values_reach_the_command(tmp_path_factory, data):
+    scheme = tmp_path_factory.getbasetemp() / "m13.scheme"
+    scheme.write_text(write_scheme(corner_scheme("M13")))
+    argv, flags = data.draw(spaced_flag_values(str(scheme)))
+    err = assert_exits_cleanly(argv)
+    # A value that a parser takes goes to its flag, even when it starts with "-".
+    for flag, value in flags.items():
+        if accepted(value):
+            assert f"argument {flag}: expected one argument" not in err, (argv, err)
 
 
 # Valid files to mutate: the corners and one memory-shared scheme (n = 12).

@@ -17,7 +17,6 @@ import gf2_oracle as oracle
 from cachealign import BitMatrix, mat_mul, rank, solve_left, vstack
 from cachealign import gf2
 from cachealign import read_scheme, scheme_for_memory, verify_all, write_scheme
-from cachealign.gf2 import solve_each
 
 
 def oracle_mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -506,9 +505,22 @@ def in_row_space(g: np.ndarray, row: np.ndarray) -> bool:
     return oracle.rank(np.vstack([g, row[None]])) == oracle.rank(g)
 
 
+def block_diagonal(systems: list[tuple[np.ndarray, np.ndarray]]):
+    """The systems' g and e on the diagonals of dense arrays, and each system's row counts."""
+    shapes = [(g.shape[0], e.shape[0]) for g, e in systems]
+    rows = np.cumsum([(0, 0), *shapes], axis=0)
+    cols = np.cumsum([0, *(g.shape[1] for g, _ in systems)])
+    g_all = np.zeros((rows[-1, 0], cols[-1]), dtype=np.uint8)
+    e_all = np.zeros((rows[-1, 1], cols[-1]), dtype=np.uint8)
+    for k, (g, e) in enumerate(systems):
+        g_all[rows[k, 0] : rows[k + 1, 0], cols[k] : cols[k + 1]] = g
+        e_all[rows[k, 1] : rows[k + 1, 1], cols[k] : cols[k + 1]] = e
+    return BitMatrix(g_all), BitMatrix(e_all), shapes
+
+
 def check_solve_each(systems: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    """solve_each against the dense reference, system by system and row by row."""
-    results = solve_each((BitMatrix(g), BitMatrix(e)) for g, e in systems)
+    """The batch solve of the systems against the dense reference, system by system and row by row."""
+    results = gf2._solve_stacked(block_diagonal, systems)
     assert len(results) == len(systems)
     for (g, e), result in zip(systems, results):
         failing = [i for i in range(e.shape[0]) if not in_row_space(g, e[i])]
@@ -540,7 +552,7 @@ def test_solve_each_matches_per_case_oracle_verdicts(before, bad, after):
     check_solve_each([*before, bad, *after])
 
 
-def test_solve_each_on_multiword_rows_and_combinations(monkeypatch):
+def test_solve_each_on_multiword_rows_and_combinations():
     # Components over more than 64 and 128 columns, with more than 64 and
     # 128 rows, so that both the bits and the combinations span several
     # words; the 400 x 400 system has more entries than one fill pass takes.
@@ -555,11 +567,10 @@ def test_solve_each_on_multiword_rows_and_combinations(monkeypatch):
         e[2] ^= rng.integers(0, 2, size=cols, dtype=np.uint8)
         cases.append((g, e))
         assert rank(BitMatrix(g)) == oracle.rank(g)
+    # All systems together, and each system alone.
     check_solve_each(cases)
-    # Batches of one system each, and all systems in one batch.
-    for limit in (1, 2**30):
-        monkeypatch.setattr(gf2, "_BATCH_ENTRIES", limit)
-        check_solve_each(cases)
+    for case in cases:
+        check_solve_each([case])
 
 
 def test_solve_each_edge_shapes():
@@ -581,14 +592,9 @@ def test_solve_each_edge_shapes():
             (g, untouched),
         ]
     )
-    assert solve_each([]) == []
+    assert gf2._solve_stacked(block_diagonal, []) == []
     with pytest.raises(ValueError, match=r"dimension mismatch: g is \(2, 3\), e is \(1, 4\)"):
-        solve_each(
-            [
-                (BitMatrix.identity(3), BitMatrix.identity(3)),
-                (BitMatrix.zeros(2, 3), BitMatrix.zeros(1, 4)),
-            ]
-        )
+        solve_left(BitMatrix.zeros(2, 3), BitMatrix.zeros(1, 4))
 
 
 # --- Products with several columns of bits at once -------------------------
