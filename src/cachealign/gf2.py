@@ -31,9 +31,10 @@ distinct (pattern, piece) pair is reduced once; a piece's combination
 is then read over the rows of its own component.  The copies of a
 scheme's parts thus cost one elimination per pattern, however many
 copies there are.  A dense matrix is one component and runs the same
-code.  _solve_stacked solves several systems stacked as one
-block-diagonal system, so that they share those passes; the failing
-rows of each system give its own verdict.
+code.  _Reduced.decode builds the decoder from these combinations.
+_solve_stacked solves several systems stacked as one block-diagonal
+system, so that they share those passes, and cuts the decoder into
+each system's rows; the failing rows of each system give its verdict.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -303,13 +304,8 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
             at = bounds[lo:hi] - bounds[lo]
             out[lo:hi] = np.bitwise_xor.reduceat(rows[sel[bounds[lo] : bounds[hi]]], at)
         del rows, sel
-        # Only the nonzero words are unpacked, as little-endian bytes, so that
-        # byte k holds bits 8k to 8k + 7 on any machine.
-        at = np.flatnonzero(out)
-        raw = out.reshape(-1)[at].astype("<u8").view(np.uint8)
-        hit = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
-        word = at[hit >> 6]
-        keys.append(many[word // words] * b.cols + 64 * (word % words) + (hit & 63))
+        row, col = _set_bits(out)
+        keys.append(many[row] * b.cols + col)
     return BitMatrix._from_keys(_odd_keys(np.concatenate(keys)), (a.rows, b.cols))
 
 
@@ -470,11 +466,17 @@ def _fill(out, cols, starts, count, owner, bit) -> None:
         np.add.at(flat, key, _BITS[pos & 63])
 
 
-def _set_bits(words: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and position of every set bit below *bits* in a (rows x words) uint64 array."""
-    # Little-endian words, so that byte k holds bits 8k to 8k + 7 on any machine.
-    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.nonzero(np.unpackbits(raw, axis=1, count=bits, bitorder="little"))
+def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and position of every set bit of a (rows x words) uint64 array, in row-major order."""
+    width = words.shape[1]
+    flat = words.ravel()
+    at = np.flatnonzero(flat)
+    # Only the nonzero words are unpacked, so the set bits set the cost, dense
+    # or sparse; as little-endian bytes, so that byte k holds bits 8k to 8k + 7.
+    raw = flat[at].astype("<u8").view(np.uint8)
+    hit = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+    word = at[hit >> 6]
+    return word // width, 64 * (word % width) + (hit & 63)
 
 
 class _Group:
@@ -553,6 +555,7 @@ class _Reduced:
     """
 
     def __init__(self, g: BitMatrix) -> None:
+        self.rows = g.rows
         idx = np.int32 if max(g.rows, g.cols) < 2**31 else np.int64
         label = _components(g)
         root = label == np.arange(g.cols, dtype=idx)
@@ -617,16 +620,22 @@ class _Reduced:
             rank += int(np.count_nonzero(group.pivot >= 0, axis=1) @ members)
         return rank
 
-    def decode(self, e: BitMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Entries (e row, g row) of a decoder R, and the rows of e outside g's row space.
+    def decode(self, e: BitMatrix) -> tuple[BitMatrix, np.ndarray]:
+        """A decoder R, e.rows x g.rows, and the sorted rows of e outside g's row space.
 
-        Each row of e is split into its pieces in each component.  A row
-        is in the row space when every piece is; the combinations that
-        reduce its pieces make up its decoder row.  Pieces with equal bits
-        over components of one pattern reduce alike, so each distinct
-        (pattern, bits) pair is reduced once, and its combination is read
-        over the g rows of each piece's own component.  Failing rows get
-        no entries.
+        Row i of R @ g is row i of e for each row in the row space; a
+        failing row of R is empty.  R is built after _decoder_keys has
+        freed its temporaries, by a stable sort of nearly ordered keys.
+        """
+        keys, failed = self._decoder_keys(e)
+        return BitMatrix._from_keys(np.sort(keys, kind="stable"), (e.rows, self.rows)), failed
+
+    def _decoder_keys(self, e: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """Keys (e row) * g.rows + (g row) of R's entries, and the failing rows of e.
+
+        A row of e is in the row space when its piece in each component
+        is; each distinct (pattern, bits) pair of a piece is reduced once,
+        and its combination read over the g rows of each such piece's component.
         """
         rows, cols = e.nonzero()
         comp = self.comp_of_col[cols]
@@ -643,36 +652,36 @@ class _Reduced:
         piece_group = self.group[piece_comp]
         # A piece over columns that no row of g touches is outside the row space.
         failed = piece_group < 0
-        out_rows, out_cols = [], []
+        keys = [np.zeros(0, dtype=np.int64)]
         for i, group in enumerate(self.groups):
             mine = (piece_group == i).nonzero()[0]
             cw = group.column_words
-            # A piece's bits, then its component's pattern: equal keys reduce alike.
-            keys = np.zeros((mine.size, cw + 1), dtype=np.uint64)
-            _fill(keys, cols, first[mine], count[mine], np.arange(mine.size), self.local_col)
-            keys[:, cw] = self.pattern[piece_comp[mine]]
-            once, alike = _distinct(keys)
-            keys = keys.take(once, axis=0)
+            # A piece's bits, then its component's pattern: equal rows reduce alike.
+            bits = np.zeros((mine.size, cw + 1), dtype=np.uint64)
+            _fill(bits, cols, first[mine], count[mine], np.arange(mine.size), self.local_col)
+            bits[:, cw] = self.pattern[piece_comp[mine]]
+            once, alike = _distinct(bits)
+            bits = bits.take(once, axis=0)
             pieces = np.zeros((once.size, group.a.shape[2]), dtype=np.uint64)
-            pieces[:, :cw] = keys[:, :cw]
-            bad, combos = group.reduce(keys[:, cw].astype(np.intp), pieces)
+            pieces[:, :cw] = bits[:, :cw]
+            bad, combos = group.reduce(bits[:, cw].astype(np.intp), pieces)
             failed[mine] = bad[alike]
             combos[bad] = 0
             # The combination bits of each distinct piece, then of each piece in turn.
-            owner, bit = _set_bits(combos, group.a.shape[1])
-            bits = np.bincount(owner, minlength=once.size)
-            lengths = bits[alike]
-            bit = bit[_ragged_arange((bits.cumsum() - bits)[alike], lengths)]
+            owner, bit = _set_bits(combos)
+            held = np.bincount(owner, minlength=once.size)
+            lengths = held[alike]
+            bit = bit[_ragged_arange((held.cumsum() - held)[alike], lengths)]
             owner = mine.repeat(lengths)
-            out_rows.append(piece_row[owner])
-            out_cols.append(self.comp_rows[self.row_start[piece_comp[owner]] + bit])
+            g_rows = self.comp_rows[self.row_start[piece_comp[owner]] + bit]
+            keys.append(piece_row[owner].astype(np.int64) * self.rows + g_rows)
         failed_rows = piece_row[failed]
         # Pieces come in row order, so a row's failing pieces are adjacent.
         failed_rows = failed_rows[_run_starts(failed_rows)]
-        if out_rows:
-            return np.concatenate(out_rows), np.concatenate(out_cols), failed_rows
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty, failed_rows
+        keys = np.concatenate(keys)
+        if failed_rows.size and keys.size:
+            keys = keys[~np.isin(keys // self.rows, failed_rows)]
+        return keys, failed_rows
 
 
 class Solution(NamedTuple):
@@ -682,63 +691,28 @@ class Solution(NamedTuple):
     failed: np.ndarray  # sorted indices of the rows of e outside g's row space
 
 
-# Most entries of g and e that one block-diagonal solve takes.  Systems
-# are solved together up to this size, so that small ones share the
-# lockstep passes; a larger system is solved on its own, so that its
-# per-entry index arrays are not those of several systems at once.
-_BATCH_ENTRIES = 2**16
-
-
-def _runs(items: list, entries) -> Iterator[list]:
-    """Consecutive runs of *items* that hold at most _BATCH_ENTRIES entries(item) together.
-
-    An item larger than that is a run of its own.
-    """
-    run, size = [], 0
-    for item in items:
-        count = entries(item)
-        if run and size + count > _BATCH_ENTRIES:
-            yield run
-            run, size = [], 0
-        run.append(item)
-        size += count
-    if run:
-        yield run
-
-
 def _solve_stacked(stack, batch: list) -> list[Solution]:
     """The solutions of the systems of *batch*, which stack(batch) gives as one.
 
     stack returns a block-diagonal g and e and the row counts (of g, of
     e) of each system.  They are built here, not passed in, so that no
     caller holds them while they are solved: each goes once it is read.
+    The stack's decoder is cut into each system's rows, over its g rows.
     """
     g, e, shapes = stack(batch)
     reduced = _Reduced(g)
     del g
-    e_rows, g_rows, failed = reduced.decode(e)
+    decoder, failed = reduced.decode(e)
     del reduced, e
     g_start = list(itertools.accumulate((height for height, _ in shapes), initial=0))
-    e_start = np.array(list(itertools.accumulate((height for _, height in shapes), initial=0)))
-    # Decoder entries in row-major order, as one CSR matrix over all rows of e.
-    # Stable: decode gives the entries nearly in order, which a merge sort finds.
-    keys = np.sort(e_rows.astype(np.int64) * g_start[-1] + g_rows, kind="stable")
-    e_rows, g_rows = np.divmod(keys, g_start[-1])
-    del keys
-    indptr = np.zeros(e_start[-1] + 1, dtype=np.intp)
-    np.bincount(e_rows, minlength=e_start[-1]).cumsum(out=indptr[1:])
-    del e_rows
+    e_start = list(itertools.accumulate((height for _, height in shapes), initial=0))
     fail_cuts = np.searchsorted(failed, e_start).tolist()
-    e_start = e_start.tolist()
     out = []
     for k, (g_height, _) in enumerate(shapes):
         bad = failed[fail_cuts[k] : fail_cuts[k + 1]] - e_start[k]
-        decoder = None
-        if not bad.size:
-            ptr = indptr[e_start[k] : e_start[k + 1] + 1]
-            cols = g_rows[ptr[0] : ptr[-1]] - g_start[k]
-            decoder = BitMatrix._from_csr(ptr - ptr[0], cols, g_height)
-        out.append(Solution(decoder, bad))
+        rows = decoder._row_range(e_start[k], e_start[k + 1])
+        ours = BitMatrix._from_csr(rows.indptr, rows.indices - g_start[k], g_height)
+        out.append(Solution(None if bad.size else ours, bad))
     return out
 
 
@@ -756,7 +730,5 @@ def solve_left(g: BitMatrix, e: BitMatrix) -> BitMatrix | None:
     """
     if g.cols != e.cols:
         raise ValueError(f"dimension mismatch: g is {g.shape}, e is {e.shape}")
-    e_rows, g_rows, failed = _Reduced(g).decode(e)
-    if failed.size:
-        return None
-    return BitMatrix.from_entries(e_rows, g_rows, (e.rows, g.rows))
+    decoder, failed = _Reduced(g).decode(e)
+    return None if failed.size else decoder

@@ -486,6 +486,9 @@ _TERMS = "terms"
 # Bytes that one pass of the line index scans, so that its temporaries
 # stay small however large the text.
 _PASS_BYTES = 2**20
+# Whitespace bytes that the line index strips from each edge of a line in
+# numpy passes; a line with more is stripped in Python.
+_STRIP_PASSES = 4
 
 
 def _rows_text(mat: BitMatrix) -> np.ndarray:
@@ -503,8 +506,12 @@ def _terms_texts(mats: list[BitMatrix], ns: list[int]) -> list[np.ndarray]:
     with n = 0, delivery rows spell it U<c + 1>.  An empty row is "-".
     """
     heights = np.array([mat.rows for mat in mats], dtype=np.intp)
+    # Positions are int32 while the text fits: a term takes at most 12 bytes
+    # and an empty row 2.
+    terms = sum(mat.indices.size for mat in mats)
+    idx = np.int32 if 12 * terms + 2 * int(heights.sum()) < 2**31 else np.int64
     # The rows of all matrices as the rows of one.
-    counts = np.concatenate([np.zeros(0, np.intp)] + [np.diff(mat.indptr) for mat in mats])
+    counts = np.concatenate([np.zeros(0, idx)] + [np.diff(mat.indptr) for mat in mats], dtype=idx)
     # Columns stay below 2 * MAX_GRANULARITY, term numbers below 10**9.
     number = np.concatenate([np.zeros(0, np.int32)] + [m.indices.astype(np.int32) for m in mats])
     letter = np.full(number.size, ord("U"), dtype=np.uint8)
@@ -519,20 +526,23 @@ def _terms_texts(mats: list[BitMatrix], ns: list[int]) -> list[np.ndarray]:
     digits = np.searchsorted(10 ** np.arange(1, 10), number, "right").astype(np.int32) + 1
     # A term is its letter, its digits and a space, or a line end after
     # its row's last term; an empty row is "-" and a line end.
-    ends = np.cumsum(digits + 2)
+    at = np.cumsum(digits + 2, dtype=idx)
+    size = int(at[-1]) if terms else 0
+    at -= digits + 2
     empty = counts == 0
-    empty_before = 2 * (np.cumsum(empty) - empty)
-    row_at = np.concatenate([[0], ends])[np.cumsum(counts) - counts] + empty_before
-    at = ends - (digits + 2)
+    empty_before = 2 * (np.cumsum(empty, dtype=idx) - empty)
+    first = np.cumsum(counts, dtype=idx) - counts
+    row_at = np.append(at, idx(size))[first] + empty_before
     at += np.repeat(empty_before, counts)
-    out = np.full(ends[-1:].sum() + 2 * np.count_nonzero(empty), ord(" "), np.uint8)
-    del ends
+    del empty_before
+    out = np.full(size + 2 * np.count_nonzero(empty), ord(" "), np.uint8)
     out[at] = letter
     del letter
     for j in range(int(digits.max(initial=0))):
         has = (digits > j).nonzero()[0]
         out[at[has] + 1 + j] = number[has] // 10 ** (digits[has] - 1 - j) % 10 + ord("0")
-    last = np.cumsum(counts)[~empty] - 1
+    last = (first + counts - 1)[~empty]
+    del first
     out[at[last] + 1 + digits[last]] = ord("\n")
     out[row_at[empty]] = ord("-")
     out[row_at[empty] + 1] = ord("\n")
@@ -606,9 +616,11 @@ class _Lines:
     byte extents of the content lines' texts in ``data``, the text's
     UTF-8 bytes, ``no`` their line numbers, counted from 1, and ``end``
     the number after the last.  The lines are indexed in numpy passes,
-    and only a line whose first or last byte is ASCII whitespace or
-    non-ASCII is stripped in Python: a non-ASCII character has only bytes
-    >= 0x80, so str.strip leaves every other line as it is.
+    which also strip ASCII whitespace, a part of what str.strip strips,
+    from the line edges, a few bytes deep.  Only a line whose first or
+    last byte is then still ASCII whitespace or non-ASCII is stripped in
+    Python: a non-ASCII character has only bytes >= 0x80, so str.strip
+    leaves every other line as it is.
     """
 
     def __init__(self, text: str) -> None:
@@ -621,10 +633,27 @@ class _Lines:
         del ends
         a = np.concatenate([np.zeros(1, idx), breaks + 1])
         b = np.append(breaks, idx(buf.size))
-        edged = (a < b).nonzero()[0]
-        first, last = buf[a[edged]], buf[b[edged] - 1]
-        slow = edged[_is_space(first) | _is_space(last) | (first >= 0x80) | (last >= 0x80)]
-        del edged, first, last
+
+        def edged(lines: np.ndarray) -> np.ndarray:
+            """Those of the non-empty *lines* whose first or last byte is ASCII whitespace or non-ASCII."""
+            first, last = buf.take(a.take(lines)), buf.take(b.take(lines) - 1)
+            return lines[_is_space(first) | _is_space(last) | (first >= 0x80) | (last >= 0x80)]
+
+        slow = edged(np.flatnonzero(a < b))
+        if slow.size:
+            # ASCII whitespace at the edges, such as "\r" and indents, goes a
+            # byte a pass while some line still moves.  Clipped, the bytes of
+            # a line stripped empty are read and not used.
+            at, to = a.take(slow), b.take(slow)
+            for _ in range(_STRIP_PASSES):
+                head = (at < to) & _is_space(buf.take(at, mode="clip"))
+                at += head
+                tail = (at < to) & _is_space(buf.take(to - 1, mode="clip"))
+                to -= tail
+                if not (head | tail).any():
+                    break
+            a[slow], b[slow] = at, to
+            slow = edged(slow[at < to])
         for i in slow.tolist():
             line = data[a[i] : b[i]].decode("utf-8", "surrogatepass")
             lead = len(line) - len(line.lstrip())

@@ -20,10 +20,10 @@ Each flat scheme keeps the systems solved for it, by routing, demand
 and user.  verify_all, decodable, decode_bits and phy.e2e_run of a
 share read its leaves' kept solutions, so a share runs no elimination
 of its own, and the corners that every built scheme shares are solved
-once per routing.  The systems not kept yet are assembled batch by
-batch in one pass of index arithmetic (_assemble), and gf2 eliminates
-each distinct component pattern of a batch once, so a flat scheme's
-copies of its parts cost little more than one copy.
+once per routing.  The systems not kept yet are solved in batches of
+about verifier._BATCH_ENTRIES entries, each assembled in one pass of
+index arithmetic (_assemble), and gf2 eliminates each distinct pattern
+once, so a flat scheme's copies of its parts cost little more than one.
 
 Bits are delivered by strides.  A leaf with n_l parts and k copies owns
 n_l*k consecutive parts of each file, copy j of part i at i*k + j, so
@@ -49,7 +49,6 @@ from .gf2 import (
     _as_bits,
     _gather,
     _ragged_arange,
-    _runs,
     _solve_stacked,
     mat_mul,
     vstack,
@@ -145,6 +144,25 @@ def _entries(case) -> int:
     return cache.indices.size + int(2 * s.message_rows * weight) + s.n
 
 
+# Most entries of g and e, by _entries' count, that one solve takes: small
+# cases are solved together and share gf2's lockstep passes, and a larger
+# case alone, so that its per-entry index arrays are not several cases'.
+_BATCH_ENTRIES = 2**16
+
+
+def _runs(cases: list) -> list[list]:
+    """Consecutive runs of *cases* with at most _BATCH_ENTRIES entries together, or one larger case."""
+    runs, size = [], 0
+    for case in cases:
+        count = _entries(case)
+        if not runs or size + count > _BATCH_ENTRIES:
+            runs.append([])
+            size = 0
+        runs[-1].append(case)
+        size += count
+    return runs
+
+
 def observation_matrix(s: LinearScheme, d: Demand, user: int) -> BitMatrix:
     """Everything the user learns, as linear functionals of the 2n file bits.
 
@@ -199,10 +217,10 @@ def _solved(leaves, keys) -> list[list[Solution]]:
     A scheme keeps the systems solved for it, by routing, demand and
     user, where the routing is the observe function read at call time.
     The pairs not kept yet are solved together, each leaf once however
-    often it comes, in batches of about _BATCH_ENTRIES entries by
-    _entries' count, each assembled in one _assemble pass.  Two threads
-    can at worst solve the same key twice and store equal solutions, so
-    no lock is taken.
+    often it comes, in _runs' batches of about verifier._BATCH_ENTRIES
+    entries by _entries' count, each assembled in one _assemble pass.
+    Two threads can at worst solve the same key twice and store equal
+    solutions, so no lock is taken.
     """
     for _, user in keys:  # before the store is read: True would find user 1's entries
         _check_user(user)
@@ -214,7 +232,7 @@ def _solved(leaves, keys) -> list[list[Solution]]:
         if (routing, d, user) not in leaf._solutions
     ]
     assemble = partial(_assemble, routing, {})
-    for batch in _runs(todo, _entries):
+    for batch in _runs(todo):
         for (leaf, d, user), solution in zip(batch, _solve_stacked(assemble, batch)):
             leaf._solutions[routing, d, user] = solution
     return [[leaf._solutions[routing, d, user] for leaf, _ in leaves] for d, user in keys]
@@ -225,18 +243,21 @@ def _decoder(s: LinearScheme, leaves, solutions: list[Solution]) -> BitMatrix | 
 
     Built as a share's flat form is built, in one _scaled pass: a leaf's
     decoder is copied onto its parts and the copies of its cache rows and
-    then its three message blocks, canonical with no sort.
+    then of each block it observes, canonical with no sort.  A leaf's
+    decoder spans its cache rows and its message rows once per block.
     """
     if any(solution.decoder is None for solution in solutions):
         return None
     if s.parts is None:
         return solutions[0].decoder
     cache, message = _copy_bases(leaves, "cache_rows"), _copy_bases(leaves, "message_rows")
-    pieces = []
-    for (_, k), c, m, solution in zip(leaves, cache, message, solutions):
-        obs = np.concatenate([c] + [s.cache_rows + b * s.message_rows + m for b in range(3)])
-        pieces.append((solution.decoder, k, obs))
-    return _scaled([(s.cache_rows + 3 * s.message_rows, pieces)])[0]
+    pieces, width = [], 0
+    for (leaf, k), c, m, (decoder, _) in zip(leaves, cache, message, solutions):
+        blocks = (decoder.cols - leaf.cache_rows) // leaf.message_rows if leaf.message_rows else 0
+        obs = np.concatenate([c] + [s.cache_rows + b * s.message_rows + m for b in range(blocks)])
+        pieces.append((decoder, k, obs))
+        width += k * decoder.cols
+    return _scaled([(width, pieces)])[0]
 
 
 def decodable(s: LinearScheme, d: Demand, user: int) -> BitMatrix | None:

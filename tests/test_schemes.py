@@ -33,7 +33,7 @@ from cachealign import (
     write_scheme,
 )
 from cachealign.cli import main
-from cachealign.schemes import _from_blocks, _row_columns
+from cachealign.schemes import _STRIP_PASSES, _Lines, _from_blocks, _row_columns
 
 F = Fraction
 
@@ -403,9 +403,10 @@ def test_read_scheme_peak_memory_stays_near_the_text_size():
 
 # Term text costs per term about a letter, its digits and a space, and its
 # index arrays about 8 bytes a term.  At M = 1/1021 (n = 1021, a 50 KB text
-# of 10 210 terms) the peaks measured 6.3 (write) and 5.1 (read) times the
-# text's bytes plus 8 bytes per entry.
-TERM_WRITE_PEAK = 8
+# of 10 210 terms) the peaks measured 5.5 (write, the share's flat form
+# built within it; 4.2 once built) and 4.9 (read) times the text's bytes
+# plus 8 bytes per entry.
+TERM_WRITE_PEAK = 6.5
 TERM_READ_PEAK = 6.5
 
 
@@ -508,6 +509,27 @@ def test_both_spellings_read_the_same_scheme():
         for pad, end in (("\u3000", "\u2003"), (" \t" * 12, "\x1c " * 12)):
             spaced = write_scheme(corner_scheme("M45")).replace(row, f"{pad}{row}{end}", 1)
             assert read_scheme(spaced) == corner_scheme("M45")
+
+
+# Whitespace at a line's edges: \r\n line ends, ASCII runs longer than the
+# line index strips in numpy, "\x1c" to "\x1f", and Unicode spaces.
+EDGE = st.text(st.sampled_from("\r \t\x0b\x1c\x1f\xa0\x85\u3000"))
+BODY = st.lists(st.sampled_from(["A1", "B22", " ", "\t", "#", "\r", "\x1e", "\u2003", "\xe9"])).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(EDGE, BODY, EDGE)), st.booleans())
+@example([(" " * (_STRIP_PASSES + 1), "A1", "\r" * (_STRIP_PASSES + 2))], True)
+def test_line_index_strips_lines_as_str_strip(lines, newline):
+    text = "\n".join(lead + body + trail for lead, body, trail in lines) + "\n" * newline
+    content = [
+        (no, line.strip())
+        for no, line in enumerate(text.split("\n"), 1)
+        if line.strip() and not line.strip().startswith("#")
+    ]
+    index = _Lines(text)
+    assert [(int(no), index.text(i)) for i, no in enumerate(index.no)] == content
+    assert index.count == len(content) and index.end == (content[-1][0] + 1 if content else 1)
 
 
 def test_an_empty_row_is_a_dash():

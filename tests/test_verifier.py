@@ -892,6 +892,29 @@ def test_assembled_batch_splits_into_each_case_system(make, routing, monkeypatch
             assert ours == (observation_matrix(leaf, d, user), file_selector(leaf.n, d.requested(user)))
 
 
+def test_share_decoder_spans_the_blocks_the_routing_gives(monkeypatch):
+    monkeypatch.setattr(verifier, "observe", two_blocks)
+    shared = memory_share(corner_scheme("M0"), corner_scheme("M2"), F(1, 2))
+    g = observation_matrix(shared, Demand.AA, 1)
+    decoder = decodable(shared, Demand.AA, 1)
+    assert g.shape == (6, 8) and decoder.shape == (4, 6)
+    assert mat_mul(decoder, g) == file_selector(shared.n, "A")
+
+
+@settings(max_examples=40, deadline=None)
+@given(shares(), st.sampled_from([observe, two_blocks]))
+def test_share_decoders_match_their_flat_copies_under_each_routing(shared, routing):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifier, "observe", routing)
+        flat = read_scheme(write_scheme(shared))
+        for d, user in ALL_CASES:
+            decoder = decodable(shared, d, user)
+            assert (decoder is None) == (decodable(flat, d, user) is None)
+            if decoder is not None:
+                g = observation_matrix(shared, d, user)
+                assert mat_mul(decoder, g) == file_selector(shared.n, d.requested(user))
+
+
 def test_flat_batches_hold_about_batch_entries_at_the_cap(monkeypatch):
     batches = []
     assemble = verifier._assemble
@@ -905,4 +928,4 @@ def test_flat_batches_hold_about_batch_entries_at_the_cap(monkeypatch):
     flat = flat_copy(scheme_for_memory(F(1, 4093)))
     assert flat.n == 4093 and verify_all(flat).passed
     assert sum(count for count, _ in batches) == 8 and len(batches) > 1
-    assert all(count == 1 or size <= gf2._BATCH_ENTRIES for count, size in batches)
+    assert all(count == 1 or size <= verifier._BATCH_ENTRIES for count, size in batches)
