@@ -624,7 +624,8 @@ class _Reduced:
         """A decoder R, e.rows x g.rows, and the sorted rows of e outside g's row space.
 
         Row i of R @ g is row i of e for each row in the row space; a
-        failing row of R is empty.  R is built after _decoder_keys has
+        failing row of R may hold the entries of its pieces that are in
+        it, and no caller reads it.  R is built after _decoder_keys has
         freed its temporaries, by a stable sort of nearly ordered keys.
         """
         keys, failed = self._decoder_keys(e)
@@ -678,10 +679,7 @@ class _Reduced:
         failed_rows = piece_row[failed]
         # Pieces come in row order, so a row's failing pieces are adjacent.
         failed_rows = failed_rows[_run_starts(failed_rows)]
-        keys = np.concatenate(keys)
-        if failed_rows.size and keys.size:
-            keys = keys[~np.isin(keys // self.rows, failed_rows)]
-        return keys, failed_rows
+        return np.concatenate(keys), failed_rows
 
 
 class Solution(NamedTuple):

@@ -486,9 +486,6 @@ _TERMS = "terms"
 # Bytes that one pass of the line index scans, so that its temporaries
 # stay small however large the text.
 _PASS_BYTES = 2**20
-# Whitespace bytes that the line index strips from each edge of a line in
-# numpy passes; a line with more is stripped in Python.
-_STRIP_PASSES = 4
 
 
 def _rows_text(mat: BitMatrix) -> np.ndarray:
@@ -616,11 +613,9 @@ class _Lines:
     byte extents of the content lines' texts in ``data``, the text's
     UTF-8 bytes, ``no`` their line numbers, counted from 1, and ``end``
     the number after the last.  The lines are indexed in numpy passes,
-    which also strip ASCII whitespace, a part of what str.strip strips,
-    from the line edges, a few bytes deep.  Only a line whose first or
-    last byte is then still ASCII whitespace or non-ASCII is stripped in
-    Python: a non-ASCII character has only bytes >= 0x80, so str.strip
-    leaves every other line as it is.
+    and only a line whose first or last byte is ASCII whitespace or
+    non-ASCII is stripped in Python: a non-ASCII character has only bytes
+    >= 0x80, so str.strip leaves every other line as it is.
     """
 
     def __init__(self, text: str) -> None:
@@ -633,27 +628,10 @@ class _Lines:
         del ends
         a = np.concatenate([np.zeros(1, idx), breaks + 1])
         b = np.append(breaks, idx(buf.size))
-
-        def edged(lines: np.ndarray) -> np.ndarray:
-            """Those of the non-empty *lines* whose first or last byte is ASCII whitespace or non-ASCII."""
-            first, last = buf.take(a.take(lines)), buf.take(b.take(lines) - 1)
-            return lines[_is_space(first) | _is_space(last) | (first >= 0x80) | (last >= 0x80)]
-
-        slow = edged(np.flatnonzero(a < b))
-        if slow.size:
-            # ASCII whitespace at the edges, such as "\r" and indents, goes a
-            # byte a pass while some line still moves.  Clipped, the bytes of
-            # a line stripped empty are read and not used.
-            at, to = a.take(slow), b.take(slow)
-            for _ in range(_STRIP_PASSES):
-                head = (at < to) & _is_space(buf.take(at, mode="clip"))
-                at += head
-                tail = (at < to) & _is_space(buf.take(to - 1, mode="clip"))
-                to -= tail
-                if not (head | tail).any():
-                    break
-            a[slow], b[slow] = at, to
-            slow = edged(slow[at < to])
+        edged = (a < b).nonzero()[0]
+        first, last = buf[a[edged]], buf[b[edged] - 1]
+        slow = edged[_is_space(first) | _is_space(last) | (first >= 0x80) | (last >= 0x80)]
+        del edged, first, last
         for i in slow.tolist():
             line = data[a[i] : b[i]].decode("utf-8", "surrogatepass")
             lead = len(line) - len(line.lstrip())
