@@ -54,6 +54,12 @@ def _gains(text: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return tuple(parse_fraction(p) for p in parts)
 
 
+def _read(path: str) -> str:
+    """The file's text as written: UTF-8, with no newline translation."""
+    with open(path, encoding="utf-8", newline="") as file:
+        return file.read()
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -67,7 +73,7 @@ def _cmd_corner(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify_all(read_scheme(Path(args.file).read_text()))
+    report = verify_all(read_scheme(_read(args.file)))
     print(report.render())
     return 0 if report.passed else 1
 
@@ -130,7 +136,7 @@ def _cmd_phy_mc(args) -> int:
 
 
 def _cmd_e2e(args) -> int:
-    scheme = read_scheme(Path(args.scheme).read_text())
+    scheme = read_scheme(_read(args.scheme))
     demand = Demand.from_string(args.demand)
     cfg = PhyConfig(*_gains(args.gains))
     rng = np.random.default_rng(_check_seed(parse_integer(args.seed)))

@@ -12,17 +12,18 @@ usual "generic gains" assumption: demodulation is offered only when the
 aligned linear form is injective over the full symbol range.
 
 The front end, channel and aligned form run only on the cleared integer
-gains D*h (D the lcm of the denominators), so received values are
-integers over D^2.  Fractions appear only at the boundary: the input of
-demodulate and the values aligned_coefficients and
-enumerate_constellation render.  Floats appear only in Monte Carlo noise.
+gains D*h (D the lcm of the denominators), which PhyConfig computes once,
+so received values are integers over D^2.  Fractions appear only at the
+boundary: the input of demodulate and the values aligned_coefficients
+and enumerate_constellation render.  Floats appear only in Monte Carlo
+noise.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -108,6 +109,9 @@ class PhyConfig:
     h22: Fraction
     q: int = 2
     power: float | None = None
+    # D, the lcm of the gain denominators, and the integer gains D*h: the
+    # only gains that the lattice below runs on.
+    cleared: tuple[int, tuple[int, int, int, int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("h11", "h12", "h21", "h22"):
@@ -123,10 +127,13 @@ class PhyConfig:
             raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {self.q}")
         if self.power is not None:
             object.__setattr__(self, "power", _positive_float(self.power, "power"))
+        d = math.lcm(*(g.denominator for g in self.gains))
+        h = tuple(g.numerator * (d // g.denominator) for g in self.gains)
+        object.__setattr__(self, "cleared", (d, h))
         # A received value is a sum of four products of two cleared gains,
         # each times a symbol below q; below this bound every value and
         # every gap between two values fits in int64.
-        peak = max(abs(h) for h in _cleared(self.gains)[1])
+        peak = max(map(abs, h))
         if 8 * peak * peak * (self.q - 1) >= 2**63:
             raise ValueError(f"gains too large: cleared integer gains overflow int64 at q={self.q}")
 
@@ -159,21 +166,9 @@ def _aligned(h):
     return (h11 * h22, h12 * h21, h11 * h12), (h12 * h21, h11 * h22, h21 * h22)
 
 
-# The two caches below are keyed on the gains (and the constellation also
-# on the alphabet), never on the power budget, which changes neither: a
-# power sweep builds each once.
-
-
-@lru_cache(maxsize=64)
-def _cleared(gains: tuple[Fraction, ...]) -> tuple[int, tuple[int, int, int, int]]:
-    """D, the lcm of the gain denominators, and the integer gains D*h."""
-    d = math.lcm(*(h.denominator for h in gains))
-    return d, tuple(int(h * d) for h in gains)
-
-
 def _received(cfg: PhyConfig, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both users' noiseless observations, times D^2, of symbol rows (frames x 4)."""
-    h = _cleared(cfg.gains)[1]
+    h = cfg.cleared[1]
     return _channel(h, *_front_end(h, *symbols.T))
 
 
@@ -183,26 +178,28 @@ def aligned_coefficients(cfg: PhyConfig) -> tuple[AlignedTriple, AlignedTriple]:
     User 1's observation is c.direct_a*g1 + c.direct_b*g3 + c.pair_sum*(g2+g4);
     user 2's is the mirror on (g2, g4, g1+g3).
     """
-    d, h = _cleared(cfg.gains)
+    d, h = cfg.cleared
     return tuple(AlignedTriple(*(Fraction(c, d * d) for c in user)) for user in _aligned(h))
 
 
 class _Constellation:
-    """Both users' aligned points for one gain set and alphabet.
+    """Both users' aligned points for one cleared integer gain set and alphabet.
 
     A point is its index: (a, b, s) with a, b in [0, q) and s in [0, 2q-1)
     is point i = (a*q + b)*(2q-1) + s, and np.unravel_index reads the
     triple back.  Per user, values holds every point's integer value
-    (times D^2) in ascending order, equal values in index order, and
-    points the index of the point at each position.  gap is the smallest
-    difference between neighbouring values over both users, so the
-    uniqueness certificate holds exactly when gap > 0.
+    (in units of 1/D^2) in ascending order, equal values in index order,
+    and points the index of the point at each position.  gap is the
+    smallest difference between neighbouring values over both users, so
+    the uniqueness certificate holds exactly when gap > 0.  The table is
+    made from D*h alone, so gain sets that clear to the same integers
+    share one, and each renders it with its own D.
     """
 
-    def __init__(self, gains: tuple[Fraction, ...], q: int) -> None:
+    def __init__(self, h: tuple[int, int, int, int], q: int) -> None:
         self.shape = (q, q, 2 * q - 1)
         users = []
-        for form in _aligned(_cleared(gains)[1]):
+        for form in _aligned(h):
             a, b, s = (c * np.arange(n, dtype=np.int64) for c, n in zip(form, self.shape))
             by_index = (a[:, None, None] + b[:, None] + s).ravel()
             order = np.argsort(by_index, kind="stable")
@@ -240,12 +237,15 @@ class _Constellation:
         return tables[0], tables[1]
 
 
-# A certified q = 64 entry holds about 41.6 MB once Monte Carlo has built
-# its decision cells, 40 bytes a point, so three entries stay under 125 MB.
+# The one cache of this module, keyed on the cleared integer gains and the
+# alphabet, never on the power budget, which changes neither: a power sweep
+# builds each table once.  A certified q = 64 entry holds about 41.6 MB once
+# Monte Carlo has built its decision cells, 40 bytes a point, so three
+# entries stay under 125 MB.
 @lru_cache(maxsize=3)
-def _constellation(gains: tuple[Fraction, ...], q: int) -> _Constellation:
-    """The gain set's constellation, the least recently used of three evicted first."""
-    return _Constellation(gains, q)
+def _constellation(h: tuple[int, int, int, int], q: int) -> _Constellation:
+    """The integer gain set's constellation, the least recently used of three evicted first."""
+    return _Constellation(h, q)
 
 
 def _certified(cfg: PhyConfig) -> _Constellation:
@@ -254,7 +254,7 @@ def _certified(cfg: PhyConfig) -> _Constellation:
     The constellation is cached and the refusal is not, so failing gains
     are refused on every call.
     """
-    table = _constellation(cfg.gains, cfg.q)
+    table = _constellation(cfg.cleared[1], cfg.q)
     if table.gap == 0:
         raise ValueError("gains fail the uniqueness certificate; demodulation is ambiguous")
     return table
@@ -267,9 +267,9 @@ def enumerate_constellation(
 
     Equal values keep the enumeration order: a, then b, then s.
     """
-    table = _constellation(cfg.gains, cfg.q)
+    table = _constellation(cfg.cleared[1], cfg.q)
     values, points = table.for_user(user)
-    d2 = _cleared(cfg.gains)[0] ** 2
+    d2 = cfg.cleared[0] ** 2
     triples = zip(*table.triples(points).tolist())
     return [(Fraction(v, d2), t) for v, t in zip(values.tolist(), triples)]
 
@@ -279,7 +279,7 @@ def uniqueness_certificate(cfg: PhyConfig) -> bool:
 
     Exhaustive over all (a, b, s) with a, b in [0, Q) and s in [0, 2Q-1).
     """
-    return _constellation(cfg.gains, cfg.q).gap > 0
+    return _constellation(cfg.cleared[1], cfg.q).gap > 0
 
 
 def _nearest(values: np.ndarray, y):
@@ -305,7 +305,7 @@ def _demod(cfg: PhyConfig, user: int, y: np.ndarray, noisy: bool) -> np.ndarray:
     idx = _nearest(values, y)
     missing = np.flatnonzero(values[idx] != y)
     if missing.size and not noisy:
-        bad = Fraction(y[missing[0]]) / _cleared(cfg.gains)[0] ** 2
+        bad = Fraction(y[missing[0]]) / cfg.cleared[0] ** 2
         raise DemodError(f"observation {bad} is not a constellation value for user {user}")
     return table.triples(points[idx])
 
@@ -317,7 +317,7 @@ def demodulate(cfg: PhyConfig, y, user: int, noisy: bool = False) -> tuple[int, 
     the nearest value, ties going to the smaller one.  Both are exact.
     """
     y = _rational(y, "observation", "{what} {x!r} is not a finite number")
-    scaled = np.array([y * _cleared(cfg.gains)[0] ** 2])
+    scaled = np.array([y * cfg.cleared[0] ** 2])
     return tuple(_demod(cfg, user, scaled, noisy)[:, 0].tolist())
 
 
@@ -344,7 +344,7 @@ def e2e_run(
 
 def _transmit_peak(cfg: PhyConfig) -> int:
     """Largest transmit magnitude over the alphabet, times D^2 like received values."""
-    d, h = _cleared(cfg.gains)
+    d, h = cfg.cleared
     a, b = np.meshgrid(np.arange(cfg.q), np.arange(cfg.q))
     return d * int(max(np.abs(x).max() for x in _front_end(h, a, b, a, b)))
 

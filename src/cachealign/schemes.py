@@ -389,8 +389,9 @@ def memory_share(s1: LinearScheme, s2: LinearScheme, lam: Fraction) -> LinearSch
     t = lcm(s1.n // gcd(p, s1.n), s2.n // gcd(q - p, s2.n))
     n = q * t
     if n > MAX_GRANULARITY:
+        memory = lam * s1.memory + (1 - lam) * s2.memory
         raise ValueError(
-            f"memory sharing at {lam} needs granularity n = {n}, above the limit "
+            f"M = {memory} needs granularity n = {n}, above the limit "
             f"of {MAX_GRANULARITY} parts per file"
         )
     k1 = p * t // s1.n

@@ -28,6 +28,7 @@ from cachealign import (
     corner_scheme,
     read_scheme,
     scheme_for_memory,
+    verify_all,
     write_scheme,
 )
 from cachealign.cli import main
@@ -157,6 +158,41 @@ def test_verify_malformed_file(tmp_path, capsys):
 def test_verify_missing_file(capsys):
     assert main(["verify", "/nonexistent/scheme"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# Only \n ends a line, in read_scheme and through the command line alike.
+SHARED_TEXT = write_scheme(scheme_for_memory(Fraction(31, 179)))
+
+
+def test_commands_read_a_carriage_return_between_terms_as_a_space(tmp_path, capsys):
+    text = SHARED_TEXT.replace(" ", "\r")
+    assert read_scheme(text) == read_scheme(SHARED_TEXT)
+    path = tmp_path / "s"
+    path.write_bytes(text.encode())
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr() == (verify_all(read_scheme(text)).render() + "\n", "")
+    argv = ["e2e", "--scheme", str(path), "--demand", "BA", "--gains", "2,3,5,7", "--seed", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("USER 1 PASS\nUSER 2 PASS\n", "")
+
+
+def test_commands_refuse_a_file_whose_lines_end_in_a_lone_carriage_return(tmp_path, capsys):
+    text = SHARED_TEXT.replace("\n", "\r")
+    with pytest.raises(ValueError, match="^line 1: "):
+        read_scheme(text)
+    path = tmp_path / "r"
+    path.write_bytes(text.encode())
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: line 1: ") and len(err.splitlines()) == 1
+
+
+def test_verify_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.scheme"
+    path.write_bytes(write_scheme(corner_scheme("M13")).replace("n 3", "n 3 \xe9").encode("latin-1"))
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: 'utf-8' codec") and len(err.splitlines()) == 1
 
 
 def test_construct_writes_scheme_and_metrics(tmp_path, capsys):
@@ -403,6 +439,16 @@ def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, argv, expected)
     assert expected in lines[0]
 
 
+def test_granularity_refusal_names_the_memory_asked_for(capsys):
+    # Not the sharing weight, 4093/4096, that scheme_for_memory computes.
+    assert main(["construct", "--m", "1/4096"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: M = 1/4096 needs granularity n = 8192, above the limit of {MAX_GRANULARITY} "
+        "parts per file\n",
+    )
+
+
 def test_verify_zero_denominator_in_file(tmp_path, capsys):
     path = tmp_path / "zero.scheme"
     path.write_text(write_scheme(corner_scheme("M13")).replace("M 1/3", "M 1/0"))
@@ -492,21 +538,22 @@ def cli_argv(draw) -> list[str]:
     return argv
 
 
-def assert_exits_cleanly(argv: list[str]) -> str:
+def assert_exits_cleanly(argv: list[str]) -> tuple[str, str]:
     """main ends in exit 0, 1 or 2: never a traceback, and a refusal from
-    main comes with exactly one error line.  Returns what it wrote to stderr."""
+    main comes with exactly one error line.  Returns what it wrote to
+    stdout and to stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse refusing the command line
             assert exc.code == 2
-            return err.getvalue()
+            return out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
-    return err.getvalue()
+    return out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
@@ -574,7 +621,7 @@ def test_spaced_flag_values_reach_the_command(tmp_path_factory, data):
     scheme = tmp_path_factory.getbasetemp() / "m13.scheme"
     scheme.write_text(write_scheme(corner_scheme("M13")))
     argv, flags = data.draw(spaced_flag_values(str(scheme)))
-    err = assert_exits_cleanly(argv)
+    _, err = assert_exits_cleanly(argv)
     # A value that a parser takes goes to its flag, even when it starts with "-".
     for flag, value in flags.items():
         if accepted(value):
@@ -588,7 +635,7 @@ SCHEME_TEXTS = [write_scheme(corner_scheme(name)) for name in CORNER_NAMES] + [
 # Characters of the format, plus a few it never uses.  Row bits come up
 # in half the edits, so that many mutants still parse and reach verify;
 # term letters and digits, so that term rows are mutated too.
-EDIT_CHARS = st.sampled_from("01") | st.sampled_from("01 \n\t#/+-ABDZUVMnc2345789x\u00e9\uff13")
+EDIT_CHARS = st.sampled_from("01") | st.sampled_from("01 \n\r\t#/+-ABDZUVMnc2345789x\u00e9\uff13")
 
 
 def test_mutated_texts_hold_term_blocks():
@@ -612,8 +659,13 @@ def mutated_scheme(draw) -> str:
 @given(mutated_scheme())
 def test_fuzzed_scheme_files_exit_cleanly(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzzed.scheme"
-    path.write_text(text, encoding="utf-8")
-    assert_exits_cleanly(["verify", str(path)])
+    path.write_bytes(text.encode())
+    # verify prints what the library gives for the same text.
+    try:
+        expected = (verify_all(read_scheme(text)).render() + "\n", "")
+    except ValueError as exc:
+        expected = ("", f"error: {exc}\n")
+    assert assert_exits_cleanly(["verify", str(path)]) == expected
 
 
 def run_fresh(module: str, *argv: str) -> subprocess.CompletedProcess:

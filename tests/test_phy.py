@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -183,11 +184,11 @@ def test_monte_carlo_takes_a_numpy_integer_trial_count():
 
 
 def test_front_end_single_stream():
-    assert phy._front_end(phy._cleared(CFG.gains)[1], 1, 0, 0, 0) == (7, 0)
+    assert phy._front_end(CFG.cleared[1], 1, 0, 0, 0) == (7, 0)
 
 
 def test_front_end_all_streams():
-    assert phy._front_end(phy._cleared(CFG.gains)[1], 1, 1, 1, 1) == (10, 7)
+    assert phy._front_end(CFG.cleared[1], 1, 1, 1, 1) == (10, 7)
 
 
 def test_channel_out_aligned_values():
@@ -326,13 +327,13 @@ def test_e2e_matches_network_layer_decode():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The (gains, q) of every constellation built while the test runs, from an empty cache."""
+    """The (cleared gains, q) of each constellation built in the test, from an empty cache."""
     built = []
 
     class Counted(phy._Constellation):
-        def __init__(self, gains, q):
-            built.append((gains, q))
-            super().__init__(gains, q)
+        def __init__(self, h, q):
+            built.append((h, q))
+            super().__init__(h, q)
 
     monkeypatch.setattr(phy, "_Constellation", Counted)
     phy._constellation.cache_clear()
@@ -348,7 +349,7 @@ def test_constellation_cache_keeps_to_its_byte_budget(builds):
     tables = []
     for cfg in configs:
         assert uniqueness_certificate(cfg)
-        tables.append(phy._constellation(cfg.gains, cfg.q))
+        tables.append(phy._constellation(cfg.cleared[1], cfg.q))
         assert tables[-1].cells[0].shape == (3, 64 * 64 * 127)
     assert phy._constellation.cache_info().currsize == 3
     held = sum(
@@ -357,9 +358,9 @@ def test_constellation_cache_keeps_to_its_byte_budget(builds):
         for array in (*table.values, *table.points, *table.cells)
     )
     assert held <= 125 * 10**6
-    assert phy._constellation(cfg.gains, cfg.q) is tables[-1]
+    assert phy._constellation(cfg.cleared[1], cfg.q) is tables[-1]
     assert uniqueness_certificate(configs[0])
-    assert builds == [(cfg.gains, 64) for cfg in configs + configs[:1]]
+    assert builds == [(cfg.cleared[1], 64) for cfg in configs + configs[:1]]
 
 
 def test_fresh_gain_sets_leave_at_most_three_constellations(builds):
@@ -386,7 +387,51 @@ def test_e2e_builds_the_constellation_once(builds):
         out1, out2 = e2e_run(scheme, demand, CFG, bits)
         assert np.array_equal(out1, decode_bits(scheme, demand, 1, bits))
         assert np.array_equal(out2, decode_bits(scheme, demand, 2, bits))
-        assert builds == [(CFG.gains, 2)]
+        assert builds == [(CFG.cleared[1], 2)]
+
+
+def test_proportional_gain_sets_share_one_table(builds):
+    # Both clear to the integers (2, 3, 5, 7), with D = 1 and D = 2; each
+    # renders the shared table, and sets its power, with its own D.
+    whole, halves = PhyConfig(2, 3, 5, 7), PhyConfig(1, F(3, 2), F(5, 2), F(7, 2))
+    assert (whole.cleared, halves.cleared) == ((1, (2, 3, 5, 7)), (2, (2, 3, 5, 7)))
+    for cfg in (whole, halves):
+        assert uniqueness_certificate(cfg)
+        for user in (1, 2):
+            entries = oracle_constellation(cfg, user)
+            assert enumerate_constellation(cfg, user) == entries
+            for (lo, triple), (hi, _) in zip(entries, entries[1:]):
+                assert demodulate(cfg, lo, user) == triple
+                assert demodulate(cfg, (lo + hi) / 2, user, noisy=True) == triple
+    assert aligned_coefficients(whole) == ((14, 15, 6), (15, 14, 35))
+    assert aligned_coefficients(halves) == (
+        (F(7, 2), F(15, 4), F(3, 2)),
+        (F(15, 4), F(7, 2), F(35, 4)),
+    )
+    assert (power_for_min_gap(whole, 2.0), power_for_min_gap(halves, 2.0)) == (400.0, 1600.0)
+    assert builds == [((2, 3, 5, 7), 2)]
+
+
+def test_config_compares_hashes_and_shows_only_its_arguments():
+    cfg = PhyConfig(F(1, 2), 3, F(5, 4), 7, q=4, power=2.5)
+    assert cfg.cleared == (4, (2, 12, 5, 28))
+    fields = {f.name: f for f in dataclasses.fields(PhyConfig)}
+    assert not (fields["cleared"].init or fields["cleared"].compare or fields["cleared"].repr)
+    assert cfg == PhyConfig(F(2, 4), F(6, 2), F(5, 4), 7, q=4, power=2.5)
+    assert cfg != PhyConfig(1, 6, F(5, 2), 14, q=4, power=2.5)  # twice the gains
+    assert hash(cfg) == hash((*cfg.gains, 4, 2.5))
+    assert repr(cfg) == (
+        "PhyConfig(h11=Fraction(1, 2), h12=Fraction(3, 1), h21=Fraction(5, 4), "
+        "h22=Fraction(7, 1), q=4, power=2.5)"
+    )
+    back = pickle.loads(pickle.dumps(cfg))
+    assert (back, back.cleared, hash(back)) == (cfg, cfg.cleared, hash(cfg))
+    louder = dataclasses.replace(cfg, power=9.0)
+    assert (louder.power, louder.cleared) == (9.0, cfg.cleared) and louder != cfg
+    # replace builds a new config, so the cleared gains are computed again.
+    assert dataclasses.replace(cfg, h11=F(1, 3)).cleared == (12, (4, 36, 15, 84))
+    with pytest.raises(ValueError, match="cleared"):
+        dataclasses.replace(cfg, cleared=(1, (1, 1, 1, 1)))
 
 
 def test_e2e_zero_files():
@@ -556,7 +601,7 @@ def test_monte_carlo_matches_float_oracle(gains, q):
 
 def test_merging_config_has_neighbours_equal_in_float64():
     for user in (1, 2):
-        values = phy._constellation(MERGING.gains, MERGING.q).values[user - 1]
+        values = phy._constellation(MERGING.cleared[1], MERGING.q).values[user - 1]
         assert np.diff(values).all() and not np.diff(values.astype(np.float64)).all()
 
 
@@ -647,7 +692,7 @@ def test_power_sweep_builds_each_constellation_once(builds):
         assert uniqueness_certificate(cfg)
         monte_carlo(cfg, trials=1000, seed=1)
         monte_carlo(PhyConfig(*gains, q=4, power=cfg.power), trials=1000, seed=1)
-    assert builds == [(base.gains, 8), (base.gains, 4)]
+    assert builds == [(base.cleared[1], 8), (base.cleared[1], 4)]
 
 
 def test_certificate_then_monte_carlo_builds_once(builds):
@@ -657,7 +702,7 @@ def test_certificate_then_monte_carlo_builds_once(builds):
     assert result.trials == 1000
     assert enumerate_constellation(cfg, 2)
     assert demodulate(cfg, 0, 1) == (0, 0, 0)
-    assert builds == [(cfg.gains, 4)]
+    assert builds == [(cfg.cleared[1], 4)]
 
 
 def test_uncertified_gains_are_built_once_and_refused_every_time(builds):
@@ -667,7 +712,7 @@ def test_uncertified_gains_are_built_once_and_refused_every_time(builds):
             power_for_min_gap(DEGENERATE, 1.0)
         with pytest.raises(ValueError, match="uniqueness certificate"):
             monte_carlo(PhyConfig(1, 1, 1, 1, power=1.0), trials=10, seed=0)
-    assert builds == [(DEGENERATE.gains, 2)]
+    assert builds == [(DEGENERATE.cleared[1], 2)]
 
 
 @pytest.mark.parametrize("cfg", [CFG, PhyConfig(F(7, 3), F(5, 11), 13, F(3, 4), q=8)])
