@@ -217,6 +217,10 @@ class BitMatrix:
             raise ValueError(
                 f"vector of shape {vec.shape} does not match {self.cols} columns"
             )
+        return self._apply(vec)
+
+    def _apply(self, vec: np.ndarray) -> np.ndarray:
+        """apply's kernel, unchecked: *vec* must be uint8 bits of shape (cols,) or (cols, k)."""
         # Running XOR down the selected rows of bits; each row's parity is
         # the difference of the running values at its two ends.  One column
         # is run as a vector: indexing a vector costs less than taking the

@@ -155,9 +155,9 @@ def _front_end(h, g1, g2, g3, g4):
     return h22 * g1 + h12 * g2, h21 * g3 + h11 * g4
 
 
-def _channel(h, x1, x2):
+def _channel(h, x1, x2, user):
     h11, h12, h21, h22 = h
-    return h11 * x1 + h12 * x2, h21 * x1 + h22 * x2
+    return h11 * x1 + h12 * x2 if user == 1 else h21 * x1 + h22 * x2
 
 
 def _aligned(h):
@@ -166,10 +166,10 @@ def _aligned(h):
     return (h11 * h22, h12 * h21, h11 * h12), (h12 * h21, h11 * h22, h21 * h22)
 
 
-def _received(cfg: PhyConfig, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both users' noiseless observations, times D^2, of symbol rows (frames x 4)."""
+def _received(cfg: PhyConfig, symbols: np.ndarray, user: int) -> np.ndarray:
+    """The user's noiseless observations, times D^2, of symbol rows (frames x 4)."""
     h = cfg.cleared[1]
-    return _channel(h, *_front_end(h, *symbols.T))
+    return _channel(h, *_front_end(h, *symbols.T), user)
 
 
 def aligned_coefficients(cfg: PhyConfig) -> tuple[AlignedTriple, AlignedTriple]:
@@ -187,13 +187,15 @@ class _Constellation:
 
     A point is its index: (a, b, s) with a, b in [0, q) and s in [0, 2q-1)
     is point i = (a*q + b)*(2q-1) + s, and np.unravel_index reads the
-    triple back.  Per user, values holds every point's integer value
-    (in units of 1/D^2) in ascending order, equal values in index order,
-    and points the index of the point at each position.  gap is the
-    smallest difference between neighbouring values over both users, so
-    the uniqueness certificate holds exactly when gap > 0.  The table is
-    made from D*h alone, so gain sets that clear to the same integers
-    share one, and each renders it with its own D.
+    triple back; the index fixes the triple, so one table of triples or
+    of their bits serves both users.  Per user, values holds every
+    point's integer value (in units of 1/D^2) in ascending order, equal
+    values in index order, and points the index of the point at each
+    position.  gap is the smallest difference between neighbouring
+    values over both users, so the uniqueness certificate holds exactly
+    when gap > 0.  The table is made from D*h alone, so gain sets that
+    clear to the same integers share one, and each renders it with its
+    own D.
     """
 
     def __init__(self, h: tuple[int, int, int, int], q: int) -> None:
@@ -218,6 +220,13 @@ class _Constellation:
     def triples(self, points: np.ndarray) -> np.ndarray:
         """The (a, b, s) columns of an array of point indices."""
         return np.array(np.unravel_index(points, self.shape))
+
+    @cached_property
+    def parity(self) -> np.ndarray:
+        """Each point's (a, b, s) mod 2, as uint8 rows: column i belongs to point i."""
+        table = (self.triples(np.arange(math.prod(self.shape))) % 2).astype(np.uint8)
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -282,9 +291,17 @@ def uniqueness_certificate(cfg: PhyConfig) -> bool:
     return _constellation(cfg.cleared[1], cfg.q).gap > 0
 
 
-def _nearest(values: np.ndarray, y):
-    """Index of the value nearest to each y, ties going to the smaller value."""
-    right = np.minimum(np.searchsorted(values, y), len(values) - 1)
+def _nearest(values: np.ndarray, y, key=None):
+    """Index of the value nearest to each y, ties going to the smaller value.
+
+    The values are searched for *key*, y itself unless given.  For y an
+    object array of Fractions, key is each one's ceiling as an int64,
+    clipped to the int64 range where all values lie: the values are
+    integers, so the first one at or above the ceiling and the one
+    before it bracket y, and the comparison between them is exact.
+    """
+    right = np.searchsorted(values, y if key is None else key)
+    right = np.minimum(right, len(values) - 1)
     left = np.maximum(right - 1, 0)
     return np.where(y - values[left] <= values[right] - y, left, right)
 
@@ -298,16 +315,19 @@ def _in_cell(lo, v, hi, y):
     return (y - lo > v - y) & (y - v <= hi - y)
 
 
-def _demod(cfg: PhyConfig, user: int, y: np.ndarray, noisy: bool) -> np.ndarray:
-    """(a, b, s) columns of observations y in received integer units (times D^2)."""
-    table = _certified(cfg)
-    values, points = table.for_user(user)
-    idx = _nearest(values, y)
+def _demod(cfg: PhyConfig, user: int, y: np.ndarray, noisy: bool, key=None) -> np.ndarray:
+    """Point indices of exact observations y in received integer units (times D^2).
+
+    y is an int64 array, or an object array of Fractions searched for
+    *key* (see _nearest).  Noiseless mode demands exact values.
+    """
+    values, points = _certified(cfg).for_user(user)
+    idx = _nearest(values, y, key)
     missing = np.flatnonzero(values[idx] != y)
     if missing.size and not noisy:
         bad = Fraction(y[missing[0]]) / cfg.cleared[0] ** 2
         raise DemodError(f"observation {bad} is not a constellation value for user {user}")
-    return table.triples(points[idx])
+    return points[idx]
 
 
 def demodulate(cfg: PhyConfig, y, user: int, noisy: bool = False) -> tuple[int, int, int]:
@@ -317,8 +337,13 @@ def demodulate(cfg: PhyConfig, y, user: int, noisy: bool = False) -> tuple[int, 
     the nearest value, ties going to the smaller one.  Both are exact.
     """
     y = _rational(y, "observation", "{what} {x!r} is not a finite number")
-    scaled = np.array([y * cfg.cleared[0] ** 2])
-    return tuple(_demod(cfg, user, scaled, noisy)[:, 0].tolist())
+    scaled = y * cfg.cleared[0] ** 2
+    # A search of the Fraction would turn every int64 value into a Python
+    # object; its ceiling is searched for among the int64 values instead.
+    bound = np.iinfo(np.int64)
+    key = min(max(math.ceil(scaled), bound.min), bound.max)
+    point = _demod(cfg, user, np.array([scaled], dtype=object), noisy, np.array([key]))
+    return tuple(_certified(cfg).triples(point)[:, 0].tolist())
 
 
 def e2e_run(
@@ -336,8 +361,8 @@ def e2e_run(
         raise ValueError("end-to-end runs use one bit per frame and need q == 2")
 
     def lattice(user, *messages):
-        y = _received(cfg, np.column_stack(messages).astype(np.int64))[user - 1]
-        return (_demod(cfg, user, y, noisy=False) % 2).astype(np.uint8)
+        y = _received(cfg, np.array(messages, dtype=np.int64).T, user)
+        return _certified(cfg).parity[:, _demod(cfg, user, y, noisy=False)]
 
     return tuple(_deliver(s, d, file_bits, lattice, (1, 2)))
 

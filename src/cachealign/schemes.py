@@ -15,10 +15,11 @@ equality, hashing, repr, pickling and dataclasses.replace read that
 form.
 
 Schemes are immutable after construction and safe for concurrent use.
-Two exceptions only ever gain values equal to those a fresh build would
-give: a share's flat form, which two threads may build twice and store
-alike, and a private store, in which the verifier keeps the systems it
-has solved for a scheme.
+What is filled in later only ever gains values equal to those a fresh
+build would give: a share's flat form, which two threads may build twice
+and store alike, and two private stores, in which the verifier keeps the
+systems it has solved for a scheme and the maps it delivers a flat
+scheme's messages by.
 """
 
 from __future__ import annotations
@@ -127,6 +128,11 @@ class LinearScheme:
     # demand, user).  Like parts it is not an argument, so replace, pickle
     # and copy start with an empty store.
     _solutions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # The maps verifier._sender has built to deliver this flat scheme's
+    # messages: U1 stacked on U2 under "U", and each demand's block map
+    # over it under the demand.  A share's store stays empty, and like
+    # _solutions it starts empty after replace, pickle and copy.
+    _maps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "memory", Fraction(self.memory))
@@ -410,6 +416,7 @@ def memory_share(s1: LinearScheme, s2: LinearScheme, lam: Fraction) -> LinearSch
         cache_rows=cache_rows,
         message_rows=message_rows,
         _solutions={},
+        _maps={},
     )
     return shared
 
@@ -462,6 +469,25 @@ class SchemeFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+# Most characters that an error message spends on quoting a piece of the
+# text it refuses, marks included: a one-line file of 235 KB is not
+# written back whole.
+QUOTE_WIDTH = 80
+
+
+def _quoted(text: str) -> str:
+    """repr(text), or, wider than QUOTE_WIDTH, its start's repr, "…" and the text's size."""
+    head = repr(text[:QUOTE_WIDTH])
+    if len(text) <= QUOTE_WIDTH and len(head) <= QUOTE_WIDTH:
+        return head
+    size = f"… ({len(text.encode('utf-8', 'surrogatepass'))} bytes)"
+    cut = QUOTE_WIDTH - len(size) - 2
+    # Escapes make a repr wider than its text, so the start may shrink further.
+    while len(head := repr(text[:cut])) + len(size) > QUOTE_WIDTH:
+        cut -= 1
+    return head + size
 
 
 def _frac_text(f: Fraction) -> str:
@@ -584,25 +610,25 @@ _FLOAT_RE = re.compile(
 def parse_integer(text: str) -> int:
     """Parse an integer written in ASCII digits, with an optional sign."""
     if not _INTEGER_RE.fullmatch(text):
-        raise ValueError(f"expected an integer, got {text!r}")
+        raise ValueError(f"expected an integer, got {_quoted(text)}")
     return int(text)
 
 
 def parse_float(text: str) -> float:
     """Parse a decimal or exponent form written in ASCII, such as 40000, 2.5 or 1e3."""
     if not _FLOAT_RE.fullmatch(text):
-        raise ValueError(f"expected a number, got {text!r}")
+        raise ValueError(f"expected a number, got {_quoted(text)}")
     return float(text)
 
 
 def parse_fraction(text: str) -> Fraction:
     """Parse 'p/q' or a bare integer; floating-point forms are rejected."""
     if not _FRACTION_RE.fullmatch(text):
-        raise ValueError(f"expected a rational like 'p/q' or an integer, got {text!r}")
+        raise ValueError(f"expected a rational like 'p/q' or an integer, got {_quoted(text)}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {_quoted(text)}") from None
 
 
 class _Lines:
@@ -682,7 +708,8 @@ def _read_dense(lines: _Lines, first: int, count: int, width: int) -> BitMatrix:
         at = first + int(bad[0] if bad.size else sized)
         raise SchemeFormatError(
             int(lines.no[at]),
-            f"expected a row of exactly {width} characters over 0/1, got {lines.text(at)!r}",
+            f"expected a row of exactly {width} characters over 0/1, "
+            f"got {_quoted(lines.text(at))}",
         )
     # The offset of a "1" in the (count x width) rows is its key r * width + c.
     return BitMatrix._from_keys(np.flatnonzero(bits == ord("1")), (count, width))
@@ -727,18 +754,22 @@ def _row_columns(row: str, over: str, limit: int) -> list[int]:
     cols: dict[int, None] = {}
     for word in words:
         if word == "-":
-            raise ValueError(f"'-' marks an empty row and takes no terms, got {row!r}")
+            raise ValueError(f"'-' marks an empty row and takes no terms, got {_quoted(row)}")
         match = pattern.fullmatch(word)
         if match is None:
-            raise ValueError(f"expected terms {spelling} or '-', got {word!r}")
+            raise ValueError(f"expected terms {spelling} or '-', got {_quoted(word)}")
         k = int(match[2])
         if not 1 <= k <= limit:
             if over == "AB":
-                raise ValueError(f"term {word!r} names no part: parts run from 1 to {limit}")
-            raise ValueError(f"term {word!r} names no row of {over}, which has {limit} rows")
+                raise ValueError(
+                    f"term {_quoted(word)} names no part: parts run from 1 to {limit}"
+                )
+            raise ValueError(
+                f"term {_quoted(word)} names no row of {over}, which has {limit} rows"
+            )
         col = k - 1 + limit * (match[1] == "B")
         if col in cols:
-            raise ValueError(f"term {word!r} appears twice in the row")
+            raise ValueError(f"term {_quoted(word)} appears twice in the row")
         cols[col] = None
     return list(cols)
 
@@ -890,14 +921,17 @@ def read_scheme(text: str) -> LinearScheme:
         terms = spellings and len(words) > 2 and words[-1] == _TERMS
         *words, raw = words[:-1] if terms else words
         if words != tag.split():
-            raise SchemeFormatError(no, f"expected header '{tag} {value}', got {line!r}")
+            raise SchemeFormatError(
+                no, f"expected header '{tag} {value}', got {_quoted(line)}"
+            )
         return no, raw, terms
 
     def integer(no: int, raw: str, what: str) -> int:
         try:
             return parse_integer(raw)
         except ValueError:
-            raise SchemeFormatError(no, f"{what} must be an integer, got {raw!r}") from None
+            message = f"{what} must be an integer, got {_quoted(raw)}"
+            raise SchemeFormatError(no, message) from None
 
     try:
         no, raw, _ = header("n", "<value>")
@@ -945,7 +979,8 @@ def read_scheme(text: str) -> LinearScheme:
                 # The dense spelling cannot write such rows either.
                 raise SchemeFormatError(
                     int(lines.no[at]),
-                    f"{tag} rows over an empty {over} carry no bits, got {lines.text(at)!r}",
+                    f"{tag} rows over an empty {over} carry no bits, "
+                    f"got {_quoted(lines.text(at))}",
                 )
             if terms:
                 pending.append(block)

@@ -314,20 +314,51 @@ def _strided(leaves, x: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
+def _block_map(leaf: LinearScheme, d: Demand) -> BitMatrix:
+    """Demand d's delivery maps as one map over U1 stacked on U2.
+
+    Its blocks are [[D1, 0], [D2, 0], [0, D3], [0, D4]].
+    """
+    quad, r1, m = _delivery(leaf, d), leaf.u1.rows, leaf.message_rows
+    shift = np.repeat(np.array([0, r1], dtype=np.intp), 2 * m)
+    return _gather(list(quad), np.arange(4 * m), shift, r1 + leaf.u2.rows)
+
+
+def _sender(leaf: LinearScheme, d: Demand) -> tuple[BitMatrix, BitMatrix]:
+    """A flat scheme's maps from its file bits to its messages for demand *d*: U and D.
+
+    U is U1 stacked on U2 and D the demand's _block_map over it, so that
+    D·(U·x) stacks v1, v2, v3 and v4.  The leaf keeps them in its store,
+    U built once and D once per demand; the product D·U is not formed,
+    since on dense schemes it fills in.  Two threads can at worst build
+    a map twice and keep equal ones, so no lock is taken.
+    """
+    kept = leaf._maps
+    # Only a Demand is looked up, so nothing else can read U as a D.
+    block = kept.get(d) if isinstance(d, Demand) else None
+    if block is None:
+        block = kept[d] = _block_map(leaf, d)
+    u = kept.get("U")
+    if u is None:
+        u = kept["U"] = vstack([leaf.u1, leaf.u2])
+    return u, block
+
+
 def message_bits(
     s: LinearScheme, d: Demand, file_bits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Realize the four transmitted messages (v1, v2, v3, v4) for concrete file bits.
 
-    Each leaf's maps act on all its copies at once, and the messages'
-    rows are its leaves' rows, copied by the same rule as their parts.
+    Each leaf's two kept maps (_sender) act on all its copies at once,
+    and the messages' rows are its leaves' rows, copied by the same rule
+    as their parts.
     """
     leaves = _leaves(s)
     sent = []
-    for (leaf, _), bits in zip(leaves, _strided(leaves, _file_bits(s, file_bits))):
-        y1, y2 = leaf.u1.apply(bits), leaf.u2.apply(bits)
-        sent.append([m.apply(y).ravel() for m, y in zip(_delivery(leaf, d), (y1, y1, y2, y2))])
-    return tuple(map(_joined, zip(*sent)))
+    for (leaf, k), bits in zip(leaves, _strided(leaves, _file_bits(s, file_bits))):
+        u, block = _sender(leaf, d)
+        sent.append(block._apply(u._apply(bits)).reshape(4, leaf.message_rows * k))
+    return tuple(sent[0] if len(sent) == 1 else np.concatenate(sent, axis=1))
 
 
 def _joined(pieces) -> np.ndarray:
@@ -339,11 +370,12 @@ def _deliver(s: LinearScheme, d: Demand, file_bits: np.ndarray, pipes, users) ->
     """The file bits that each of *users* decodes when the messages reach it through *pipes*.
 
     pipes(user, v1, v2, v3, v4) gives the three blocks of bits the user
-    observes.  The users' systems are solved together.  Each leaf's
-    witness decoder then acts on its cache bits stacked on its rows of the
-    three blocks, all its copies at once, and gives its parts of the
-    requested file.  Raises ValueError for the first user that cannot
-    decode.
+    observes, as three equal vectors or one (3, frames) array.  The users'
+    systems are solved together.  Each leaf's witness decoder then acts
+    on its cache bits stacked on its rows of the three blocks, all its
+    copies at once, and gives its parts of the requested file.  Raises
+    ValueError for the first user that cannot decode.  The file bits are
+    checked, and every map then applies unchecked.
     """
     leaves = _leaves(s)
     solved = _solved(leaves, [(d, user) for user in users])
@@ -354,13 +386,13 @@ def _deliver(s: LinearScheme, d: Demand, file_bits: np.ndarray, pipes, users) ->
     sent, blocks = message_bits(s, d, x), _strided(leaves, x)
     decoded = []
     for user, ours in zip(users, solved):
-        observed, parts, start = pipes(user, *sent), [], 0
+        observed, parts, start = np.asarray(pipes(user, *sent)), [], 0
         for (leaf, k), bits, solution in zip(leaves, blocks, ours):
-            rows = leaf.message_rows
-            seen = [block[start : start + rows * k].reshape(rows, k) for block in observed]
-            cache = (leaf.z1 if user == 1 else leaf.z2).apply(bits)
-            parts.append(solution.decoder.apply(np.concatenate([cache, *seen])).ravel())
-            start += rows * k
+            end = start + leaf.message_rows * k
+            seen = observed[:, start:end].reshape(-1, k)
+            cache = (leaf.z1 if user == 1 else leaf.z2)._apply(bits)
+            parts.append(solution.decoder._apply(np.concatenate([cache, seen])).ravel())
+            start = end
         decoded.append(_joined(parts))
     return decoded
 

@@ -22,7 +22,8 @@ def monte_carlo(cfg: PhyConfig, trials: int, seed: int) -> MonteCarloResult:
     symbols = rng.integers(0, cfg.q, size=(trials, 4))
     noise = NOISE_SIGMA * _transmit_peak(cfg) / float(cfg.power) ** 0.5
     rates = []
-    for values, y in zip(tables, _received(cfg, symbols)):
+    for user, values in zip((1, 2), tables):
+        y = _received(cfg, symbols, user)
         # Certified values are distinct, so a wrong index is a wrong triple.
         errors = _nearest(values, y + noise * rng.standard_normal(trials)) != _nearest(values, y)
         rates.append(float(np.mean(errors)))

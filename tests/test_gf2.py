@@ -769,3 +769,20 @@ def test_flat_copy_eliminates_only_its_distinct_patterns(monkeypatch):
     assert verify_all(flat).passed
     # 8 distinct patterns among thousands of components.
     assert sum(components) > 1000 and 0 < sum(members) <= 8
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+def test_apply_still_refuses_entries_that_are_not_bits(bad):
+    # The public entry point checks; the verifier's unchecked kernel is private.
+    m = BitMatrix.identity(2)
+    for vec in ([bad, 0], [[0, 1], [bad, 1]]):
+        with pytest.raises(ValueError, match="^vector entries must be 0 or 1$"):
+            m.apply(vec)
+    with pytest.raises(ValueError, match="^vector entries must be 0 or 1$"):
+        m.apply(np.array([[1], [2]], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("shape", [(3,), (1,), (3, 2), (1, 2), (2, 2, 1), ()])
+def test_apply_still_refuses_wrong_shapes(shape):
+    with pytest.raises(ValueError, match="does not match 2 columns"):
+        BitMatrix.identity(2).apply(np.zeros(shape, dtype=np.uint8))

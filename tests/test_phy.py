@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import json
@@ -192,7 +193,8 @@ def test_front_end_all_streams():
 
 
 def test_channel_out_aligned_values():
-    y1, y2 = phy._received(CFG, np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0]]))
+    symbols = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0]])
+    y1, y2 = (phy._received(CFG, symbols, user) for user in (1, 2))
     assert y1.tolist() == [29, 12, 0]
     assert y2.tolist() == [70, 29, 0]
 
@@ -211,7 +213,7 @@ def test_received_matches_fraction_model(cfg):
     # Every symbol quadruple: the integer channel over D^2 is y = H x exactly.
     d = math.lcm(*(h.denominator for h in cfg.gains))
     quads = list(itertools.product(range(cfg.q), repeat=4))
-    y1, y2 = phy._received(cfg, np.array(quads, dtype=np.int64))
+    y1, y2 = (phy._received(cfg, np.array(quads, dtype=np.int64), user) for user in (1, 2))
     for g, v1, v2 in zip(quads, y1.tolist(), y2.tolist()):
         assert (F(v1, d * d), F(v2, d * d)) == oracle_received(cfg, g), g
 
@@ -566,6 +568,40 @@ def test_integer_pipeline_matches_fraction_oracle(gains, q, data):
         t = data.draw(st.fractions(-2, 3, max_denominator=50))
         for y in (lo + t * (hi - lo), float(lo + t * (hi - lo)), entries[0][0] - 1):
             assert demodulate(cfg, y, user, noisy=True) == oracle_nearest(entries, y)
+
+
+def test_demodulate_at_q64_matches_the_exact_oracle():
+    # The largest alphabet, 520 192 points a user, on sampled values,
+    # midpoints and points between them.  Integer gains keep the oracle's
+    # values integers, so it enumerates and sorts in Python ints, and
+    # oracle_nearest sees the sorted entries around y, among which the
+    # nearest one lies.
+    cfg = PhyConfig(1000, 1, 1, 1000, q=64)
+    q, rng = cfg.q, np.random.default_rng(64)
+    for user in (1, 2):
+        ca, cb, cs = (int(c) for c in oracle_coefficients(cfg)[user - 1])
+        entries = sorted(
+            (ca * a + cb * b + cs * s, (a, b, s))
+            for a in range(q)
+            for b in range(q)
+            for s in range(2 * q - 1)
+        )
+        values = [v for v, _ in entries]
+        assert len(set(values)) == len(values)
+        for i in rng.choice(len(entries) - 1, 25).tolist():
+            (lo, triple), hi = entries[i], values[i + 1]
+            mid = Fraction(lo + hi, 2)
+            assert demodulate(cfg, lo, user) == triple
+            with pytest.raises(DemodError, match=f"observation {mid} is not a constellation"):
+                demodulate(cfg, mid, user)
+            above = (mid + Fraction(1, 10**9), hi + Fraction(3, 4), float(hi) + 0.25)
+            for y in (mid, lo - Fraction(1, 3), *above):
+                at = bisect.bisect_left(values, y)
+                nearest = oracle_nearest(entries[max(at - 2, 0) : at + 2], y)
+                assert demodulate(cfg, y, user, noisy=True) == nearest
+        ends = entries[:2] + entries[-2:]
+        for y in (values[0] - 10**30, values[-1] + Fraction(10**30, 7)):
+            assert demodulate(cfg, y, user, noisy=True) == oracle_nearest(ends, y)
 
 
 def test_pipeline_exact_near_the_int64_limit():

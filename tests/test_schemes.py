@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import pickle
 import re
@@ -33,7 +34,7 @@ from cachealign import (
     write_scheme,
 )
 from cachealign.cli import main
-from cachealign.schemes import _Lines, _from_blocks, _row_columns
+from cachealign.schemes import QUOTE_WIDTH, _Lines, _from_blocks, _row_columns
 
 F = Fraction
 
@@ -792,6 +793,63 @@ def test_bad_term_rows_are_refused_at_their_line(tmp_path, capsys, no, new, expe
     assert captured.out == ""
     errors = captured.err.splitlines()
     assert len(errors) == 1 and errors[0].startswith(f"error: {expected}")
+
+
+# Long pieces of file text, each at a place whose refusal quotes it:
+# (file, line, new text, the message before the quote, the piece quoted).
+LONG = "A1x" * 200
+HEADER = "line 1: expected header 'n <value>', got "
+RATIONAL = "line 2: expected a rational like 'p/q' or an integer, got "
+TERMS = "line 5: expected terms A<k> or B<k> or '-', got "
+DASH = "line 5: '-' marks an empty row and takes no terms, got "
+ROW = "line 9: expected a row of exactly 6 characters over 0/1, got "
+LONG_QUOTES = [
+    ("M16", 1, "n 12 " + "x" * 300, HEADER, "n 12 " + "x" * 300),
+    ("M16", 1, "n " + "9" * 300 + "x", "line 1: granularity must be an integer, got ",
+     "9" * 300 + "x"),
+    ("M16", 2, "M 1/" + "6" * 300 + "x", RATIONAL, "1/" + "6" * 300 + "x"),
+    ("M16", 5, f"A7 {LONG}", TERMS, LONG),
+    ("M16", 5, "\u00e9" * 200, TERMS, "\u00e9" * 200),
+    ("M16", 5, "- " + "A1 " * 100, DASH, "- " + "A1 " * 99 + "A1"),
+    ("M16", 5, "B" + "1" * 200, "line 5: term ", "B" + "1" * 200),
+    ("M13", 9, "0" * 500, ROW, "0" * 500),
+    ("M13", 9, "\x00" * 100, ROW, "\x00" * 100),
+]
+
+
+@pytest.mark.parametrize("file,no,new,before,piece", LONG_QUOTES)
+def test_long_quotes_are_cut_to_the_quote_width(tmp_path, capsys, file, no, new, before, piece):
+    scheme = corner_scheme("M13") if file == "M13" else scheme_for_memory(F(1, 6))
+    lines = write_scheme(scheme).splitlines()
+    lines[no - 1] = new
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(SchemeFormatError) as info:
+        read_scheme(text)
+    message = str(info.value)
+    assert message.startswith(before)
+    quote = message[len(before) :]
+    size = len(piece.encode("utf-8"))
+    head, mark, rest = quote.partition(f"… ({size} bytes)")
+    # The start of the piece, quoted as repr quotes it, then the mark.
+    start = ast.literal_eval(head)
+    assert mark and piece.startswith(start) and head == repr(start)
+    assert len(head + mark) <= QUOTE_WIDTH
+    assert rest in ("", " names no part: parts run from 1 to 12")
+    path = tmp_path / "long.scheme"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_quotes_that_fit_stay_whole():
+    # repr adds two quote marks: a row of QUOTE_WIDTH - 2 characters is
+    # quoted whole, and one more character cuts it.
+    for width, whole in ((QUOTE_WIDTH - 2, True), (QUOTE_WIDTH - 1, False)):
+        text = "\n".join(m13_lines({9: "0" * width})) + "\n"
+        with pytest.raises(SchemeFormatError) as info:
+            read_scheme(text)
+        quote = repr("0" * width) if whole else f"… ({width} bytes)"
+        assert str(info.value).endswith(f"over 0/1, got {quote}" if whole else quote)
 
 
 def test_term_rows_over_an_empty_u_block_are_refused(tmp_path, capsys):

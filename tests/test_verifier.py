@@ -29,6 +29,7 @@ from cachealign import gf2, schemes, verifier
 from cachealign import (
     BitMatrix,
     Demand,
+    LinearScheme,
     corner_scheme,
     decodable,
     decode_bits,
@@ -525,7 +526,8 @@ def test_kept_solutions_are_not_compared_copied_or_pickled():
 
 def test_threads_sharing_leaves_agree():
     # Four threads certify and decode shares of two fresh flat schemes at
-    # once, switching often: a lost store only costs a second solve.
+    # once, each for its own demand, switching often: a lost store entry
+    # only costs a second solve or a second build of a leaf's maps.
     s1, s2 = flat_copy(corner_scheme("M13")), flat_copy(corner_scheme("M45"))
     memories = [F(1, 2), F(2, 3), F(3, 5), F(7, 10)]
     shares_ = [memory_share(s1, s2, (F(4, 5) - m) / (F(4, 5) - F(1, 3))) for m in memories]
@@ -535,7 +537,7 @@ def test_threads_sharing_leaves_agree():
         try:
             shared = shares_[k]
             bits = np.ones(2 * shared.n, dtype=np.uint8)
-            results[k] = (verify_all(shared), decode_bits(shared, Demand.AB, 2, bits))
+            results[k] = (verify_all(shared), decode_bits(shared, list(Demand)[k], 2, bits))
         except Exception as exc:  # reported below, on the test's own thread
             errors.append(exc)
 
@@ -714,6 +716,114 @@ def test_failing_share_verdicts_build_no_flat_form_and_no_block_sum(scaled_calls
         with pytest.raises(ValueError, match=f"not decodable for demand {d}, user {user}"):
             decode_bits(shared, d, user, bits)
     assert scaled_calls == [] and not has_flat_form(shared)
+
+
+@pytest.fixture
+def block_maps(monkeypatch):
+    """The (leaf, demand) pairs whose block map verifier builds while the test runs."""
+    built = []
+    block_map = verifier._block_map
+
+    def counted(leaf, d):
+        built.append((id(leaf), d))
+        return block_map(leaf, d)
+
+    monkeypatch.setattr(verifier, "_block_map", counted)
+    return built
+
+
+def fresh_nested_share():
+    """DEEP_SHARES' share at n = 1001 over fresh copies of its corners, whose stores are empty."""
+    m0, m13, m45 = (dataclasses.replace(corner_scheme(name)) for name in ("M0", "M13", "M45"))
+    return memory_share(
+        memory_share(m0, m13, F(8, 11)), memory_share(m13, m45, F(9, 14)), F(1, 13)
+    )
+
+
+def oracle_block_map(leaf, d) -> np.ndarray:
+    """[[D1, 0], [D2, 0], [0, D3], [0, D4]] over U1 stacked on U2, in dense bits."""
+    d1, d2, d3, d4 = (m.data for m in leaf.delivery[d])
+    pad1, pad2 = (np.zeros((leaf.message_rows, u.rows), np.uint8) for u in (leaf.u2, leaf.u1))
+    return np.block([[d1, pad1], [d2, pad1], [pad2, d3], [pad2, d4]])
+
+
+def test_leaf_maps_are_built_once_per_leaf_and_demand(block_maps):
+    shared = fresh_nested_share()
+    leaves = {id(leaf): leaf for leaf, _ in schemes._leaves(shared)}
+    assert [k for _, k in schemes._leaves(shared)] == [28, 7, 198, 66] and len(leaves) == 3
+    bits = np.random.default_rng(2).integers(0, 2, size=2 * shared.n, dtype=np.uint8)
+    message_bits(shared, Demand.AA, bits)
+    stacked = {key: leaf._maps["U"] for key, leaf in leaves.items()}
+    for _ in range(2):
+        for d in Demand:
+            message_bits(shared, d, bits)
+            decode_bits(shared, d, 2, bits)
+            e2e_run(shared, d, PhyConfig(2, 3, 5, 7), bits)
+    assert len(block_maps) == len(set(block_maps))
+    assert set(block_maps) == {(key, d) for key in leaves for d in Demand}
+    for key, leaf in leaves.items():
+        # U once: the object the first delivery built.
+        assert leaf._maps["U"] is stacked[key] == vstack([leaf.u1, leaf.u2])
+        for d in Demand:
+            assert np.array_equal(leaf._maps[d].data, oracle_block_map(leaf, d))
+    # The share keeps nothing, and still has no flat form.
+    assert shared._maps == {} and not has_flat_form(shared)
+    assert shared.parts.s1._maps == {} and shared.parts.s2._maps == {}
+
+
+def test_certification_and_construction_build_no_leaf_maps(block_maps):
+    shared = fresh_nested_share()
+    leaves = [leaf for leaf, _ in schemes._leaves(shared)]
+    assert verify_all(shared).passed
+    assert all(decodable(shared, d, user) is not None for d, user in ALL_CASES)
+    built = scheme_for_memory(F(3, 7))
+    assert verify_all(built).passed and decodable(built, Demand.BA, 1) is not None
+    flat = flat_copy(shared)
+    assert verify_all(flat).passed and decodable(flat, Demand.AB, 2) is not None
+    assert block_maps == []
+    assert all(leaf._maps == {} for leaf in [*leaves, shared, built, flat])
+
+
+def test_kept_maps_are_not_compared_copied_or_pickled():
+    flat = flat_copy(scheme_for_memory(F(2, 7)))
+    bits = np.ones(2 * flat.n, dtype=np.uint8)
+    for d in Demand:
+        e2e_run(flat, d, PhyConfig(2, 3, 5, 7), bits)
+    assert set(flat._maps) == {"U", *Demand}
+    copies = [dataclasses.replace(flat), copy.copy(flat), copy.deepcopy(flat)]
+    for other in copies + [pickle.loads(pickle.dumps(flat))]:
+        assert other == flat and other._maps == {} and hash(other) == hash(flat)
+    assert "_maps" not in repr(flat)
+
+
+def random_dense_scheme(n: int, seed: int) -> LinearScheme:
+    """A flat scheme at granularity n whose every block is dense random bits."""
+    rng = np.random.default_rng(seed)
+
+    def bits(rows: int, cols: int) -> BitMatrix:
+        return BitMatrix(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8))
+
+    k, rows_u = n // 2, n - 3
+    z1, z2, u1, u2 = (bits(rows, 2 * n) for rows in (n, n, rows_u, rows_u))
+    delivery = {d: [bits(k, rows_u) for _ in range(4)] for d in Demand}
+    return LinearScheme(n, F(1), F(k, n), z1, z2, u1, u2, delivery)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [fresh_nested_share, *DEEP_SHARES.values(), lambda: random_dense_scheme(64, 3)],
+    ids=["fresh nested", *DEEP_SHARES, "dense n = 64"],
+)
+def test_kept_maps_deliver_as_the_flat_copy(make):
+    scheme = make()
+    bits = np.random.default_rng(scheme.n).integers(0, 2, size=2 * scheme.n, dtype=np.uint8)
+    assert share_outcomes(scheme, bits) == share_outcomes(flat_copy(scheme), bits)
+    # The messages are D·(U·x) of the scheme's rows, in dense oracle products.
+    u = [oracle.apply(m.data, bits) for m in (scheme.u1, scheme.u2)]
+    for d in Demand:
+        sent = message_bits(scheme, d, bits)
+        for m, y, v in zip(scheme.delivery[d], u[:1] * 2 + u[1:] * 2, sent):
+            assert np.array_equal(v, oracle.apply(m.data, y))
 
 
 def eager_blocks(s) -> list[BitMatrix]:
